@@ -89,15 +89,31 @@ def _polymulmod(u, v, p, r3, r4):
 
 
 def _x_pow(spec, e, p):
-    """X^e modulo (characteristic cubic, p) as coefficients (c0, c1, c2)."""
+    """X^e modulo (characteristic cubic, p) as coefficients (c0, c1, c2).
+
+    Left to right over the bits of e: square, and for a set bit multiply
+    by X, which is a shift plus one reduction row (X^3 = r3)."""
     r3, r4 = _reduction_rows(spec, p)
+    s0, s1, s2 = r3
     out = (1 % p, 0, 0)
-    base = (0, 1 % p, 0)
-    while e:
-        if e & 1:
-            out = _polymulmod(out, base, p, r3, r4)
-        base = _polymulmod(base, base, p, r3, r4)
-        e >>= 1
+    for bit in bin(e)[2:]:
+        out = _polymulmod(out, out, p, r3, r4)
+        if bit == "1":
+            c0, c1, c2 = out
+            out = (c2 * s0 % p, (c0 + c2 * s1) % p, (c1 + c2 * s2) % p)
+    return out
+
+
+def terms_at_multiples(spec, p, k_max):
+    """[U_p, U_2p, ..., U_{k_max*p}] mod p, one ring multiplication each:
+    X^{kp} = (X^p)^k modulo (characteristic cubic, p)."""
+    r3, r4 = _reduction_rows(spec, p)
+    u0, u1, u2 = (x % p for x in spec.initial_terms)
+    step = c = _x_pow(spec, p, p)
+    out = []
+    for _ in range(k_max):
+        out.append((c[0] * u0 + c[1] * u1 + c[2] * u2) % p)
+        c = _polymulmod(c, step, p, r3, r4)
     return out
 
 

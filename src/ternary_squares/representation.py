@@ -5,15 +5,20 @@ Two decision tiers: bounded enumeration over v, and a Cornacchia tier
 -n modulo N/g^2, Euclid descent) for inputs the scan cannot reach.
 On top of that sits the cheap quadratic-residue obstruction: an odd prime
 p | n with U_n a nonresidue mod p certifies that U_n = u^2 + n*v^2 has
-no solution at all.
+no solution at all. `count` finds it for every n <= x at once with a
+prime-major sieve; `qr_obstruction` decides one index.
+
+Every Member, Obstructed and witness verdict is re-verified by an explicit
+check that raises CertificateError, so the checks also run under -O.
 """
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .modular import term_mod
-from .primes import FactorTimeout, divisors_from_factorization, factorize
+from .modular import term_mod, terms_at_multiples
+from .primes import (FactorTimeout, divisors_from_factorization, factorize,
+                     sieve)
 from .recurrence import (DEFAULT_TERM_DIGITS, FIVE_FIB_SQ_MINUS_4,
                          POW2_PLUS_N, SQUARE_POW, lucas, term)
 from .sqrtmod import legendre, sqrt_mod
@@ -44,6 +49,15 @@ class Obstructed:
 @dataclass(frozen=True)
 class Unknown:
     pass
+
+
+class CertificateError(ArithmeticError):
+    """A verdict failed its re-verification."""
+
+
+def _certify(ok, what, n):
+    if not ok:
+        raise CertificateError(f"{what} failed re-verification at n={n}")
 
 
 def status_name(status):
@@ -99,7 +113,8 @@ def _cornacchia_primitive(m, n, m_factors):
 
 
 def _represent(n_big, n, enum_limit, factor_timeout_s):
-    """(status, method) for N = u^2 + n*v^2 over nonnegative integers."""
+    """(status, method) for N = u^2 + n*v^2 over nonnegative integers;
+    a Member is re-verified against N before it is returned."""
     if n_big < 0:
         raise ValueError("N must be nonnegative")
     if n < 1:
@@ -107,11 +122,21 @@ def _represent(n_big, n, enum_limit, factor_timeout_s):
     if n_big == 0:
         return Member(0, 0), "enumeration"
     if math.isqrt(n_big // n) <= enum_limit:
-        return _represent_enumerate(n_big, n), "enumeration"
+        status, method = _represent_enumerate(n_big, n), "enumeration"
+    else:
+        status, method = _represent_cornacchia(n_big, n, factor_timeout_s), \
+            "cornacchia"
+    if isinstance(status, Member):
+        _certify(status.u**2 + n * status.v**2 == n_big,
+                 f"{method} representation", n)
+    return status, method
+
+
+def _represent_cornacchia(n_big, n, factor_timeout_s):
     try:
         factors = factorize(n_big, timeout_s=factor_timeout_s)
     except FactorTimeout:
-        return Unknown(), "cornacchia"
+        return Unknown()
     # imprimitive solutions are g * (primitive solution of N/g^2)
     square_part = {p: e // 2 for p, e in factors.items() if e >= 2}
     for g in divisors_from_factorization(square_part):
@@ -120,10 +145,8 @@ def _represent(n_big, n, enum_limit, factor_timeout_s):
                      if e - 2 * _val(g, p) > 0}
         found = _cornacchia_primitive(m, n, m_factors)
         if found is not None:
-            u, v = found
-            assert (g * u) ** 2 + n * (g * v) ** 2 == n_big
-            return Member(g * u, g * v), "cornacchia"
-    return NonMember(), "cornacchia"
+            return Member(g * found[0], g * found[1])
+    return NonMember()
 
 
 def _val(g, p):
@@ -164,6 +187,31 @@ def qr_obstruction(spec, n):
     return None
 
 
+def obstruction_table(spec, x):
+    """obs[n] for 0 <= n <= x: the smallest odd prime p | n with U_n a
+    quadratic nonresidue mod p, or 0 where there is none.
+
+    Prime-major: for each odd prime p <= x, U_p, U_2p, ... mod p are
+    stepped one ring multiplication apart, and primes go up, so the first
+    prime recorded at n is the smallest. Agrees with qr_obstruction.
+    """
+    obs = [0] * (x + 1)
+    for p in sieve(x)[1:]:
+        residues = terms_at_multiples(spec, p, x // p)
+        for n, r in zip(range(p, x + 1, p), residues):
+            if not obs[n] and r and legendre(r, p) == -1:
+                obs[n] = p
+    return obs
+
+
+def non_squarefree_count(x):
+    """#{n <= x : p^2 | n for some prime p}, by marking multiples of p^2."""
+    flags = bytearray(x + 1)
+    for p in sieve(math.isqrt(x)):
+        flags[p * p::p * p] = b"\x01" * (x // (p * p))
+    return flags.count(1)
+
+
 # ---------------------------------------------------------------------------
 # membership classification
 
@@ -196,6 +244,33 @@ def _witness_formula(spec, n):
     return None
 
 
+def _classify(spec, n, obstruction, n_exact, enum_limit, factor_timeout_s,
+              term_digits):
+    """The record of index n given its obstruction (Obstructed or None):
+    the obstruction, else a closed-form witness where one exists, else the
+    exact solver for n <= n_exact, else Unknown. Every Obstructed and
+    Member verdict is re-verified before it is returned."""
+    if obstruction is not None:
+        p = obstruction.p
+        r = term_mod(spec, n, p)
+        _certify(p % 2 == 1 and n % p == 0 and r != 0
+                 and legendre(r, p) == -1, f"obstruction at p={p}", n)
+        return MembershipRecord(n, obstruction, "qr_sieve")
+    witness = _witness_formula(spec, n)
+    if witness is not None:
+        u, v = witness
+        _certify(u * u + n * v * v == term(spec, n, term_digits),
+                 "closed-form witness", n)
+        return MembershipRecord(n, Member(u, v), "witness_formula")
+    if n <= n_exact:
+        u_n = term(spec, n, term_digits)
+        if u_n < 0:     # u^2 + n*v^2 >= 0
+            return MembershipRecord(n, NonMember(), "sign")
+        status, method = _represent(u_n, n, enum_limit, factor_timeout_s)
+        return MembershipRecord(n, status, method)
+    return MembershipRecord(n, Unknown(), "qr_sieve")
+
+
 def membership(spec, n, n_exact, enum_limit=DEFAULT_ENUM_LIMIT,
                factor_timeout_s=DEFAULT_FACTOR_TIMEOUT_S,
                term_digits=DEFAULT_TERM_DIGITS):
@@ -207,24 +282,8 @@ def membership(spec, n, n_exact, enum_limit=DEFAULT_ENUM_LIMIT,
         raise ValueError("n must be positive")
     if spec.is_zero_sequence():
         raise ValueError("membership is undefined for the all-zero sequence")
-    obstruction = qr_obstruction(spec, n)
-    if obstruction is not None:
-        r = term_mod(spec, n, obstruction.p)
-        assert r != 0 and legendre(r, obstruction.p) == -1
-        return MembershipRecord(n, obstruction, "qr_sieve")
-    witness = _witness_formula(spec, n)
-    if witness is not None:
-        u, v = witness
-        assert u * u + n * v * v == term(spec, n, term_digits), \
-            f"closed-form witness failed at n={n}"
-        return MembershipRecord(n, Member(u, v), "witness_formula")
-    if n <= n_exact:
-        u_n = term(spec, n, term_digits)
-        status, method = _represent(u_n, n, enum_limit, factor_timeout_s)
-        if isinstance(status, Member):
-            assert status.u**2 + n * status.v**2 == u_n
-        return MembershipRecord(n, status, method)
-    return MembershipRecord(n, Unknown(), "qr_sieve")
+    return _classify(spec, n, qr_obstruction(spec, n), n_exact, enum_limit,
+                     factor_timeout_s, term_digits)
 
 
 @dataclass(frozen=True)
@@ -262,32 +321,49 @@ class CountReport:
 
 
 def _classify_chunk(args):
-    spec, lo, hi, n_exact, enum_limit, factor_timeout_s, term_digits = args
-    return [membership(spec, n, n_exact, enum_limit, factor_timeout_s,
-                       term_digits)
-            for n in range(lo, hi)]
+    spec, indices, budgets = args
+    return [_classify(spec, n, None, *budgets) for n in indices]
+
+
+def _pool_plan(indices, workers):
+    """(worker count, chunks) for classifying `indices` in a process pool:
+    about four contiguous chunks per worker, and never more workers than
+    chunks. A worker count of 1 means no pool."""
+    if workers <= 1 or not indices:
+        return 1, [indices]
+    size = -(-len(indices) // (4 * workers))
+    chunks = [indices[i:i + size] for i in range(0, len(indices), size)]
+    return min(workers, len(chunks)), chunks
 
 
 def classify_range(spec, x, n_exact, workers=1,
                    enum_limit=DEFAULT_ENUM_LIMIT,
                    factor_timeout_s=DEFAULT_FACTOR_TIMEOUT_S,
                    term_digits=DEFAULT_TERM_DIGITS):
-    """MembershipRecords for n = 1 .. x in order; the worker split is by
-    contiguous chunks, so the result is independent of `workers`."""
+    """MembershipRecords for n = 1 .. x in order.
+
+    One obstruction sieve covers every index in this process. Only the
+    exact tier (unobstructed n <= n_exact) is split over `workers`
+    processes, by contiguous chunks, so the result is independent of
+    `workers`."""
     if x < 1:
         raise ValueError("x must be >= 1")
-    if workers <= 1 or x < 64:
-        return _classify_chunk((spec, 1, x + 1, n_exact, enum_limit,
-                                factor_timeout_s, term_digits))
-    chunk = max(1, (x + 4 * workers - 1) // (4 * workers))
-    tasks = [(spec, lo, min(lo + chunk, x + 1), n_exact, enum_limit,
-              factor_timeout_s, term_digits)
-             for lo in range(1, x + 1, chunk)]
-    records = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_classify_chunk, tasks):
-            records.extend(part)
-    return records
+    if spec.is_zero_sequence():
+        raise ValueError("membership is undefined for the all-zero sequence")
+    obs = obstruction_table(spec, x)
+    budgets = (n_exact, enum_limit, factor_timeout_s, term_digits)
+    exact = [n for n in range(1, min(x, n_exact) + 1) if not obs[n]]
+    workers, chunks = _pool_plan(exact, workers)
+    pooled = {}
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for part in pool.map(_classify_chunk,
+                                 [(spec, chunk, budgets) for chunk in chunks]):
+                pooled.update((rec.n, rec) for rec in part)
+    return [pooled[n] if n in pooled else
+            _classify(spec, n, Obstructed(obs[n]) if obs[n] else None,
+                      *budgets)
+            for n in range(1, x + 1)]
 
 
 def summarize(records, x, n_exact):
@@ -297,14 +373,12 @@ def summarize(records, x, n_exact):
         counts[status_name(rec.status)] += 1
         method_counts[rec.method] = method_counts.get(rec.method, 0) + 1
     certified = counts["non_member"] + counts["obstructed"]
-    non_squarefree = sum(1 for rec in records
-                         if any(e >= 2 for e in factorize(rec.n).values()))
     return CountReport(
         x=x, n_exact=n_exact, counts=counts, method_counts=method_counts,
         member_count=counts["member"],
         certified_non_members=certified,
         upper_bound=x - certified,
-        non_squarefree=non_squarefree,
+        non_squarefree=non_squarefree_count(x),
     )
 
 

@@ -105,6 +105,20 @@ def test_count_obstruction_row(capsys):
     assert "7,obstructed,,,7" in lines
 
 
+def test_count_negative_terms_are_non_members(capsys):
+    code, out, err = run_cli(capsys, "count", "--spec",
+                             '{"a1":1,"a2":1,"a3":1,"u0":-5,"u1":-3,"u2":-1}',
+                             "--x", "20", "--n-exact", "20", "--threads", "1")
+    assert code == 0, err
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 20
+    assert {row[1] for row in rows} == {"non_member", "obstructed"}
+    assert "5,obstructed,,,5" in out.split("\n")
+    summary = json.loads(err)
+    assert summary["certified_non_members"] == 20
+    assert summary["method_counts"] == {"sign": 16, "qr_sieve": 4}
+
+
 def test_constants(capsys):
     code, out, _ = run_cli(capsys, "constants")
     assert code == 0

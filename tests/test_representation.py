@@ -1,17 +1,24 @@
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 
+from ternary_squares.modular import _x_pow
+from ternary_squares.primes import factorize, sieve
 from ternary_squares.representation import (Member, NonMember, Obstructed,
-                                            Unknown, classify_range,
-                                            count_range, integer_sqrt,
-                                            membership, qr_obstruction,
-                                            represent, status_name)
+                                            Unknown, _pool_plan,
+                                            classify_range, count_range,
+                                            integer_sqrt, membership,
+                                            non_squarefree_count,
+                                            obstruction_table,
+                                            qr_obstruction, represent,
+                                            status_name)
 from ternary_squares.recurrence import (FIVE_FIB_SQ_MINUS_4, POW2_PLUS_N,
                                         SQUARE_POW, TRIBONACCI,
                                         RecurrenceSpec, fibonacci, lucas,
-                                        term)
+                                        term, term_iter)
 
 
 def brute_representable(n_big, n):
@@ -198,3 +205,89 @@ def test_monotone_obstructed_density():
         report = count_range(TRIBONACCI, x, 0)
         densities.append(report.counts["obstructed"] / x)
     assert densities[0] <= densities[1] <= densities[2]
+
+
+NEGATIVE_SPEC = RecurrenceSpec(-2, 1, -1, -5, 3, -1)
+A3_DIVISIBLE_SPEC = RecurrenceSpec(1, 2, 15, 1, 2, 3)   # 3 | a3 and 5 | a3
+
+
+def _oracle_table(spec, x):
+    return [0] + [getattr(qr_obstruction(spec, n), "p", 0)
+                  for n in range(1, x + 1)]
+
+
+@pytest.mark.parametrize("spec", [TRIBONACCI, POW2_PLUS_N, NEGATIVE_SPEC,
+                                  A3_DIVISIBLE_SPEC])
+def test_obstruction_table_matches_per_index_oracle(spec):
+    assert obstruction_table(spec, 2000) == _oracle_table(spec, 2000)
+    for x in (1, 2, 3):
+        assert obstruction_table(spec, x) == _oracle_table(spec, x)
+
+
+def test_classify_range_matches_membership():
+    for spec, x, n_exact in ((TRIBONACCI, 300, 50), (POW2_PLUS_N, 200, 40),
+                             (TRIBONACCI, 1, 5), (TRIBONACCI, 3, 0)):
+        assert classify_range(spec, x, n_exact) == \
+            [membership(spec, n, n_exact) for n in range(1, x + 1)]
+
+
+def test_non_squarefree_count_matches_factorization():
+    running = 0
+    for x in range(1, 5001):
+        running += any(e >= 2 for e in factorize(x).values())
+        assert non_squarefree_count(x) == running, x
+
+
+def test_x_pow_matches_exact_terms():
+    rng = random.Random(7)
+    primes = sieve(2000)
+    for spec in (TRIBONACCI, NEGATIVE_SPEC, A3_DIVISIBLE_SPEC):
+        exact = list(term_iter(spec, 400))
+        for _ in range(200):
+            n, p = rng.randrange(0, 401), rng.choice(primes)
+            c0, c1, c2 = _x_pow(spec, n, p)
+            assert (c0 * spec.u0 + c1 * spec.u1 + c2 * spec.u2) % p \
+                == exact[n] % p, (spec, n, p)
+
+
+def test_pool_plan_caps_workers_at_chunks():
+    indices = list(range(1, 11))
+    workers, chunks = _pool_plan(indices, 10**6)
+    assert workers <= len(chunks) == 10
+    assert [n for chunk in chunks for n in chunk] == indices
+    workers, chunks = _pool_plan(indices, 2)
+    assert workers == 2 and [n for c in chunks for n in c] == indices
+    assert _pool_plan(indices, 1) == (1, [indices])
+    assert _pool_plan([], 8) == (1, [[]])
+    assert _pool_plan([5], 8)[0] == 1
+
+
+_WRONG_CERTIFICATES = """
+import sys
+from ternary_squares import representation as rep
+from ternary_squares.recurrence import POW2_PLUS_N, TRIBONACCI
+
+def raises_certificate_error(call):
+    try:
+        call()
+    except rep.CertificateError:
+        return True
+    return False
+
+assert not __debug__, "run me under python -O"
+rep._witness_formula = lambda spec, n: (1, 1)
+wrong_witness = raises_certificate_error(
+    lambda: rep.membership(POW2_PLUS_N, 8, 0))
+rep.obstruction_table = lambda spec, x: [0, 0, 0, 0, 0, 0, 0, 0, 3]
+wrong_obstruction = raises_certificate_error(
+    lambda: rep.classify_range(TRIBONACCI, 8, 0))
+rep._represent_enumerate = lambda n_big, n: rep.Member(1, 1)
+wrong_member = raises_certificate_error(lambda: rep.represent(233, 13))
+sys.exit(0 if wrong_witness and wrong_obstruction and wrong_member else 1)
+"""
+
+
+def test_wrong_certificates_raise_under_optimize():
+    proc = subprocess.run([sys.executable, "-O", "-c", _WRONG_CERTIFICATES],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
