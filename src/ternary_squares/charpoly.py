@@ -9,7 +9,6 @@ for the optimized exponent constants.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 from .recurrence import RecurrenceSpec
 
@@ -172,43 +171,24 @@ def factorize(spec):
 def _ratio_resultant(spec):
     """Degree-9 integer polynomial whose roots are the ratios r_i/r_j.
 
-    Res_y(Psi(y), Psi(x*y)) equals a3^3 * prod_{i,j} (x - r_i/r_j); the
-    Sylvester determinant is expanded with entries in Z[x].
+    It is the norm prod_i Psi(x*r_i) = a3^3 * prod_{i,j} (x - r_i/r_j):
+    the determinant of multiplication by Psi(x*X) on Q[X]/Psi, whose
+    entries are polynomials in x.
     """
     a1, a2, a3 = spec.coefficients
-    # Psi(y): ascending in y, integer entries
-    f = [[-a3], [-a2], [-a1], [1]]
-    # Psi(x*y): ascending in y, entries are polynomials in x
-    g = [[-a3], [0, -a2], [0, 0, -a1], [0, 0, 0, 1]]
-    # 6x6 Sylvester matrix, rows of f coefficients then rows of g
-    zero = [0]
-    m = []
-    for shift in range(3):
-        row = [zero] * shift + list(reversed(f)) + [zero] * (2 - shift)
-        m.append(row)
-    for shift in range(3):
-        row = [zero] * shift + list(reversed(g)) + [zero] * (2 - shift)
-        m.append(row)
+    # Psi(x*X) reduced by X^3 = a1 X^2 + a2 X + a3, coefficients of 1, X, X^2
+    col = [[-a3, 0, 0, a3], [0, -a2, 0, a2], [0, 0, -a1, a1]]
+    cols = [col]
+    for _ in range(2):  # times X: shift up and reduce X^3
+        c0, c1, c2 = cols[-1]
+        cols.append([_poly_mul([a3], c2),
+                     _poly_add(c0, _poly_mul([a2], c2)),
+                     _poly_add(c1, _poly_mul([a1], c2))])
     det = [0]
-    for perm in permutations(range(6)):
-        entries = [m[i][perm[i]] for i in range(6)]
-        if any(e == [0] for e in entries):
-            continue
-        prod = [1]
-        for e in entries:
-            prod = _poly_mul(prod, e)
-        sign = 1
-        seen = [False] * 6
-        for i in range(6):  # permutation parity by cycle counting
-            if not seen[i]:
-                j, length = i, 0
-                while not seen[j]:
-                    seen[j] = True
-                    j = perm[j]
-                    length += 1
-                if length % 2 == 0:
-                    sign = -sign
-        det = _poly_add(det, prod if sign == 1 else [-c for c in prod])
+    for i, j, k, sign in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
+                          (0, 2, 1, -1), (1, 0, 2, -1), (2, 1, 0, -1)):
+        term = _poly_mul(_poly_mul(cols[0][i], cols[1][j]), cols[2][k])
+        det = _poly_add(det, [sign * c for c in term])
     return det
 
 

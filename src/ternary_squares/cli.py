@@ -18,7 +18,7 @@ from .modular import ScanBudgetError, classify_prime, count_roots_mod_p
 from .primes import FactorTimeout, iter_primes
 from .recurrence import (PRESETS, BinarySpec, TermBudgetError,
                          spec_from_json)
-from .representation import classify_range, summarize
+from .representation import CertificateError, classify_range, summarize
 
 SCHEMA_VERSION = "1"
 
@@ -367,6 +367,9 @@ def main(argv=None):
             FactorTimeout) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except CertificateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILED
 
 
 if __name__ == "__main__":

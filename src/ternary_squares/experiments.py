@@ -172,15 +172,11 @@ def char_sum_sweep(spec, p_max, max_states=10**6):
         if prof.t_p > max_states:
             skipped += 1
             continue
-        values = md._v_values_one_period(spec, p, prof, max_states)
-        t_v = len(values)
+        values = md._v_values_one_period(spec, p, max_states)
         checked += 1
         for d in (1, 2, 3):
-            state_period = t_v // math.gcd(d, t_v)
             for c in range(d):
-                word = [values[(c + d * (k + 1)) % t_v]
-                        for k in range(state_period)]
-                t_cdp = md._minimal_word_period(word)
+                word, t_cdp = md._progression_word(values, c, d)
                 s = sum(legendre(w, p) for w in word[:t_cdp])
                 ratio = abs(s) / p
                 worst = max(worst, ratio)

@@ -3,6 +3,10 @@ periods, element orders in F_p and F_p^2, multiplier groups, the
 Frobenius-reduced companion sequence V, character sums over it, and the
 order/zero-pattern membership tests.
 
+All arithmetic modulo (Psi, p), Psi the characteristic cubic, is done in
+one ring, F_p[X]/Psi: X^k = c0 + c1*X + c2*X^2 there gives
+U_{k+j} = c0*U_j + c1*U_{j+1} + c2*U_{j+2} (mod p) for every j.
+
 Terminology used throughout: for a prime p at which the characteristic
 cubic has exactly one root (the set Z), `alpha` is that root in F_p and
 `beta`, `gamma` are the conjugate roots of the quadratic cofactor in
@@ -26,48 +30,7 @@ class ScanBudgetError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# companion-matrix and polynomial arithmetic mod p
-
-def _companion(spec, p):
-    a1, a2, a3 = spec.coefficients
-    return (0, 1, 0,
-            0, 0, 1,
-            a3 % p, a2 % p, a1 % p)
-
-
-def _mat_mul(x, y, p):
-    x0, x1, x2, x3, x4, x5, x6, x7, x8 = x
-    y0, y1, y2, y3, y4, y5, y6, y7, y8 = y
-    return ((x0 * y0 + x1 * y3 + x2 * y6) % p,
-            (x0 * y1 + x1 * y4 + x2 * y7) % p,
-            (x0 * y2 + x1 * y5 + x2 * y8) % p,
-            (x3 * y0 + x4 * y3 + x5 * y6) % p,
-            (x3 * y1 + x4 * y4 + x5 * y7) % p,
-            (x3 * y2 + x4 * y5 + x5 * y8) % p,
-            (x6 * y0 + x7 * y3 + x8 * y6) % p,
-            (x6 * y1 + x7 * y4 + x8 * y7) % p,
-            (x6 * y2 + x7 * y5 + x8 * y8) % p)
-
-
-_MAT_ONE = (1, 0, 0, 0, 1, 0, 0, 0, 1)
-
-
-def _mat_pow(m, e, p):
-    out = tuple(v % p for v in _MAT_ONE)
-    while e:
-        if e & 1:
-            out = _mat_mul(out, m, p)
-        m = _mat_mul(m, m, p)
-        e >>= 1
-    return out
-
-
-def _mat_vec(m, v, p):
-    v0, v1, v2 = v
-    return ((m[0] * v0 + m[1] * v1 + m[2] * v2) % p,
-            (m[3] * v0 + m[4] * v1 + m[5] * v2) % p,
-            (m[6] * v0 + m[7] * v1 + m[8] * v2) % p)
-
+# the ring F_p[X]/Psi
 
 def _reduction_rows(spec, p):
     """X^3 and X^4 reduced modulo the characteristic cubic, coefficients
@@ -101,6 +64,17 @@ def _x_pow(spec, e, p):
         if bit == "1":
             c0, c1, c2 = out
             out = (c2 * s0 % p, (c0 + c2 * s1) % p, (c1 + c2 * s2) % p)
+    return out
+
+
+def _ring_pow(u, e, p, r3, r4):
+    """u^e in F_p[X]/Psi by square-and-multiply."""
+    out = (1 % p, 0, 0)
+    while e:
+        if e & 1:
+            out = _polymulmod(out, u, p, r3, r4)
+        u = _polymulmod(u, u, p, r3, r4)
+        e >>= 1
     return out
 
 
@@ -169,43 +143,51 @@ def _poly_gcd_modp(f, g, p):
     return f or [0]
 
 
+def _linear_part(spec, p):
+    """gcd(X^p - X, Psi) over F_p: the product of the distinct linear
+    factors of the characteristic cubic mod p (Psi itself when X^p = X)."""
+    xp = _x_pow(spec, p, p)
+    return _poly_gcd_modp([xp[0], (xp[1] - 1) % p, xp[2]], char_poly(spec), p)
+
+
 def count_roots_mod_p(spec, p):
     """Number of distinct roots of the characteristic cubic in F_p:
     0, 1, 3, or "ramified" when p divides the discriminant.
 
-    Small p are scanned directly; larger p use the Frobenius criterion
-    deg gcd(X^p - X, Psi) with X^p computed by repeated squaring mod Psi.
+    Every p uses the Frobenius criterion deg gcd(X^p - X, Psi), with X^p
+    computed by repeated squaring mod Psi.
     """
     if discriminant(spec) % p == 0:
         return RAMIFIED
-    psi = char_poly(spec)
-    if p < 1000:
-        return sum(1 for x in range(p)
-                   if (((x * x * x - spec.a1 * x * x - spec.a2 * x - spec.a3)
-                        % p) == 0))
-    xp = _x_pow(spec, p, p)
-    if xp == (0, 1, 0):
-        return 3
-    g = _poly_gcd_modp([xp[0], (xp[1] - 1) % p, xp[2]], psi, p)
-    return len(g) - 1
+    return len(_linear_part(spec, p)) - 1
 
 
 def _roots_mod_p(spec, p):
-    """All distinct roots of the characteristic cubic in F_p."""
-    if p < 1000:
-        return [x for x in range(p)
-                if (x * x * x - spec.a1 * x * x - spec.a2 * x - spec.a3) % p == 0]
-    xp = _x_pow(spec, p, p)
-    if xp == (0, 1, 0):
-        g = [c % p for c in char_poly(spec)]
-    else:
-        g = _poly_gcd_modp([xp[0], (xp[1] - 1) % p, xp[2]], char_poly(spec), p)
-    return sorted(_roots_of_split_poly(g, p))
+    """All distinct roots of the characteristic cubic in F_p, p odd,
+    increasing.
+
+    When all three are there (X^p = X), Cantor-Zassenhaus separates them:
+    gcd((X + a)^((p-1)/2) - 1, Psi) collects the roots r with r + a a
+    nonzero square, and a = 0, 1, ... is tried until that is a proper
+    factor.
+    """
+    g = _linear_part(spec, p)
+    if len(g) < 4:
+        return sorted(_roots_of_split_poly(g, p))
+    r3, r4 = _reduction_rows(spec, p)
+    for a in range(p):
+        h = _ring_pow((a, 1, 0), (p - 1) // 2, p, r3, r4)
+        d = _poly_gcd_modp([(h[0] - 1) % p, h[1], h[2]], g, p)
+        if 0 < len(d) - 1 < 3:
+            rest, rem = _poly_divmod_modp(g, d, p)
+            assert rem == [0]
+            return sorted(_roots_of_split_poly(d, p) + _roots_of_split_poly(rest, p))
+    raise AssertionError("cubic splitting failed to find a separating shift")
 
 
 def _roots_of_split_poly(g, p):
-    """Roots of a monic-izable polynomial of degree <= 3 over F_p that is
-    known to split into distinct linear factors."""
+    """Roots of a polynomial of degree <= 2 over F_p, p odd, that is known
+    to split into distinct linear factors."""
     deg = len(g) - 1
     if deg <= 0:
         return []
@@ -213,47 +195,11 @@ def _roots_of_split_poly(g, p):
     g = [c * inv % p for c in g]
     if deg == 1:
         return [(-g[0]) % p]
-    if deg == 2:
-        disc = (g[1] * g[1] - 4 * g[0]) % p
-        s = tonelli_shanks(disc, p)
-        assert s is not None, "split quadratic must have a square discriminant"
-        inv2 = pow(2, -1, p)
-        return [(-g[1] + s) * inv2 % p, (-g[1] - s) * inv2 % p]
-    # cubic splitting: probe gcd((X+a)^((p-1)/2) - 1, g) over a fixed schedule
-    for a in range(p):
-        h = _shifted_half_pow(g, a, p)
-        h[0] = (h[0] - 1) % p
-        d = _poly_gcd_modp(h, g, p)
-        if 0 < len(d) - 1 < 3:
-            rest, rem = _poly_divmod_modp(g, d, p)
-            assert rem == [0]
-            return _roots_of_split_poly(d, p) + _roots_of_split_poly(rest, p)
-    raise AssertionError("cubic splitting failed to find a separating shift")
-
-
-def _shifted_half_pow(g, a, p):
-    """(X + a)^((p-1)/2) reduced mod g, ascending list of length deg(g)."""
-    deg = len(g) - 1
-    out = [1] + [0] * (deg - 1)
-    base = [a % p, 1] + [0] * (deg - 2)
-    e = (p - 1) // 2
-    while e:
-        if e & 1:
-            out = _polymul_mod_generic(out, base, g, p)
-        base = _polymul_mod_generic(base, base, g, p)
-        e >>= 1
-    return out
-
-
-def _polymul_mod_generic(u, v, g, p):
-    prod = [0] * (len(u) + len(v) - 1)
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                prod[i + j] = (prod[i + j] + ui * vj) % p
-    _, r = _poly_divmod_modp(prod, g, p)
-    r = list(r) + [0] * (len(g) - 1 - len(r))
-    return r[:len(g) - 1]
+    disc = (g[1] * g[1] - 4 * g[0]) % p
+    s = tonelli_shanks(disc, p)
+    assert s is not None, "split quadratic must have a square discriminant"
+    inv2 = pow(2, -1, p)
+    return [(-g[1] + s) * inv2 % p, (-g[1] - s) * inv2 % p]
 
 
 # ---------------------------------------------------------------------------
@@ -354,17 +300,25 @@ class PrimeProfile:
 
 
 def _state_period(spec, p, multiple, multiple_factors):
-    """Smallest k dividing `multiple` with M^k s0 = s0 for the companion
-    matrix M and initial state s0; requires M^multiple s0 = s0."""
-    s0 = tuple(x % p for x in spec.initial_terms)
-    if s0 == (0, 0, 0):
+    """Smallest k dividing `multiple` with state(k) = state(0), where
+    state(k) = (U_k, U_{k+1}, U_{k+2}) mod p; `multiple` must be such a k.
+
+    state(k) = c0*state(0) + c1*state(1) + c2*state(2) for
+    X^k = c0 + c1*X + c2*X^2 (Cayley-Hamilton).
+    """
+    a1, a2, a3 = spec.coefficients
+    u = [x % p for x in spec.initial_terms]
+    if not any(u):
         return 1
-    m = _companion(spec, p)
-    assert _mat_vec(_mat_pow(m, multiple, p), s0, p) == s0, \
-        "claimed period multiple does not fix the initial state"
-    return _element_order(
-        lambda k: _mat_vec(_mat_pow(m, k, p), s0, p) == s0,
-        multiple, multiple_factors)
+    for _ in range(2):
+        u.append((a1 * u[-1] + a2 * u[-2] + a3 * u[-3]) % p)
+
+    def returns_at(k):
+        c0, c1, c2 = _x_pow(spec, k, p)
+        return all((c0 * u[j] + c1 * u[j + 1] + c2 * u[j + 2] - u[j]) % p == 0
+                   for j in range(3))
+
+    return _element_order(returns_at, multiple, multiple_factors)
 
 
 def classify_prime(spec, p):
@@ -493,16 +447,15 @@ def v_mod(spec, p, m, profile=None):
     return term_mod(spec, (p % prof.t_p) * (m % prof.t_p) % prof.t_p, p)
 
 
-def _v_values_one_period(spec, p, prof, max_states):
-    """All of V_0 .. V_{t-1} where t is the state period of V mod p.
+def _v_values_one_period(spec, p, max_states):
+    """V_0 .. V_{t-1}, V_m = U_{p*m} mod p, where t is the state period of
+    V; p must not divide a3.
 
-    V satisfies the same recurrence as U mod p (the Frobenius permutes
-    the characteristic roots), so one modular stepping pass suffices.
+    X^p has characteristic polynomial Psi mod p for every p (the Frobenius
+    permutes the roots of Psi, multiplicities included), so V satisfies
+    the recurrence of U mod p: one stepping pass from (U_0, U_p, U_2p).
     """
-    t = prof.t_p
-    s0 = (term_mod(spec, 0, p),
-          term_mod(spec, p % t, p),
-          term_mod(spec, (2 * p) % t, p))
+    s0 = (spec.initial_terms[0] % p, *terms_at_multiples(spec, p, 2))
     a1, a2, a3 = (c % p for c in spec.coefficients)
     values = []
     x, y, z = s0
@@ -525,24 +478,24 @@ def _minimal_word_period(word):
     return n
 
 
-def _progression_word(spec, p, c, d, profile, max_states):
-    """One full period of the subsequence V_{c+dk}, k = 1, 2, ...."""
+def _progression_word(values, c, d):
+    """One full period of the subsequence V_{c+dk}, k = 1, 2, ..., given
+    one period `values` of V, and the word's minimal period."""
     if not 0 <= c < d:
         raise ValueError("need 0 <= c < d")
-    prof = _profile(spec, p, profile)
-    _require_in_Z(prof)
-    values = _v_values_one_period(spec, p, prof, max_states)
     t_v = len(values)
-    state_period = t_v // math.gcd(d, t_v)
-    word = [values[(c + d * (k + 1)) % t_v] for k in range(state_period)]
-    return word, _minimal_word_period(word), prof
+    word = [values[(c + d * (k + 1)) % t_v]
+            for k in range(t_v // math.gcd(d, t_v))]
+    return word, _minimal_word_period(word)
 
 
 def char_sum(spec, p, c, d, profile=None, max_states=DEFAULT_SCAN_STATES):
     """Sum of Legendre symbols (V_{c+dk} / p) over k = 1 .. t_{c,d,p},
     where t_{c,d,p} is the minimal period of that subsequence; zero terms
     contribute zero."""
-    word, t_cdp, _ = _progression_word(spec, p, c, d, profile, max_states)
+    _require_in_Z(_profile(spec, p, profile))
+    word, t_cdp = _progression_word(
+        _v_values_one_period(spec, p, max_states), c, d)
     return sum(legendre(w, p) for w in word[:t_cdp])
 
 
@@ -550,7 +503,10 @@ def period_in_progression(spec, p, c, d, profile=None,
                           max_states=DEFAULT_SCAN_STATES):
     """{"t_cdp", "matches_formula"}: the observed minimal period of
     V_{c+dk} versus the generic value t_p / gcd(d, t_p)."""
-    word, t_cdp, prof = _progression_word(spec, p, c, d, profile, max_states)
+    prof = _profile(spec, p, profile)
+    _require_in_Z(prof)
+    _, t_cdp = _progression_word(
+        _v_values_one_period(spec, p, max_states), c, d)
     return {"t_cdp": t_cdp,
             "matches_formula": t_cdp == prof.t_p // math.gcd(d, prof.t_p)}
 
@@ -569,41 +525,25 @@ def in_L_y(spec, p, y, profile=None):
     return prof.ord_ratio <= y
 
 
-def in_P_fU(spec, p, f_p, profile=None, max_states=DEFAULT_SCAN_STATES):
+def in_P_fU(spec, p, f_p, max_states=DEFAULT_SCAN_STATES):
     """Does U_{p*m} vanish mod p at 7 indices m_1 < ... < m_7 with
-    m_7 - m_1 <= f_p?  Returns (flag, witness indices or None).
+    m_7 - m_1 <= f_p?  Returns (flag, witness indices or None); the
+    witness is the one with the smallest m_1.
 
-    Scans m in [1, t + f_p] where t is the period of {U_{pm}}_m mod p;
-    periodicity makes that window exhaustive.
+    Works at every odd p not dividing a3, in Z or not, ramified included:
+    V_m = U_{p*m} mod p is stepped over one period t, and m is scanned in
+    [1, t + min(f_p, 6t)]. Periodicity makes that window exhaustive: a
+    run may start in [1, t], and 7 consecutive zeros span at most 6t.
     """
     if p == 2 or spec.a3 % p == 0:
         raise ValueError("need odd p not dividing a3")
     if f_p < 1:
         raise ValueError("f_p must be positive")
-    if in_Z(spec, p):
-        prof = _profile(spec, p, profile)
-        values = _v_values_one_period(spec, p, prof, max_states)
-    else:
-        values = _stepped_values_one_period(spec, p, max_states)
+    values = _v_values_one_period(spec, p, max_states)
     t = len(values)
-    zeros = [m for m in range(1, t + 1) if values[m % t] == 0]
-    zeros += [z + t for z in zeros if z <= f_p]
+    zeros = [m for m in range(1, t + int(min(f_p, 6 * t)) + 1)
+             if values[m % t] == 0]
     for i in range(len(zeros) - 6):
         if zeros[i + 6] - zeros[i] <= f_p:
             return True, tuple(zeros[i:i + 7])
     return False, None
-
-
-def _stepped_values_one_period(spec, p, max_states):
-    """U_{p*m} mod p for one full state period of m -> state(p*m)."""
-    step = _mat_pow(_companion(spec, p), p, p)
-    s0 = tuple(x % p for x in spec.initial_terms)
-    values = []
-    s = s0
-    for _ in range(max_states + 1):
-        values.append(s[0])
-        s = _mat_vec(step, s, p)
-        if s == s0:
-            return values
-    raise ScanBudgetError(
-        f"stepped period for p={p} exceeds the {max_states}-state budget")

@@ -118,6 +118,13 @@ def test_ratio_resultant_roots():
             assert got == expect
 
 
+def test_ratio_resultant_irreducible_pin():
+    # the tribonacci cubic is irreducible, so the three-integer-root
+    # oracle above cannot reach it; the value was computed with the
+    # 6x6 Sylvester determinant
+    assert _ratio_resultant(TRIBONACCI) == [-1, -1, -2, 10, -4, 4, -10, 2, 1, 1]
+
+
 def test_degeneracy_presets():
     assert is_degenerate(TRIBONACCI) == (False, None)
     assert not is_degenerate(POW2_PLUS_FIB)[0]

@@ -119,6 +119,17 @@ def test_count_negative_terms_are_non_members(capsys):
     assert summary["method_counts"] == {"sign": 16, "qr_sieve": 4}
 
 
+def test_count_failed_reverification_exit_2(capsys, monkeypatch):
+    from ternary_squares import representation
+    monkeypatch.setattr(representation, "_witness_formula",
+                        lambda spec, n: (1, 1))
+    code, _, err = run_cli(capsys, "count", "--preset", "pow2-plus-n",
+                           "--x", "4")
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "re-verification" in err and "Traceback" not in err
+
+
 def test_constants(capsys):
     code, out, _ = run_cli(capsys, "constants")
     assert code == 0

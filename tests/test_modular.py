@@ -4,7 +4,8 @@ import random
 import pytest
 
 from ternary_squares.charpoly import discriminant
-from ternary_squares.modular import (RAMIFIED, Fp2, ScanBudgetError, char_sum,
+from ternary_squares.modular import (RAMIFIED, Fp2, ScanBudgetError,
+                                     _roots_mod_p, char_sum,
                                      classify_prime, count_roots_mod_p,
                                      in_K_y, in_L_y, in_P_fU, in_Z,
                                      period_by_iteration,
@@ -42,31 +43,43 @@ def test_count_roots_examples():
     assert count_roots_mod_p(TRIBONACCI, 2) == RAMIFIED     # 2 | 44
 
 
+def brute_roots(spec, p):
+    return [x for x in range(p)
+            if (x**3 - spec.a1 * x**2 - spec.a2 * x - spec.a3) % p == 0]
+
+
 def brute_root_count(spec, p):
     if discriminant(spec) % p == 0:
         return RAMIFIED
-    return sum(1 for x in range(p)
-               if (x**3 - spec.a1 * x**2 - spec.a2 * x - spec.a3) % p == 0)
+    return len(brute_roots(spec, p))
+
+
+def random_cubics(seed, count):
+    rng = random.Random(seed)
+    return [RecurrenceSpec(rng.randint(-5, 5), rng.randint(-5, 5),
+                           rng.choice([-3, -1, 1, 2, 5]), 0, 0, 1)
+            for _ in range(count)]
 
 
 def test_count_roots_frobenius_path_vs_scan():
-    rng = random.Random(21)
-    specs = list(GOOD_PRESETS)
-    for _ in range(6):
-        specs.append(RecurrenceSpec(rng.randint(-5, 5), rng.randint(-5, 5),
-                                    rng.choice([-3, -1, 1, 2, 5]), 0, 0, 1))
-    primes = [p for p in sieve(2000) if p > 1000]  # forces the gcd path
+    specs = list(GOOD_PRESETS) + random_cubics(21, 6)
     for spec in specs:
-        for p in primes[::3]:
-            assert count_roots_mod_p(spec, p) == brute_root_count(spec, p)
+        for p in sieve(1500):
+            assert count_roots_mod_p(spec, p) == brute_root_count(spec, p), \
+                (spec, p)
+
+
+def test_roots_mod_p_vs_scan():
+    three_root = [p for p in sieve(1000)[1:]
+                  if count_roots_mod_p(TRIBONACCI, p) == 3]
+    assert three_root[:3] == [47, 53, 103]
+    for spec in list(GOOD_PRESETS) + random_cubics(25, 4):
+        for p in sieve(1000)[1:]:
+            assert _roots_mod_p(spec, p) == brute_roots(spec, p), (spec, p)
 
 
 def test_in_Z_matches_root_count():
-    rng = random.Random(22)
-    specs = list(GOOD_PRESETS) + [
-        RecurrenceSpec(rng.randint(-5, 5), rng.randint(-5, 5),
-                       rng.choice([-3, -1, 1, 2, 5]), 0, 0, 1)
-        for _ in range(5)]
+    specs = list(GOOD_PRESETS) + random_cubics(22, 5)
     for spec in specs:
         for p in sieve(500):
             expected = (p != 2 and spec.a3 % p != 0
@@ -238,8 +251,31 @@ def test_in_P_fU_span_too_small():
     assert not found and witness is None
 
 
+def brute_in_P_fU(spec, p, f_p, m_max):
+    """The first run of 7 zeros of U_{p*m} mod p, m <= m_max, with
+    span <= f_p, from exact terms."""
+    exact = list(term_iter(spec, p * m_max))
+    zeros = [m for m in range(1, m_max + 1) if exact[p * m] % p == 0]
+    for i in range(len(zeros) - 6):
+        if zeros[i + 6] - zeros[i] <= f_p:
+            return True, tuple(zeros[i:i + 7])
+    return False, None
+
+
+def test_in_P_fU_ramified_and_three_root_primes():
+    # p = 11 divides the discriminant -44; p = 47 has three roots. The V
+    # period is 10 at p = 11, so spans above it need more than two periods.
+    assert count_roots_mod_p(TRIBONACCI, 11) == RAMIFIED
+    assert count_roots_mod_p(TRIBONACCI, 47) == 3
+    assert in_P_fU(TRIBONACCI, 11, 60) == (True, (10, 20, 30, 40, 50, 60, 70))
+    for p in (11, 47):
+        for f_p in (1, 7, 10, 30, 59, 60, 100, 250):
+            assert in_P_fU(TRIBONACCI, p, f_p) == \
+                brute_in_P_fU(TRIBONACCI, p, f_p, 300), (p, f_p)
+
+
 def test_in_P_fU_outside_Z():
-    # p = 3 has no roots; the generic stepped scan must still work
+    # p = 3 has no roots; the same V stepping serves it
     found, witness = in_P_fU(TRIBONACCI, 3, 13)
     zeros = [m for m in range(1, 27) if term(TRIBONACCI, 3 * m) % 3 == 0]
     expect = any(zeros[i + 6] - zeros[i] <= 13 for i in range(len(zeros) - 6))
