@@ -15,6 +15,8 @@ _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_EXTRA_ROUNDS = 64
 _MR_SEED = 0x5EED
+# Pollard-Brent steps between two gcds, and between two deadline checks
+_BRENT_BLOCK = 128
 
 
 class FactorTimeout(Exception):
@@ -93,28 +95,36 @@ def is_prime(n):
     return True
 
 
+def _check_deadline(deadline, n):
+    if deadline is not None and time.monotonic() > deadline:
+        raise FactorTimeout(f"factoring {n} exceeded its time budget")
+
+
 def pollard_brent(n, deadline=None):
     """Return a nontrivial factor of composite n (Brent's cycle variant).
 
     Walks a fixed (y, c) schedule so results are reproducible. `deadline`
-    is an absolute time.monotonic() limit; exceeding it raises FactorTimeout.
+    is an absolute time.monotonic() limit, checked once per block of
+    _BRENT_BLOCK steps; exceeding it raises FactorTimeout.
     """
     if n % 2 == 0:
         return 2
     if n % 3 == 0:
         return 3
+    m = _BRENT_BLOCK
     for attempt in count(1):
-        y, c, m = (attempt * 2 + 1) % n, (attempt * 2021 + 1) % n, 128
+        y, c = (attempt * 2 + 1) % n, (attempt * 2021 + 1) % n
         g = r = q = 1
         x = ys = y
         while g == 1:
-            if deadline is not None and time.monotonic() > deadline:
-                raise FactorTimeout(f"factoring {n} exceeded its time budget")
             x = y
-            for _ in range(r):
-                y = (y * y + c) % n
+            for k in range(0, r, m):
+                _check_deadline(deadline, n)
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
+                _check_deadline(deadline, n)
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
@@ -135,6 +145,27 @@ def pollard_brent(n, deadline=None):
 _SMALL_PRIME_CACHE = sieve(10_000)
 
 
+def trial_division(n):
+    """({p: e}, rest) with n = rest * prod p^e, for n >= 1.
+
+    The p are the primes of n below 10^4, found by trial division by the
+    cached small primes, plus the cofactor itself once it is a prime below
+    10^8. `rest` is 1 or a number above 10^8 without a prime factor below
+    10^4, so every p is proven prime without a primality test.
+    """
+    factors = {}
+    for p in _SMALL_PRIME_CACHE:
+        if p * p > n:
+            break
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    if 1 < n < _SMALL_PRIME_CACHE[-1] ** 2:
+        factors[n] = factors.get(n, 0) + 1
+        n = 1
+    return factors, n
+
+
 def factorize(n, timeout_s=None):
     """Factor n >= 1 into {prime: exponent}.
 
@@ -146,19 +177,8 @@ def factorize(n, timeout_s=None):
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     deadline = None if timeout_s is None else time.monotonic() + timeout_s
-    factors = {}
-    for p in _SMALL_PRIME_CACHE:
-        if p * p > n:
-            break
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    if n == 1:
-        return factors
-    if n < _SMALL_PRIME_CACHE[-1] ** 2 or is_prime(n):
-        factors[n] = factors.get(n, 0) + 1
-        return factors
-    stack = [n]
+    factors, rest = trial_division(n)
+    stack = [rest] if rest > 1 else []
     while stack:
         m = stack.pop()
         if is_prime(m):

@@ -1,24 +1,29 @@
 """Exact decision of N = u^2 + n*v^2 and membership classification.
 
-Two decision tiers: bounded enumeration over v, and a Cornacchia tier
-(factor N, enumerate square divisors g^2 | N, take every square root of
--n modulo N/g^2, Euclid descent) for inputs the scan cannot reach.
+Two decision tiers: bounded enumeration over v, square-sieved on long
+ranges, and a Cornacchia tier (factor N, enumerate square divisors
+g^2 | N, take every square root of -n modulo N/g^2, Euclid descent) for
+inputs the scan cannot reach. The Cornacchia tier first looks for an odd
+prime q with (-n/q) = -1 dividing N to an odd power, which certifies a
+non-member from a partial factorization (method partial_factor).
 On top of that sits the cheap quadratic-residue obstruction: an odd prime
 p | n with U_n a nonresidue mod p certifies that U_n = u^2 + n*v^2 has
 no solution at all. `count` finds it for every n <= x at once with a
 prime-major sieve; `qr_obstruction` decides one index.
 
-Every Member, Obstructed and witness verdict is re-verified by an explicit
-check that raises CertificateError, so the checks also run under -O.
+Every Member, Obstructed, witness and partial_factor verdict is
+re-verified by an explicit check that raises CertificateError, so the
+checks also run under -O.
 """
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import compress
 
 from .modular import term_mod, terms_at_multiples
 from .primes import (FactorTimeout, divisors_from_factorization, factorize,
-                     sieve)
+                     is_prime, sieve, trial_division)
 from .recurrence import (DEFAULT_TERM_DIGITS, FIVE_FIB_SQ_MINUS_4,
                          POW2_PLUS_N, SQUARE_POW, lucas, term)
 from .sqrtmod import legendre, sqrt_mod
@@ -76,13 +81,77 @@ def integer_sqrt(n):
 # ---------------------------------------------------------------------------
 # the representation solver
 
+def _squares_mod(q):
+    """bytes s of length q with s[a] = 1 exactly when a is a square mod q."""
+    table = bytearray(q)
+    for r in range(q):
+        table[r * r % q] = 1
+    return bytes(table)
+
+
+# Moduli of the square sieve over v, pairwise coprime (2^6, 3^2 * 7,
+# 5 * 13 and the other primes up to 47), each with its table of squares.
+_SQUARE_SIEVE = tuple(
+    (q, _squares_mod(q))
+    for q in (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47))
+_FIRST_SEGMENT = 2 * _SQUARE_SIEVE[0][0]    # no modulus pays below this
+_MAX_SEGMENT = 1 << 16
+
+
 def _represent_enumerate(n_big, n):
+    """Member(u, v) with the smallest v, else NonMember(): isqrt on every
+    v <= sqrt(N/n) that the square sieve keeps, in increasing v."""
     vmax = math.isqrt(n_big // n)
-    for v in range(vmax + 1):
-        u, exact = integer_sqrt(n_big - n * v * v)
-        if exact:
-            return Member(u, v)
+    if vmax < _FIRST_SEGMENT:
+        segments = (range(vmax + 1),)
+    else:
+        segments = _square_sieve(n_big, n, vmax)
+    for candidates in segments:
+        for v in candidates:
+            rest = n_big - n * v * v
+            u = math.isqrt(rest)
+            if u * u == rest:
+                return Member(u, v)
     return NonMember()
+
+
+def _square_sieve(n_big, n, vmax):
+    """The v in [0, vmax] at which N - n*v^2 is a square modulo every
+    modulus in use, as one iterable per segment, in increasing v.
+
+    Segments double in length up to _MAX_SEGMENT. Each modulus q strikes
+    with one row, its good residues of v repeated over the segment and
+    ANDed in as an integer: a few C-level passes per segment. Setting q up
+    costs about q operations and strikes about half of the candidates, so
+    q joins once a segment expects more than 2q candidates after the
+    moduli already in use; the first segment is the plain range.
+    """
+    in_use = []         # (q, good residues of v mod q), a prefix of the sieve
+    kept = 1.0          # expected share of v that survive the moduli in use
+    lo, size = 0, _FIRST_SEGMENT
+    while lo <= vmax:
+        hi = min(lo + size, vmax + 1)
+        width = hi - lo
+        while len(in_use) < len(_SQUARE_SIEVE):
+            q, squares = _SQUARE_SIEVE[len(in_use)]
+            if width * kept <= 2 * q:
+                break
+            a, b = n_big % q, n % q
+            good = bytes([squares[(a - b * r * r) % q] for r in range(q)])
+            in_use.append((q, good))
+            kept *= sum(good) / q
+        if not kept:        # no v is a square modulo some q
+            return
+        if in_use:
+            mask = -1
+            for q, good in in_use:
+                shift = lo % q
+                row = (good[shift:] + good[:shift]) * (width // q + 1)
+                mask &= int.from_bytes(row[:width], "little")
+            yield compress(range(lo, hi), mask.to_bytes(width, "little"))
+        else:
+            yield range(lo, hi)
+        lo, size = hi, min(2 * size, _MAX_SEGMENT)
 
 
 def _cornacchia_primitive(m, n, m_factors):
@@ -124,19 +193,45 @@ def _represent(n_big, n, enum_limit, factor_timeout_s):
     if math.isqrt(n_big // n) <= enum_limit:
         status, method = _represent_enumerate(n_big, n), "enumeration"
     else:
-        status, method = _represent_cornacchia(n_big, n, factor_timeout_s), \
-            "cornacchia"
+        status, method = _represent_cornacchia(n_big, n, factor_timeout_s)
     if isinstance(status, Member):
         _certify(status.u**2 + n * status.v**2 == n_big,
                  f"{method} representation", n)
     return status, method
 
 
+def _nonmember_prime(factors, n):
+    """The smallest odd prime q of `factors` with an odd exponent and
+    (-n/q) = -1, else None.
+
+    Such a q certifies that N is not u^2 + n*v^2: q | u^2 + n*v^2 with
+    -n a nonresidue mod q forces q | u and q | v, so (u/q, v/q) represents
+    N/q^2, and descending this way shows that q divides N to an even
+    power."""
+    for q in sorted(factors):
+        if q > 2 and factors[q] % 2 and legendre(-n, q) == -1:
+            return q
+    return None
+
+
 def _represent_cornacchia(n_big, n, factor_timeout_s):
-    try:
-        factors = factorize(n_big, timeout_s=factor_timeout_s)
-    except FactorTimeout:
-        return Unknown()
+    """(status, method): NonMember by an odd-exponent prime q with
+    (-n/q) = -1, looked for among the primes below 10^4 before any
+    Pollard-Brent step and again in the full factorization (method
+    partial_factor), else the Cornacchia descent."""
+    factors, rest = trial_division(n_big)
+    q = _nonmember_prime(factors, n)
+    if q is None and rest > 1:
+        try:
+            factors.update(factorize(rest, timeout_s=factor_timeout_s))
+        except FactorTimeout:
+            return Unknown(), "cornacchia"
+        q = _nonmember_prime(factors, n)
+    if q is not None:
+        _certify(q > 2 and _val(n_big, q) % 2 == 1 and is_prime(q)
+                 and legendre(-n, q) == -1, f"non-member certificate at q={q}",
+                 n)
+        return NonMember(), "partial_factor"
     # imprimitive solutions are g * (primitive solution of N/g^2)
     square_part = {p: e // 2 for p, e in factors.items() if e >= 2}
     for g in divisors_from_factorization(square_part):
@@ -145,8 +240,8 @@ def _represent_cornacchia(n_big, n, factor_timeout_s):
                      if e - 2 * _val(g, p) > 0}
         found = _cornacchia_primitive(m, n, m_factors)
         if found is not None:
-            return Member(g * found[0], g * found[1])
-    return NonMember()
+            return Member(g * found[0], g * found[1]), "cornacchia"
+    return NonMember(), "cornacchia"
 
 
 def _val(g, p):

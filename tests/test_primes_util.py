@@ -1,11 +1,14 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from ternary_squares.primes import (FactorTimeout, divisors_from_factorization,
-                                    factorize, is_prime, iter_primes,
-                                    pollard_brent, sieve)
+from ternary_squares import primes
+from ternary_squares.primes import (_BRENT_BLOCK, FactorTimeout,
+                                    divisors_from_factorization, factorize,
+                                    is_prime, iter_primes, pollard_brent,
+                                    sieve, trial_division)
 
 
 def trial_division_primes(limit):
@@ -75,6 +78,49 @@ def test_factor_timeout_raises():
     hard = (2**89 - 1) * (2**107 - 1)
     with pytest.raises(FactorTimeout):
         factorize(hard, timeout_s=0.05)
+
+
+def test_pollard_brent_checks_deadline_every_block(monkeypatch):
+    # every reduction mod n counts as a step (n's __rmod__ runs first);
+    # the fake clock advances by one per read and records the step count
+    steps = [0]
+
+    class CountingModulus(int):
+        def __rmod__(self, other):
+            steps[0] += 1
+            return int.__rmod__(self, other)
+
+    reads = []
+
+    def fake_monotonic():
+        reads.append(steps[0])
+        return len(reads)
+
+    monkeypatch.setattr(primes, "time",
+                        SimpleNamespace(monotonic=fake_monotonic))
+    hard = CountingModulus((2**89 - 1) * (2**107 - 1))
+    deadline = 20       # far enough for r to pass a block
+    with pytest.raises(FactorTimeout):
+        pollard_brent(hard, deadline)
+    # raised at the first read past the deadline, with no step after it,
+    # and at most one block (two reductions per step) between reads
+    assert len(reads) == deadline + 1 and steps[0] == reads[-1]
+    assert max(b - a for a, b in zip(reads, reads[1:])) <= 2 * _BRENT_BLOCK
+    assert reads[-1] > 4 * _BRENT_BLOCK
+
+
+def test_trial_division_splits_off_small_primes():
+    rng = random.Random(3)
+    small = sieve(10**4)
+    big = 10007 * 10009                 # no prime factor below 10^4
+    for _ in range(300):
+        n = rng.randrange(1, 10**9) * rng.choice((1, big))
+        factors, rest = trial_division(n)
+        assert rest == 1 or (rest > 10**8 and all(rest % p for p in small))
+        assert all(p < 10**4 or (rest == 1 and p < 10**8) for p in factors)
+        assert math.prod(p**e for p, e in factors.items()) * rest == n
+        assert factors == {p: e for p, e in factorize(n).items()
+                           if p in factors}
 
 
 def test_divisors_from_factorization():

@@ -6,9 +6,10 @@ import sys
 import pytest
 
 from ternary_squares.modular import _x_pow
-from ternary_squares.primes import factorize, sieve
-from ternary_squares.representation import (Member, NonMember, Obstructed,
-                                            Unknown, _pool_plan,
+from ternary_squares.primes import factorize, is_prime, sieve
+from ternary_squares.representation import (_SQUARE_SIEVE, Member, NonMember,
+                                            Obstructed, Unknown, _pool_plan,
+                                            _represent, _represent_enumerate,
                                             classify_range, count_range,
                                             integer_sqrt, membership,
                                             non_squarefree_count,
@@ -21,13 +22,18 @@ from ternary_squares.recurrence import (FIVE_FIB_SQ_MINUS_4, POW2_PLUS_N,
                                         term, term_iter)
 
 
-def brute_representable(n_big, n):
+def plain_scan(n_big, n):
+    """Member(u, v) at the smallest v <= sqrt(N/n), trying every v."""
     for v in range(math.isqrt(n_big // n) + 1):
         rest = n_big - n * v * v
         r = math.isqrt(rest)
         if r * r == rest:
-            return True
-    return False
+            return Member(r, v)
+    return NonMember()
+
+
+def brute_representable(n_big, n):
+    return isinstance(plain_scan(n_big, n), Member)
 
 
 def test_integer_sqrt():
@@ -53,6 +59,52 @@ def test_represent_enumeration_oracle():
             assert isinstance(got, Member) == brute_representable(n_big, n)
             if isinstance(got, Member):
                 assert got.u**2 + n * got.v**2 == n_big
+
+
+def _near(n, vmax, rng):
+    """A random N with isqrt(N // n) == vmax."""
+    return rng.randrange(n * vmax * vmax, n * (vmax + 1) ** 2)
+
+
+def test_square_sieve_matches_plain_scan():
+    rng = random.Random(11)
+    moduli = [q for q, _ in _SQUARE_SIEVE]
+    every_modulus = math.prod(moduli)
+    cases = []
+    for _ in range(400):                 # random (N, n), short and long
+        n = rng.randrange(1, 200)
+        cases.append((_near(n, rng.choice((rng.randrange(300),
+                                           rng.randrange(300, 5000))),
+                            rng), n))
+    for q in moduli:                     # n sharing factors with a modulus
+        for n in (q, 2 * q, q * q, every_modulus):
+            cases += [(_near(n, 3000, rng), n) for _ in range(3)]
+            cases.append((q * _near(n, 3000, rng), n))
+    for n in (1, 2, 7, 64, 65, every_modulus):
+        cases.append((rng.randrange(10**6, 10**7) ** 2, n))   # square N
+        cases.append((n * 4321**2, n))                         # N = n*v^2
+    for n_big, n in cases:
+        assert _represent_enumerate(n_big, n) == plain_scan(n_big, n), \
+            (n_big, n)
+
+
+def test_square_sieve_across_segments():
+    # the smallest v on either side of each segment start up to 130944
+    # (segments of 128, 256, ..., 2^16); vmax > 2 * 10^5 spans full ones
+    n, start, size = 1000003, 0, 128
+    while start < 131000:
+        for v in (start - 1, start):
+            if v >= 0:
+                n_big = 1 + n * v * v
+                assert _represent_enumerate(n_big, n) == \
+                    plain_scan(n_big, n) == Member(1, v)
+        start, size = start + size, min(2 * size, 1 << 16)
+    p = next(k for k in range(200003, 10**6, 4) if is_prime(k))
+    q = next(k for k in range(p + 4, 10**6, 4) if is_prime(k))
+    assert _represent_enumerate(p * q, 1) == NonMember()  # both 3 mod 4
+    n, u, v = 3, 12345, 212345
+    assert _represent_enumerate(u * u + n * v * v, n) == \
+        plain_scan(u * u + n * v * v, n)
 
 
 def test_cornacchia_tier_differential():
@@ -89,6 +141,19 @@ def test_represent_unknown_on_factor_timeout():
     hard = (2**89 - 1) * (2**107 - 1)   # 59-digit semiprime
     got = represent(hard, 3, enum_limit=0, factor_timeout_s=0.05)
     assert got == Unknown()
+
+
+def test_partial_factor_certifies_before_factoring():
+    # 7 | N with (-1/7) = -1 decides N before the 59-digit cofactor is
+    # split, so the timeout that leaves the semiprime Unknown never fires
+    hard = 7 * (2**89 - 1) * (2**107 - 1)
+    assert represent(hard, 1, enum_limit=0, factor_timeout_s=0.05) \
+        == NonMember()
+    assert _represent(hard, 1, 0, 0.05) == (NonMember(), "partial_factor")
+    # a certificate prime above 10^4, found in the full factorization
+    assert _represent(1000003 * 1000039, 1, 0, None) \
+        == (NonMember(), "partial_factor")
+    assert _represent(233 * 1000003**2, 13, 0, None)[1] == "cornacchia"
 
 
 def test_represent_input_validation():
@@ -283,7 +348,11 @@ wrong_obstruction = raises_certificate_error(
     lambda: rep.classify_range(TRIBONACCI, 8, 0))
 rep._represent_enumerate = lambda n_big, n: rep.Member(1, 1)
 wrong_member = raises_certificate_error(lambda: rep.represent(233, 13))
-sys.exit(0 if wrong_witness and wrong_obstruction and wrong_member else 1)
+rep._nonmember_prime = lambda factors, n: 3
+wrong_prime = raises_certificate_error(
+    lambda: rep.represent(233, 13, enum_limit=0))
+sys.exit(0 if wrong_witness and wrong_obstruction and wrong_member
+         and wrong_prime else 1)
 """
 
 
