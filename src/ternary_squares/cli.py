@@ -30,6 +30,7 @@ EXIT_BUDGET = 3
 PRIMES_COLUMNS = ["p", "root_count", "in_Z", "alpha", "t_p", "k_p",
                   "ord_alpha", "ord_ratio", "mult_order"]
 COUNT_COLUMNS = ["n", "status", "u", "v", "obstruction_p"]
+CONFIG_KEYS = ("preset", "spec", "threads")
 
 
 class InputError(Exception):
@@ -99,6 +100,10 @@ def _load_config(args):
         raise InputError(f"cannot read config {args.config}: {exc}")
     if not isinstance(cfg, dict):
         raise InputError("config file must hold a JSON object")
+    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+    if unknown:
+        raise InputError(f"unknown config key(s) {unknown}; "
+                         f"the file takes {list(CONFIG_KEYS)}")
     return cfg
 
 
@@ -206,6 +211,8 @@ def cmd_count(args, cfg):
     spec, _ = _resolve_spec(args, cfg)
     if args.x < 1:
         raise InputError("--x must be >= 1")
+    if args.n_exact < 0:
+        raise InputError("--n-exact must be >= 0")
     threads = _thread_count(args, cfg)
     start = time.monotonic()
     try:

@@ -1,11 +1,13 @@
 """Everything modulo p: fast terms, root counting, prime classification,
-periods, element orders in F_p and F_p^2, multiplier groups, the
-Frobenius-reduced companion sequence V, character sums over it, and the
-order/zero-pattern membership tests.
+periods, root orders, multiplier groups, the Frobenius-reduced companion
+sequence V, character sums over it, and the order/zero-pattern
+membership tests.
 
 All arithmetic modulo (Psi, p), Psi the characteristic cubic, is done in
 one ring, F_p[X]/Psi: X^k = c0 + c1*X + c2*X^2 there gives
-U_{k+j} = c0*U_j + c1*U_{j+1} + c2*U_{j+2} (mod p) for every j.
+U_{k+j} = c0*U_j + c1*U_{j+1} + c2*U_{j+2} (mod p) for every j. Root
+orders are read off X^e as well: at a prime in Z the ring is
+F_p x F_{p^2} by the CRT, with X = (alpha, beta).
 
 Terminology used throughout: for a prime p at which the characteristic
 cubic has exactly one root (the set Z), `alpha` is that root in F_p and
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 from .charpoly import char_poly, discriminant
 from .primes import factorize, is_prime, iter_primes
-from .sqrtmod import legendre, tonelli_shanks
+from .sqrtmod import legendre
 
 DEFAULT_SCAN_STATES = 10**8
 
@@ -67,17 +69,6 @@ def _x_pow(spec, e, p):
     return out
 
 
-def _ring_pow(u, e, p, r3, r4):
-    """u^e in F_p[X]/Psi by square-and-multiply."""
-    out = (1 % p, 0, 0)
-    while e:
-        if e & 1:
-            out = _polymulmod(out, u, p, r3, r4)
-        u = _polymulmod(u, u, p, r3, r4)
-        e >>= 1
-    return out
-
-
 def terms_at_multiples(spec, p, k_max):
     """[U_p, U_2p, ..., U_{k_max*p}] mod p, one ring multiplication each:
     X^{kp} = (X^p)^k modulo (characteristic cubic, p)."""
@@ -111,35 +102,26 @@ def term_mod(spec, n, p):
 # ---------------------------------------------------------------------------
 # root counting mod p
 
-def _poly_divmod_modp(f, g, p):
-    """f, g ascending coefficient lists over F_p, g nonzero; returns (q, r)."""
-    f = [c % p for c in f]
-    while f and f[-1] == 0:
-        f.pop()
-    g = [c % p for c in g]
-    while g and g[-1] == 0:
-        g.pop()
-    inv = pow(g[-1], -1, p)
-    q = [0] * max(1, len(f) - len(g) + 1)
-    while len(f) >= len(g) and f:
-        k = len(f) - len(g)
-        coef = f[-1] * inv % p
-        q[k] = coef
-        for i, gc in enumerate(g):
-            f[i + k] = (f[i + k] - coef * gc) % p
-        while f and f[-1] == 0:
-            f.pop()
-    return q, f or [0]
-
-
 def _poly_gcd_modp(f, g, p):
-    f = [c % p for c in f]
-    g = [c % p for c in g]
-    while any(g):
-        _, r = _poly_divmod_modp(f, g, p)
-        f, g = g, r
-    while f and f[-1] == 0:
-        f.pop()
+    """gcd(f, g) over F_p by Euclid's remainder sequence; ascending
+    coefficient lists, the result not made monic."""
+    def trimmed(h):
+        h = [c % p for c in h]
+        while h and h[-1] == 0:
+            h.pop()
+        return h
+
+    f, g = trimmed(f), trimmed(g)
+    while g:
+        inv = pow(g[-1], -1, p)
+        while len(f) >= len(g):
+            k = len(f) - len(g)
+            coef = f[-1] * inv % p
+            for i, gc in enumerate(g):
+                f[i + k] = (f[i + k] - coef * gc) % p
+            while f and f[-1] == 0:
+                f.pop()
+        f, g = g, f
     return f or [0]
 
 
@@ -162,89 +144,8 @@ def count_roots_mod_p(spec, p):
     return len(_linear_part(spec, p)) - 1
 
 
-def _roots_mod_p(spec, p):
-    """All distinct roots of the characteristic cubic in F_p, p odd,
-    increasing.
-
-    When all three are there (X^p = X), Cantor-Zassenhaus separates them:
-    gcd((X + a)^((p-1)/2) - 1, Psi) collects the roots r with r + a a
-    nonzero square, and a = 0, 1, ... is tried until that is a proper
-    factor.
-    """
-    g = _linear_part(spec, p)
-    if len(g) < 4:
-        return sorted(_roots_of_split_poly(g, p))
-    r3, r4 = _reduction_rows(spec, p)
-    for a in range(p):
-        h = _ring_pow((a, 1, 0), (p - 1) // 2, p, r3, r4)
-        d = _poly_gcd_modp([(h[0] - 1) % p, h[1], h[2]], g, p)
-        if 0 < len(d) - 1 < 3:
-            rest, rem = _poly_divmod_modp(g, d, p)
-            assert rem == [0]
-            return sorted(_roots_of_split_poly(d, p) + _roots_of_split_poly(rest, p))
-    raise AssertionError("cubic splitting failed to find a separating shift")
-
-
-def _roots_of_split_poly(g, p):
-    """Roots of a polynomial of degree <= 2 over F_p, p odd, that is known
-    to split into distinct linear factors."""
-    deg = len(g) - 1
-    if deg <= 0:
-        return []
-    inv = pow(g[-1], -1, p)
-    g = [c * inv % p for c in g]
-    if deg == 1:
-        return [(-g[0]) % p]
-    disc = (g[1] * g[1] - 4 * g[0]) % p
-    s = tonelli_shanks(disc, p)
-    assert s is not None, "split quadratic must have a square discriminant"
-    inv2 = pow(2, -1, p)
-    return [(-g[1] + s) * inv2 % p, (-g[1] - s) * inv2 % p]
-
-
 # ---------------------------------------------------------------------------
-# F_p^2 on the quadratic cofactor
-
-class Fp2:
-    """F_p[t]/(t^2 + B t + C) with t the image of beta; elements are (a, b)
-    pairs meaning a + b*t. C is the norm of t, so invertibility needs
-    p not dividing the constant term of the cofactor."""
-
-    def __init__(self, p, B, C):
-        self.p = p
-        self.B = B % p
-        self.C = C % p
-        self.one = (1, 0)
-
-    def mul(self, x, y):
-        p, B, C = self.p, self.B, self.C
-        a, b = x
-        c, d = y
-        bd = b * d
-        return ((a * c - bd * C) % p, (a * d + b * c - bd * B) % p)
-
-    def conj(self, x):
-        a, b = x
-        return ((a - b * self.B) % self.p, -b % self.p)
-
-    def norm(self, x):
-        a, b = x
-        return (a * a - a * b * self.B + b * b * self.C) % self.p
-
-    def inv(self, x):
-        n_inv = pow(self.norm(x), -1, self.p)
-        a, b = self.conj(x)
-        return (a * n_inv % self.p, b * n_inv % self.p)
-
-    def pow(self, x, e):
-        out = self.one
-        while e:
-            if e & 1:
-                out = self.mul(out, x)
-            x = self.mul(x, x)
-            e >>= 1
-        return out
-
+# element orders
 
 def _merge_factorizations(*maps):
     out = {}
@@ -329,6 +230,11 @@ def classify_prime(spec, p):
     beta/gamma, and the multiplier-group order k_p / n0. Ramified primes
     and primes with 0 or 3 roots get a reduced profile (root count and
     period only).
+
+    t_p, k_p, the order of beta/gamma and n0 are read off X^e in
+    F_p[X]/Psi; alpha's order is taken in F_p. By the CRT that ring is
+    F_p^3 at a three-root prime, F_{p^3} at a no-root prime, and
+    F_p x F_{p^2} with X = (alpha, beta) at a prime in Z.
     """
     if p == 2:
         raise ValueError("p = 2 is excluded from classification")
@@ -337,57 +243,37 @@ def classify_prime(spec, p):
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
 
-    rc = count_roots_mod_p(spec, p)
     fac_p1 = factorize(p - 1)
-
-    if rc == RAMIFIED:
-        multiple = p * (p - 1)
-        t_p = _state_period(spec, p, multiple,
+    if discriminant(spec) % p == 0:
+        t_p = _state_period(spec, p, p * (p - 1),
                             _merge_factorizations(fac_p1, {p: 1}))
-        return PrimeProfile(p=p, root_count=rc, in_Z=False, t_p=t_p)
+        return PrimeProfile(p=p, root_count=RAMIFIED, in_Z=False, t_p=t_p)
 
-    if rc == 3:
-        roots = _roots_mod_p(spec, p)
-        k_p = 1
-        for r in roots:
-            k_p = math.lcm(k_p, _element_order(
-                lambda e, r=r: pow(r, e, p) == 1, p - 1, fac_p1))
-        t_p = _state_period(spec, p, k_p, _restrict_factors(k_p, fac_p1))
-        return PrimeProfile(p=p, root_count=3, in_Z=False, t_p=t_p)
-
-    if rc == 0:
-        # roots live in F_p^3; all three are conjugate with a common order
+    linear = _linear_part(spec, p)      # of degree the number of roots
+    if len(linear) == 4:
+        return PrimeProfile(p=p, root_count=3, in_Z=False,
+                            t_p=_state_period(spec, p, p - 1, fac_p1))
+    if len(linear) == 1:
         fac = _merge_factorizations(fac_p1, factorize(p * p + p + 1))
+        return PrimeProfile(p=p, root_count=0, in_Z=False,
+                            t_p=_state_period(spec, p, p**3 - 1, fac))
 
-        def x_to(e):
-            return _x_pow(spec, e, p) == (1, 0, 0)
-
-        k_p = _element_order(x_to, p**3 - 1, fac)
-        t_p = _state_period(spec, p, k_p, _restrict_factors(k_p, fac))
-        return PrimeProfile(p=p, root_count=0, in_Z=False, t_p=t_p)
-
-    # exactly one root: p is in Z
-    alpha = _roots_mod_p(spec, p)[0]
-    B = (alpha - spec.a1) % p
-    C = (alpha * alpha - spec.a1 * alpha - spec.a2) % p
-    fld = Fp2(p, B, C)
+    # exactly one root: p is in Z, and X^(p-1) = (1, gamma/beta)
+    g0, g1 = linear
+    alpha = -g0 * pow(g1, -1, p) % p
     fac_q1 = factorize(p + 1)
     fac_p2 = _merge_factorizations(fac_p1, fac_q1)
 
+    def x_is_one(e):
+        return _x_pow(spec, e, p) == (1, 0, 0)
+
     ord_alpha = _element_order(lambda e: pow(alpha, e, p) == 1, p - 1, fac_p1)
-    beta = (0, 1)
-    ord_beta = _element_order(lambda e: fld.pow(beta, e) == fld.one,
-                              p * p - 1, fac_p2)
-    ratio = fld.mul(beta, fld.inv(fld.conj(beta)))  # beta / gamma, norm 1
-    ord_ratio = _element_order(lambda e: fld.pow(ratio, e) == fld.one,
-                               p + 1, fac_q1)
-    ab = fld.mul((alpha % p, 0), fld.inv(beta))     # alpha / beta
-    ord_ab = _element_order(lambda e: fld.pow(ab, e) == fld.one,
-                            p * p - 1, fac_p2)
-    k_p = math.lcm(ord_alpha, ord_beta)
-    n0 = math.lcm(ord_ab, ord_ratio)                # least n with equal powers
-    assert k_p % n0 == 0
-    t_p = _state_period(spec, p, k_p, _restrict_factors(k_p, fac_p2))
+    k_p = _element_order(x_is_one, p * p - 1, fac_p2)
+    ord_ratio = _element_order(lambda e: x_is_one((p - 1) * e), p + 1, fac_q1)
+    fac_k = _restrict_factors(k_p, fac_p2)
+    # X^n is a constant exactly when alpha^n = beta^n = gamma^n
+    n0 = _element_order(lambda e: _x_pow(spec, e, p)[1:] == (0, 0), k_p, fac_k)
+    t_p = _state_period(spec, p, k_p, fac_k)
     return PrimeProfile(p=p, root_count=1, in_Z=True, alpha=alpha, t_p=t_p,
                         k_p=k_p, ord_alpha=ord_alpha, ord_ratio=ord_ratio,
                         mult_order=k_p // n0)

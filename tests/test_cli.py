@@ -201,6 +201,20 @@ def test_config_file(tmp_path, capsys):
     bad.write_text("[")
     code, _, _ = run_cli(capsys, "analyze", "--config", str(bad))
     assert code == 1
+    # keys the file does not take are an input error, not silently ignored
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps({"preset": "tribonacci", "factor_timeout": -5,
+                                 "n_exact": 50, "bogus": 1}))
+    code, out, err = run_cli(capsys, "count", "--config", str(extra),
+                             "--x", "20", "--threads", "1")
+    assert code == 1 and out == ""
+    assert "bogus" in err and "factor_timeout" in err and "n_exact" in err
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps({"spec": {"a1": 1, "a2": 1, "a3": 1,
+                                       "u0": 0, "u1": 0, "u2": 1},
+                              "threads": 1}))
+    code, _, err = run_cli(capsys, "count", "--config", str(ok), "--x", "20")
+    assert code == 0 and '"threads": 1' in err
 
 
 def test_threads_resolution(capsys, monkeypatch):
@@ -214,6 +228,14 @@ def test_threads_resolution(capsys, monkeypatch):
     code, *_ = run_cli(capsys, "count", "--preset", "tribonacci", "--x", "5",
                        "--threads", "0")
     assert code == 1
+
+
+def test_negative_n_exact_is_input_error(capsys):
+    code, out, err = run_cli(capsys, "count", "--preset", "tribonacci",
+                             "--x", "20", "--n-exact", "-7", "--threads", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--n-exact" in err
+    assert err.count("\n") == 1
 
 
 def test_budget_validation(capsys):

@@ -4,9 +4,9 @@ import random
 import pytest
 
 from ternary_squares.charpoly import discriminant
-from ternary_squares.modular import (RAMIFIED, Fp2, ScanBudgetError,
-                                     _roots_mod_p, char_sum,
-                                     classify_prime, count_roots_mod_p,
+from ternary_squares.modular import (RAMIFIED, PrimeProfile, ScanBudgetError,
+                                     char_sum, classify_prime,
+                                     count_roots_mod_p,
                                      in_K_y, in_L_y, in_P_fU, in_Z,
                                      period_by_iteration,
                                      period_in_progression, term_mod, v_mod,
@@ -69,13 +69,10 @@ def test_count_roots_frobenius_path_vs_scan():
                 (spec, p)
 
 
-def test_roots_mod_p_vs_scan():
+def test_three_root_primes_tribonacci():
     three_root = [p for p in sieve(1000)[1:]
                   if count_roots_mod_p(TRIBONACCI, p) == 3]
     assert three_root[:3] == [47, 53, 103]
-    for spec in list(GOOD_PRESETS) + random_cubics(25, 4):
-        for p in sieve(1000)[1:]:
-            assert _roots_mod_p(spec, p) == brute_roots(spec, p), (spec, p)
 
 
 def test_in_Z_matches_root_count():
@@ -141,6 +138,98 @@ def test_ramified_profile_has_period():
     prof = classify_prime(TRIBONACCI, 11)
     assert prof.root_count == RAMIFIED
     assert prof.t_p == period_by_iteration(TRIBONACCI, 11)
+
+
+class Fp2:
+    """F_p[t]/(t^2 + B t + C) with t the image of beta; elements are (a, b)
+    pairs meaning a + b*t. The oracle for the orders that classify_prime
+    reads off X^e in F_p[X]/Psi."""
+
+    def __init__(self, p, B, C):
+        self.p = p
+        self.B = B % p
+        self.C = C % p
+        self.one = (1, 0)
+
+    def mul(self, x, y):
+        p, B, C = self.p, self.B, self.C
+        a, b = x
+        c, d = y
+        bd = b * d
+        return ((a * c - bd * C) % p, (a * d + b * c - bd * B) % p)
+
+    def conj(self, x):
+        a, b = x
+        return ((a - b * self.B) % self.p, -b % self.p)
+
+    def norm(self, x):
+        a, b = x
+        return (a * a - a * b * self.B + b * b * self.C) % self.p
+
+    def inv(self, x):
+        n_inv = pow(self.norm(x), -1, self.p)
+        a, b = self.conj(x)
+        return (a * n_inv % self.p, b * n_inv % self.p)
+
+    def pow(self, x, e):
+        out = self.one
+        while e:
+            if e & 1:
+                out = self.mul(out, x)
+            x = self.mul(x, x)
+            e >>= 1
+        return out
+
+
+def brute_in_Z_fields(spec, p, alpha):
+    """The in-Z fields of a PrimeProfile by stepping n = 1, 2, ...: alpha^n
+    in F_p, beta^n in Fp2 and gamma^n as its conjugate. Each order is the
+    first n at which its defining equality holds."""
+    fld = Fp2(p, alpha - spec.a1, alpha * alpha - spec.a1 * alpha - spec.a2)
+    beta = (0, 1)
+    a, b = alpha, beta
+    ord_alpha = ord_ratio = n0 = None
+    n = 1
+    while True:
+        g = fld.conj(b)
+        if ord_alpha is None and a == 1:
+            ord_alpha = n
+        if ord_ratio is None and b == g:
+            ord_ratio = n
+        if n0 is None and b == g == (a, 0):
+            n0 = n
+        if a == 1 and b == fld.one:
+            return {"alpha": alpha, "k_p": n, "ord_alpha": ord_alpha,
+                    "ord_ratio": ord_ratio, "mult_order": n // n0}
+        a = a * alpha % p
+        b = fld.mul(b, beta)
+        n += 1
+
+
+def test_classify_prime_matches_brute_oracle():
+    rng = random.Random(26)
+    specs = list(GOOD_PRESETS) + [
+        RecurrenceSpec(rng.randint(-5, 5), rng.randint(-5, 5),
+                       rng.choice([-3, -2, 2, 3, 5]), rng.randint(-3, 3),
+                       rng.randint(-3, 3), rng.randint(1, 3))
+        for _ in range(4)]
+    branches = set()
+    for spec in specs:
+        for p in sieve(300)[1:]:
+            if spec.a3 % p == 0:
+                continue
+            prof = classify_prime(spec, p)
+            rc = brute_root_count(spec, p)
+            fields = {}
+            if rc == 1:
+                fields = brute_in_Z_fields(spec, p, brute_roots(spec, p)[0])
+            expect = PrimeProfile(p=p, root_count=rc, in_Z=rc == 1,
+                                  t_p=prof.t_p, **fields)
+            assert prof == expect, (spec, p)
+            if p < 150:
+                assert prof.t_p == period_by_iteration(spec, p), (spec, p)
+            branches.add(rc)
+    assert branches == {0, 1, 3, RAMIFIED}
 
 
 def test_fp2_arithmetic():
