@@ -16,7 +16,6 @@ from .modular import classify_prime, in_Z, z_primes
 from .primes import factorize, iter_primes
 from .recurrence import term_iter
 from .representation import _witness_formula
-from .sqrtmod import legendre
 
 COUNT_BUDGET = 10**8
 
@@ -54,11 +53,12 @@ def z_density(spec, x, tolerance=0.05):
     the Chebotarev expectation is 1/2."""
     report = ExperimentReport("z-density",
                               {"x": x, "tolerance": tolerance})
+    is_z = md._z_predicate(spec)
     n_primes = 0
     n_z = 0
     for p in iter_primes(x):
         n_primes += 1
-        if in_Z(spec, p):
+        if is_z(p):
             n_z += 1
     ratio = n_z / n_primes if n_primes else 0.0
     report.observe("z_count", n_z)
@@ -173,11 +173,11 @@ def char_sum_sweep(spec, p_max, max_states=10**6):
             skipped += 1
             continue
         values = md._v_values_one_period(spec, p, max_states)
+        chi = md._legendre_table(p)
         checked += 1
         for d in (1, 2, 3):
             for c in range(d):
-                word, t_cdp = md._progression_word(values, c, d)
-                s = sum(legendre(w, p) for w in word[:t_cdp])
+                s = md._progression_char_sum(values, c, d, chi)
                 ratio = abs(s) / p
                 worst = max(worst, ratio)
                 if ratio > 6:

@@ -15,6 +15,7 @@ cubic has exactly one root (the set Z), `alpha` is that root in F_p and
 F_p^2, swapped by x -> x^p.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,17 +57,24 @@ def _polymulmod(u, v, p, r3, r4):
 def _x_pow(spec, e, p):
     """X^e modulo (characteristic cubic, p) as coefficients (c0, c1, c2).
 
-    Left to right over the bits of e: square, and for a set bit multiply
-    by X, which is a shift plus one reduction row (X^3 = r3)."""
-    r3, r4 = _reduction_rows(spec, p)
-    s0, s1, s2 = r3
-    out = (1 % p, 0, 0)
-    for bit in bin(e)[2:]:
-        out = _polymulmod(out, out, p, r3, r4)
+    Left to right over the bits of e, starting from X at the leading bit.
+    Each bit squares in place, without a general product: of the six
+    products of the square, the X^3 and X^4 coefficients t3 = 2*c1*c2
+    and t4 = c2^2 fold back through the reduction rows r3 and r4. A set
+    bit then multiplies by X, a shift plus one reduction row (X^3 = r3)."""
+    if e == 0:
+        return (1 % p, 0, 0)
+    (s0, s1, s2), (q0, q1, q2) = _reduction_rows(spec, p)
+    c0, c1, c2 = 0, 1, 0
+    for bit in bin(e)[3:]:
+        t3 = 2 * c1 * c2
+        t4 = c2 * c2
+        c0, c1, c2 = ((c0 * c0 + t3 * s0 + t4 * q0) % p,
+                      (2 * c0 * c1 + t3 * s1 + t4 * q1) % p,
+                      (2 * c0 * c2 + c1 * c1 + t3 * s2 + t4 * q2) % p)
         if bit == "1":
-            c0, c1, c2 = out
-            out = (c2 * s0 % p, (c0 + c2 * s1) % p, (c1 + c2 * s2) % p)
-    return out
+            c0, c1, c2 = c2 * s0 % p, (c0 + c2 * s1) % p, (c1 + c2 * s2) % p
+    return (c0, c1, c2)
 
 
 def terms_at_multiples(spec, p, k_max):
@@ -179,7 +187,9 @@ def _restrict_factors(n, factor_map):
         while n % q == 0:
             out[q] = out.get(q, 0) + 1
             n //= q
-    assert n == 1, "divisor had a prime outside the reference factorization"
+    if n != 1:
+        raise ArithmeticError(
+            "divisor had a prime outside the reference factorization")
     return out
 
 
@@ -200,9 +210,10 @@ class PrimeProfile:
     mult_order: int | None = None
 
 
-def _state_period(spec, p, multiple, multiple_factors):
+def _state_period(spec, p, multiple, multiple_factors, x_pow):
     """Smallest k dividing `multiple` with state(k) = state(0), where
     state(k) = (U_k, U_{k+1}, U_{k+2}) mod p; `multiple` must be such a k.
+    x_pow(e) gives X^e modulo (characteristic cubic, p).
 
     state(k) = c0*state(0) + c1*state(1) + c2*state(2) for
     X^k = c0 + c1*X + c2*X^2 (Cayley-Hamilton).
@@ -215,7 +226,7 @@ def _state_period(spec, p, multiple, multiple_factors):
         u.append((a1 * u[-1] + a2 * u[-2] + a3 * u[-3]) % p)
 
     def returns_at(k):
-        c0, c1, c2 = _x_pow(spec, k, p)
+        c0, c1, c2 = x_pow(k)
         return all((c0 * u[j] + c1 * u[j + 1] + c2 * u[j + 2] - u[j]) % p == 0
                    for j in range(3))
 
@@ -244,19 +255,21 @@ def classify_prime(spec, p):
         raise ValueError(f"{p} is not prime")
 
     fac_p1 = factorize(p - 1)
+    # one memo of X^e for every order descent at this prime
+    x_pow = functools.cache(functools.partial(_x_pow, spec, p=p))
     if discriminant(spec) % p == 0:
         t_p = _state_period(spec, p, p * (p - 1),
-                            _merge_factorizations(fac_p1, {p: 1}))
+                            _merge_factorizations(fac_p1, {p: 1}), x_pow)
         return PrimeProfile(p=p, root_count=RAMIFIED, in_Z=False, t_p=t_p)
 
     linear = _linear_part(spec, p)      # of degree the number of roots
     if len(linear) == 4:
         return PrimeProfile(p=p, root_count=3, in_Z=False,
-                            t_p=_state_period(spec, p, p - 1, fac_p1))
+                            t_p=_state_period(spec, p, p - 1, fac_p1, x_pow))
     if len(linear) == 1:
         fac = _merge_factorizations(fac_p1, factorize(p * p + p + 1))
         return PrimeProfile(p=p, root_count=0, in_Z=False,
-                            t_p=_state_period(spec, p, p**3 - 1, fac))
+                            t_p=_state_period(spec, p, p**3 - 1, fac, x_pow))
 
     # exactly one root: p is in Z, and X^(p-1) = (1, gamma/beta)
     g0, g1 = linear
@@ -265,53 +278,43 @@ def classify_prime(spec, p):
     fac_p2 = _merge_factorizations(fac_p1, fac_q1)
 
     def x_is_one(e):
-        return _x_pow(spec, e, p) == (1, 0, 0)
+        return x_pow(e) == (1, 0, 0)
 
     ord_alpha = _element_order(lambda e: pow(alpha, e, p) == 1, p - 1, fac_p1)
     k_p = _element_order(x_is_one, p * p - 1, fac_p2)
     ord_ratio = _element_order(lambda e: x_is_one((p - 1) * e), p + 1, fac_q1)
     fac_k = _restrict_factors(k_p, fac_p2)
     # X^n is a constant exactly when alpha^n = beta^n = gamma^n
-    n0 = _element_order(lambda e: _x_pow(spec, e, p)[1:] == (0, 0), k_p, fac_k)
-    t_p = _state_period(spec, p, k_p, fac_k)
+    n0 = _element_order(lambda e: x_pow(e)[1:] == (0, 0), k_p, fac_k)
+    t_p = _state_period(spec, p, k_p, fac_k, x_pow)
     return PrimeProfile(p=p, root_count=1, in_Z=True, alpha=alpha, t_p=t_p,
                         k_p=k_p, ord_alpha=ord_alpha, ord_ratio=ord_ratio,
                         mult_order=k_p // n0)
+
+
+def _z_predicate(spec):
+    """`in_Z(spec, .)` as a predicate of p, the discriminant computed once."""
+    d = discriminant(spec)
+    a3 = spec.a3
+    return lambda p: (p != 2 and d % p != 0 and a3 % p != 0
+                      and legendre(d, p) == -1)
 
 
 def in_Z(spec, p):
     """Membership of p in Z: odd, unramified, coprime to a3, exactly one
     root mod p. Decided by one Legendre symbol of the discriminant
     (Frobenius parity), which agrees with the root count."""
-    d = discriminant(spec)
-    if p == 2 or d % p == 0 or spec.a3 % p == 0:
-        return False
-    return legendre(d, p) == -1
+    return _z_predicate(spec)(p)
 
 
 def z_primes(spec, x):
     """Yield the primes p <= x in Z, increasing, by segmented enumeration."""
     if x < 3:
         return
-    d = discriminant(spec)
-    a3 = spec.a3
+    is_z = _z_predicate(spec)
     for p in iter_primes(x):
-        if p == 2 or d % p == 0 or a3 % p == 0:
-            continue
-        if legendre(d, p) == -1:
+        if is_z(p):
             yield p
-
-
-def period_by_iteration(spec, p, max_states=DEFAULT_SCAN_STATES):
-    """t_p by direct state cycling; oracle for the divisor-based method."""
-    s0 = tuple(x % p for x in spec.initial_terms)
-    a1, a2, a3 = (c % p for c in spec.coefficients)
-    x, y, z = s0
-    for k in range(1, max_states + 1):
-        x, y, z = y, z, (a1 * z + a2 * y + a3 * x) % p
-        if (x, y, z) == s0:
-            return k
-    raise ScanBudgetError(f"no period within {max_states} states for p={p}")
 
 
 # ---------------------------------------------------------------------------
@@ -354,25 +357,43 @@ def _v_values_one_period(spec, p, max_states):
         f"V period for p={p} exceeds the {max_states}-state budget")
 
 
-def _minimal_word_period(word):
-    """Smallest t dividing len(word) with word[i] == word[(i+t) % len]."""
-    n = len(word)
-    for t in sorted(d for k in range(1, math.isqrt(n) + 1) if n % k == 0
-                    for d in (k, n // k)):
-        if all(word[i] == word[(i + t) % n] for i in range(n)):
-            return t
-    return n
-
-
 def _progression_word(values, c, d):
-    """One full period of the subsequence V_{c+dk}, k = 1, 2, ..., given
-    one period `values` of V, and the word's minimal period."""
+    """A word W and its minimal period t_{c,d,p}, where W reorders one
+    full period of the subsequence V_{c+dk}, k = 1, 2, ..., given one
+    period `values` of V.
+
+    With g = gcd(d, t_v), the positions c + d(k+1) mod t_v run over the
+    coset j = c (mod g), so W = values[c % g::g] holds the same values,
+    read with step g instead of d. Since d/g is prime to t_v/g, W and the
+    subsequence have the same minimal period. The shifts that fix W are
+    the multiples of that period, so it is an element order: for t
+    dividing n = len(W), W[t:] == W[:n-t] is the cyclic shift test,
+    done in C."""
     if not 0 <= c < d:
         raise ValueError("need 0 <= c < d")
-    t_v = len(values)
-    word = [values[(c + d * (k + 1)) % t_v]
-            for k in range(t_v // math.gcd(d, t_v))]
-    return word, _minimal_word_period(word)
+    g = math.gcd(d, len(values))
+    word = values[c % g::g] if g > 1 else values
+    n = len(word)
+    return word, _element_order(lambda t: word[t:] == word[:n - t], n,
+                                factorize(n))
+
+
+def _legendre_table(p):
+    """[(a/p) for 0 <= a < p], from the squares mod p."""
+    chi = [-1] * p
+    chi[0] = 0
+    for i in range(1, p // 2 + 1):
+        chi[i * i % p] = 1
+    return chi
+
+
+def _progression_char_sum(values, c, d, chi):
+    """Sum of chi(V_{c+dk}) over one minimal period k = 1 .. t_{c,d,p}.
+    W and the subsequence's word are each len(W) / t_{c,d,p} copies of
+    one period, and hold the same letters, so W[:t_{c,d,p}] holds the
+    letters of one period of the subsequence."""
+    word, t_cdp = _progression_word(values, c, d)
+    return sum(map(chi.__getitem__, word[:t_cdp]))
 
 
 def char_sum(spec, p, c, d, profile=None, max_states=DEFAULT_SCAN_STATES):
@@ -380,9 +401,8 @@ def char_sum(spec, p, c, d, profile=None, max_states=DEFAULT_SCAN_STATES):
     where t_{c,d,p} is the minimal period of that subsequence; zero terms
     contribute zero."""
     _require_in_Z(_profile(spec, p, profile))
-    word, t_cdp = _progression_word(
-        _v_values_one_period(spec, p, max_states), c, d)
-    return sum(legendre(w, p) for w in word[:t_cdp])
+    return _progression_char_sum(_v_values_one_period(spec, p, max_states),
+                                 c, d, _legendre_table(p))
 
 
 def period_in_progression(spec, p, c, d, profile=None,

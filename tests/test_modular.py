@@ -3,20 +3,47 @@ import random
 
 import pytest
 
+from ternary_squares import modular
 from ternary_squares.charpoly import discriminant
-from ternary_squares.modular import (RAMIFIED, PrimeProfile, ScanBudgetError,
-                                     char_sum, classify_prime,
-                                     count_roots_mod_p,
+from ternary_squares.modular import (DEFAULT_SCAN_STATES, RAMIFIED,
+                                     PrimeProfile, ScanBudgetError,
+                                     _legendre_table, _polymulmod,
+                                     _progression_char_sum, _progression_word,
+                                     _reduction_rows, _v_values_one_period,
+                                     _x_pow, char_sum,
+                                     classify_prime, count_roots_mod_p,
                                      in_K_y, in_L_y, in_P_fU, in_Z,
-                                     period_by_iteration,
                                      period_in_progression, term_mod, v_mod,
                                      z_primes)
 from ternary_squares.primes import sieve
 from ternary_squares.recurrence import (FIVE_FIB_SQ_MINUS_4, POW2_PLUS_FIB,
                                         TRIBONACCI, RecurrenceSpec, term,
                                         term_iter)
+from ternary_squares.sqrtmod import legendre
 
 GOOD_PRESETS = (TRIBONACCI, POW2_PLUS_FIB)
+
+
+def period_by_iteration(spec, p, max_states=DEFAULT_SCAN_STATES):
+    """t_p by direct state cycling; oracle for the divisor-based method."""
+    s0 = tuple(x % p for x in spec.initial_terms)
+    a1, a2, a3 = (c % p for c in spec.coefficients)
+    x, y, z = s0
+    for k in range(1, max_states + 1):
+        x, y, z = y, z, (a1 * z + a2 * y + a3 * x) % p
+        if (x, y, z) == s0:
+            return k
+    raise ScanBudgetError(f"no period within {max_states} states for p={p}")
+
+
+def _minimal_word_period(word):
+    """Smallest t dividing len(word) with word[i] == word[(i+t) % len]."""
+    n = len(word)
+    for t in sorted(d for k in range(1, math.isqrt(n) + 1) if n % k == 0
+                    for d in (k, n // k)):
+        if all(word[i] == word[(i + t) % n] for i in range(n)):
+            return t
+    return n
 
 
 def test_term_mod_examples():
@@ -24,6 +51,31 @@ def test_term_mod_examples():
     assert term_mod(TRIBONACCI, 10**9, 7) == term_mod(TRIBONACCI, 10**9 % 48, 7)
     assert term_mod(TRIBONACCI, 0, 5) == 0
     assert term_mod(POW2_PLUS_FIB, 0, 7) == 1
+
+
+def x_pow_by_products(spec, e, p):
+    """X^e by right-to-left square-and-multiply with the general product."""
+    r3, r4 = _reduction_rows(spec, p)
+    out, base = (1 % p, 0, 0), (0, 1 % p, 0)
+    while e:
+        if e & 1:
+            out = _polymulmod(out, base, p, r3, r4)
+        base = _polymulmod(base, base, p, r3, r4)
+        e >>= 1
+    return out
+
+
+def test_x_pow_fused_squaring_matches_general_product():
+    rng = random.Random(27)
+    specs = list(GOOD_PRESETS) + [RecurrenceSpec(-2, 7, -3, 0, 0, 1)] \
+        + random_cubics(28, 3)
+    for spec in specs:
+        for p in (2, 3, 5, 7, 47, 19997):
+            exponents = list(range(65)) + [rng.randrange(p**3)
+                                           for _ in range(40)]
+            for e in exponents:
+                assert _x_pow(spec, e, p) == x_pow_by_products(spec, e, p), \
+                    (spec, e, p)
 
 
 def test_term_mod_full_oracle_grid():
@@ -132,6 +184,19 @@ def test_period_divisor_method_matches_iteration():
                 continue
             assert classify_prime(spec, p).t_p == period_by_iteration(spec, p), \
                 (spec, p)
+
+
+def test_classify_prime_computes_each_power_once(monkeypatch):
+    seen = []
+
+    def counted(spec, e, p):
+        seen.append((e, p))
+        return _x_pow(spec, e, p)
+
+    monkeypatch.setattr(modular, "_x_pow", counted)
+    for p in sieve(500)[1:]:
+        classify_prime(TRIBONACCI, p)
+    assert len(seen) == len(set(seen)) > 0
 
 
 def test_ramified_profile_has_period():
@@ -311,6 +376,46 @@ def test_progression_periods_match_formula_sample():
             for c in range(min(d, 3)):
                 r = period_in_progression(TRIBONACCI, p, c, d, prof)
                 assert r["t_cdp"] == prof.t_p // math.gcd(d, prof.t_p), (p, c, d)
+
+
+def test_progression_tables_match_word_oracle():
+    # two of the benchmark's sweep cubics beside tribonacci. The public
+    # functions step V once per call, so below p = 50 they are checked
+    # directly and above it through the helpers they share.
+    specs = (TRIBONACCI, RecurrenceSpec(1, -1, -1, 0, 0, 1),
+             RecurrenceSpec(-1, 1, -1, 2, 0, 1))
+    seen_g, seen_c_ge_g, seen_d_gt_tv = set(), False, False
+    for spec in specs:
+        for p in z_primes(spec, 300):
+            prof = classify_prime(spec, p)
+            values = _v_values_one_period(spec, p, DEFAULT_SCAN_STATES)
+            chi = _legendre_table(p)
+            euler = [legendre(a, p) for a in range(p)]
+            t_v = len(values)
+            pairs = [(c, d) for d in range(1, 7) for c in range(d)]
+            pairs += [(c, prof.t_p) for c in sorted({0, 1, prof.t_p - 1})]
+            pairs += [(c, prof.t_p + 1) for c in (0, prof.t_p)]
+            for c, d in pairs:
+                word = [values[(c + d * (k + 1)) % t_v]
+                        for k in range(t_v // math.gcd(d, t_v))]
+                t_cdp = _minimal_word_period(word)
+                expect = sum(map(euler.__getitem__, word[:t_cdp]))
+                assert _progression_char_sum(values, c, d, chi) == expect, \
+                    (spec, p, c, d)
+                assert _progression_word(values, c, d)[1] == t_cdp, \
+                    (spec, p, c, d)
+                if p < 50:
+                    assert char_sum(spec, p, c, d, prof) == expect
+                    assert period_in_progression(spec, p, c, d, prof) == {
+                        "t_cdp": t_cdp,
+                        "matches_formula":
+                            t_cdp == prof.t_p // math.gcd(d, prof.t_p)}, \
+                        (spec, p, c, d)
+                g = math.gcd(d, t_v)
+                seen_g.add(g)
+                seen_c_ge_g |= c >= g > 1
+                seen_d_gt_tv |= d > t_v
+    assert max(seen_g) > 1 and seen_c_ge_g and seen_d_gt_tv
 
 
 def test_order_threshold_sets():
