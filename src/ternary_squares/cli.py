@@ -215,22 +215,18 @@ def cmd_count(args, cfg):
         raise InputError("--n-exact must be >= 0")
     threads = _thread_count(args, cfg)
     start = time.monotonic()
-    try:
-        records = classify_range(spec, args.x, args.n_exact, workers=threads,
-                                 factor_timeout_s=args.factor_timeout,
-                                 term_digits=args.term_digits)
-    except TermBudgetError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    wall = time.monotonic() - start
+    records = classify_range(spec, args.x, args.n_exact, workers=threads,
+                             factor_timeout_s=args.factor_timeout,
+                             term_digits=args.term_digits)
     out, close_out = _open_output(args)
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(COUNT_COLUMNS)
-    for rec in records:
-        writer.writerow(rec.csv_fields())
-    if close_out:
-        out.close()
-    report = summarize(records, args.x, args.n_exact)
+    try:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(COUNT_COLUMNS)
+        report = summarize(_written(writer, records), args.x, args.n_exact)
+    finally:
+        if close_out:
+            out.close()
+    wall = time.monotonic() - start
     summary = {"schema_version": SCHEMA_VERSION,
                "threads": threads,
                "wall_time_s": round(wall, 3)}
@@ -238,6 +234,14 @@ def cmd_count(args, cfg):
     stream = sys.stdout if close_out else sys.stderr
     print(json.dumps(summary, indent=2), file=stream)
     return EXIT_OK
+
+
+def _written(writer, records):
+    """The records, each after its CSV row is written: a failure in the
+    stream leaves the rows before the failing index in the CSV."""
+    for rec in records:
+        writer.writerow(rec.csv_fields())
+        yield rec
 
 
 def _report_experiment(fn):

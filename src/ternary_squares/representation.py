@@ -17,7 +17,7 @@ checks also run under -O.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from array import array
 from dataclasses import dataclass
 from itertools import compress
 
@@ -25,7 +25,8 @@ from .modular import term_mod, terms_at_multiples
 from .primes import (FactorTimeout, divisors_from_factorization, factorize,
                      is_prime, sieve, trial_division)
 from .recurrence import (DEFAULT_TERM_DIGITS, FIVE_FIB_SQ_MINUS_4,
-                         POW2_PLUS_N, SQUARE_POW, lucas, term)
+                         POW2_PLUS_N, SQUARE_POW, TermBudgetError, lucas,
+                         term)
 from .sqrtmod import legendre, sqrt_mod
 
 DEFAULT_ENUM_LIMIT = 10**6
@@ -35,23 +36,23 @@ DEFAULT_FACTOR_TIMEOUT_S = 10.0
 # ---------------------------------------------------------------------------
 # statuses
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Member:
     u: int
     v: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NonMember:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Obstructed:
     p: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unknown:
     pass
 
@@ -289,8 +290,9 @@ def obstruction_table(spec, x):
     Prime-major: for each odd prime p <= x, U_p, U_2p, ... mod p are
     stepped one ring multiplication apart, and primes go up, so the first
     prime recorded at n is the smallest. Agrees with qr_obstruction.
+    An array of machine ints: about 8 bytes per index.
     """
-    obs = [0] * (x + 1)
+    obs = array("L", [0]) * (x + 1)
     for p in sieve(x)[1:]:
         residues = terms_at_multiples(spec, p, x // p)
         for n, r in zip(range(p, x + 1, p), residues):
@@ -310,7 +312,7 @@ def non_squarefree_count(x):
 # ---------------------------------------------------------------------------
 # membership classification
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MembershipRecord:
     n: int
     status: object
@@ -318,7 +320,7 @@ class MembershipRecord:
 
     def __post_init__(self):
         if isinstance(self.status, Obstructed):
-            assert self.method == "qr_sieve"
+            _certify(self.method == "qr_sieve", "obstruction method", self.n)
 
     def csv_fields(self):
         s = self.status
@@ -416,8 +418,18 @@ class CountReport:
 
 
 def _classify_chunk(args):
+    """The records of a chunk of exact-tier indices in order, up to the
+    first index whose classification raises. The stream classifies that
+    index again in the parent, where it raises the same error after the
+    rows before it, so a failure looks the same for every `workers`."""
     spec, indices, budgets = args
-    return [_classify(spec, n, None, *budgets) for n in indices]
+    records = []
+    try:
+        for n in indices:
+            records.append(_classify(spec, n, None, *budgets))
+    except (TermBudgetError, CertificateError):
+        pass
+    return records
 
 
 def _pool_plan(indices, workers):
@@ -435,11 +447,13 @@ def classify_range(spec, x, n_exact, workers=1,
                    enum_limit=DEFAULT_ENUM_LIMIT,
                    factor_timeout_s=DEFAULT_FACTOR_TIMEOUT_S,
                    term_digits=DEFAULT_TERM_DIGITS):
-    """MembershipRecords for n = 1 .. x in order.
+    """An iterator over the MembershipRecords for n = 1 .. x, in order.
 
-    One obstruction sieve covers every index in this process. Only the
-    exact tier (unobstructed n <= n_exact) is split over `workers`
-    processes, by contiguous chunks, so the result is independent of
+    The arguments are checked, the obstruction sieve runs and the exact
+    tier (unobstructed n <= n_exact) is classified when this is called;
+    every other index is classified as the iterator reaches it, so no
+    record outlives its turn. Only the exact tier is split over `workers`
+    processes, by contiguous chunks, so the records are independent of
     `workers`."""
     if x < 1:
         raise ValueError("x must be >= 1")
@@ -451,14 +465,15 @@ def classify_range(spec, x, n_exact, workers=1,
     workers, chunks = _pool_plan(exact, workers)
     pooled = {}
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_classify_chunk,
                                  [(spec, chunk, budgets) for chunk in chunks]):
                 pooled.update((rec.n, rec) for rec in part)
-    return [pooled[n] if n in pooled else
+    return (pooled[n] if n in pooled else
             _classify(spec, n, Obstructed(obs[n]) if obs[n] else None,
                       *budgets)
-            for n in range(1, x + 1)]
+            for n in range(1, x + 1))
 
 
 def summarize(records, x, n_exact):
@@ -485,7 +500,8 @@ def count_range(spec, x, n_exact, workers=1,
 
     The upper bound on members is x minus the certified non-members
     (obstructed plus exact non-members); the lower bound is the verified
-    member count. Pure function of its arguments."""
+    member count. Pure function of its arguments. One pass over the
+    records, so memory does not grow with x beyond the sieve's table."""
     records = classify_range(spec, x, n_exact, workers, enum_limit,
                              factor_timeout_s, term_digits)
     return summarize(records, x, n_exact)

@@ -1,4 +1,8 @@
 import json
+import subprocess
+import sys
+
+import pytest
 
 from ternary_squares.cli import main
 
@@ -128,6 +132,50 @@ def test_count_failed_reverification_exit_2(capsys, monkeypatch):
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "re-verification" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_count_budget_exit_3_keeps_rows_before_failing_index(
+        tmp_path, capsys, threads):
+    # the 3-digit term budget first refuses an exact-tier term at n = 40
+    failed, whole = tmp_path / "failed.csv", tmp_path / "whole.csv"
+    code, out, err = run_cli(capsys, "count", "--preset", "tribonacci",
+                             "--x", "60", "--n-exact", "60",
+                             "--term-digits", "3", "--threads", threads,
+                             "--output", str(failed))
+    assert code == 3 and out == ""
+    assert err.startswith("budget exhausted: term 40 ")
+    code, *_ = run_cli(capsys, "count", "--preset", "tribonacci",
+                       "--x", "39", "--n-exact", "60", "--threads", "1",
+                       "--output", str(whole))
+    assert code == 0
+    assert failed.read_text() == whole.read_text()
+    assert failed.read_text().count("\n") == 40
+
+
+def test_count_forged_obstruction_exit_2_keeps_rows_before_failing_index(
+        tmp_path, capsys, monkeypatch):
+    from ternary_squares import representation
+    monkeypatch.setattr(representation, "obstruction_table",
+                        lambda spec, x: [0] * x + [3])   # 3 does not divide 8
+    out_path = tmp_path / "rows.csv"
+    code, out, err = run_cli(capsys, "count", "--preset", "tribonacci",
+                             "--x", "8", "--threads", "1",
+                             "--output", str(out_path))
+    assert code == 2 and out == ""
+    assert err == "error: obstruction at p=3 failed re-verification at n=8\n"
+    assert out_path.read_text().split("\n") == \
+        ["n,status,u,v,obstruction_p"] + [f"{n},unknown,,," for n in
+                                          range(1, 8)] + [""]
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # only count with a pooled exact tier needs concurrent.futures.process
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ternary_squares.cli; "
+         "sys.exit('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_constants(capsys):

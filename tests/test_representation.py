@@ -2,6 +2,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -249,9 +250,25 @@ def test_count_range_single_n():
 
 
 def test_worker_partition_is_invisible():
-    serial = classify_range(TRIBONACCI, 300, 50)
-    parallel = classify_range(TRIBONACCI, 300, 50, workers=4)
+    serial = list(classify_range(TRIBONACCI, 300, 50))
+    parallel = list(classify_range(TRIBONACCI, 300, 50, workers=4))
     assert serial == parallel
+
+
+def test_count_range_memory_is_flat_in_x():
+    # records stream through summarize one at a time, so the traced peak
+    # grows only by the sieve's table (8 bytes an index) and its lists per
+    # prime: about 0.5 MB from x = 10^4 to 4*10^4, where keeping every
+    # record grew it by 6.7 MB
+    peaks = []
+    for x in (10**4, 4 * 10**4):
+        tracemalloc.start()
+        try:
+            count_range(TRIBONACCI, x, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1.5e6, peaks
 
 
 def test_csv_fields():
@@ -284,15 +301,15 @@ def _oracle_table(spec, x):
 @pytest.mark.parametrize("spec", [TRIBONACCI, POW2_PLUS_N, NEGATIVE_SPEC,
                                   A3_DIVISIBLE_SPEC])
 def test_obstruction_table_matches_per_index_oracle(spec):
-    assert obstruction_table(spec, 2000) == _oracle_table(spec, 2000)
+    assert list(obstruction_table(spec, 2000)) == _oracle_table(spec, 2000)
     for x in (1, 2, 3):
-        assert obstruction_table(spec, x) == _oracle_table(spec, x)
+        assert list(obstruction_table(spec, x)) == _oracle_table(spec, x)
 
 
 def test_classify_range_matches_membership():
     for spec, x, n_exact in ((TRIBONACCI, 300, 50), (POW2_PLUS_N, 200, 40),
                              (TRIBONACCI, 1, 5), (TRIBONACCI, 3, 0)):
-        assert classify_range(spec, x, n_exact) == \
+        assert list(classify_range(spec, x, n_exact)) == \
             [membership(spec, n, n_exact) for n in range(1, x + 1)]
 
 
@@ -345,7 +362,9 @@ wrong_witness = raises_certificate_error(
     lambda: rep.membership(POW2_PLUS_N, 8, 0))
 rep.obstruction_table = lambda spec, x: [0, 0, 0, 0, 0, 0, 0, 0, 3]
 wrong_obstruction = raises_certificate_error(
-    lambda: rep.classify_range(TRIBONACCI, 8, 0))
+    lambda: list(rep.classify_range(TRIBONACCI, 8, 0)))
+wrong_method = raises_certificate_error(
+    lambda: rep.MembershipRecord(1, rep.Obstructed(3), "enumeration"))
 rep._represent_enumerate = lambda n_big, n: rep.Member(1, 1)
 wrong_member = raises_certificate_error(lambda: rep.represent(233, 13))
 rep._nonmember_prime = lambda factors, n: 3
@@ -356,8 +375,8 @@ try:
     outside_prime = False
 except ArithmeticError:
     outside_prime = True
-sys.exit(0 if wrong_witness and wrong_obstruction and wrong_member
-         and wrong_prime and outside_prime else 1)
+sys.exit(0 if wrong_witness and wrong_obstruction and wrong_method
+         and wrong_member and wrong_prime and outside_prime else 1)
 """
 
 
