@@ -141,19 +141,27 @@ def _check_budget(spec, n, budget_digits):
 
 
 def term_iter(spec, n_max, budget_digits=DEFAULT_TERM_DIGITS):
-    """Yield U_0 .. U_{n_max} exactly, with O(1) big-integer state."""
+    """Yield U_0 .. U_{n_max} exactly, with O(1) big-integer state.
+
+    Raises TermBudgetError at the first term with more than budget_digits
+    decimal digits, before yielding it."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     _check_budget(spec, n_max, budget_digits)
     a1, a2, a3 = spec.coefficients
     x, y, z = spec.initial_terms
-    limit_bits = int(budget_digits * math.log2(10)) + 64
+    # 2^ok_bits < 10^budget_digits < 2^(ok_bits + 1), so a term of at most
+    # ok_bits bits fits, one of more than ok_bits + 1 does not, and only
+    # the band in between needs the exact comparison
+    ok_bits = int(budget_digits * math.log2(10))
     for n in range(n_max + 1):
+        bits = x.bit_length()
+        if bits > ok_bits and (bits > ok_bits + 1
+                               or abs(x) >= 10**budget_digits):
+            raise TermBudgetError(
+                f"term {n} has more than the {budget_digits}-digit budget")
         yield x
         x, y, z = y, z, a1 * z + a2 * y + a3 * x
-        if x.bit_length() > limit_bits:
-            raise TermBudgetError(
-                f"term {n + 1} exceeds the {budget_digits}-digit budget")
 
 
 def term(spec, n, budget_digits=DEFAULT_TERM_DIGITS):

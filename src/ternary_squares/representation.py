@@ -13,7 +13,10 @@ prime-major sieve; `qr_obstruction` decides one index.
 
 Every Member, Obstructed, witness and partial_factor verdict is
 re-verified by an explicit check that raises CertificateError, so the
-checks also run under -O.
+checks also run under -O. `count` re-verifies its obstructions prime by
+prime, on the subsequence U_p, U_2p, ... mod p, which obeys U's own
+recurrence; `membership` re-verifies its one obstruction by a fresh
+term_mod.
 """
 
 import math
@@ -66,9 +69,12 @@ def _certify(ok, what, n):
         raise CertificateError(f"{what} failed re-verification at n={n}")
 
 
+_STATUS_NAMES = {Member: "member", NonMember: "non_member",
+                 Obstructed: "obstructed", Unknown: "unknown"}
+
+
 def status_name(status):
-    return {Member: "member", NonMember: "non_member",
-            Obstructed: "obstructed", Unknown: "unknown"}[type(status)]
+    return _STATUS_NAMES[type(status)]
 
 
 def integer_sqrt(n):
@@ -283,6 +289,12 @@ def qr_obstruction(spec, n):
     return None
 
 
+def _is_nonresidue(r, p):
+    """The obstruction's certificate predicate: U_n = r mod p is a nonzero
+    quadratic nonresidue modulo the odd prime p."""
+    return r != 0 and legendre(r, p) == -1
+
+
 def obstruction_table(spec, x):
     """obs[n] for 0 <= n <= x: the smallest odd prime p | n with U_n a
     quadratic nonresidue mod p, or 0 where there is none.
@@ -299,6 +311,45 @@ def obstruction_table(spec, x):
             if not obs[n] and r and legendre(r, p) == -1:
                 obs[n] = p
     return obs
+
+
+def frobenius_terms(spec, p, k_max):
+    """U_p, U_2p, ..., U_{k_max*p} mod p, one scalar step each.
+
+    Frobenius is a ring endomorphism of F_p[X]/Psi that fixes F_p, so X^p
+    is a root of Psi there, and W_k = U_{kp} mod p obeys U's own
+    recurrence, W_{k+3} = a1*W_{k+2} + a2*W_{k+1} + a3*W_k, for every
+    prime p (ramified, or dividing a3, alike). W_0 = U_0; W_1 and W_2 come
+    from a fresh term_mod each, W_2 only when k_max >= 2."""
+    if k_max < 1:
+        return
+    a1, a2, a3 = spec.coefficients
+    w0, w1 = spec.u0 % p, term_mod(spec, p, p)
+    w2 = term_mod(spec, 2 * p, p) if k_max >= 2 else 0
+    for _ in range(k_max):
+        yield w1
+        w0, w1, w2 = w1, w2, (a1 * w2 + a2 * w1 + a3 * w0) % p
+
+
+def verified_obstructions(spec, obs):
+    """bytearray ok with ok[n] = 1 exactly where p = obs[n] is an odd prime
+    of a fresh sieve, p | n and U_n mod p is a nonzero nonresidue.
+
+    An independent re-check of obstruction_table, prime-major too, but on
+    another path: the terms come from frobenius_terms, stepped up to the
+    last multiple of p that names p, instead of the sieve's ring products.
+    """
+    x = len(obs) - 1
+    ok = bytearray(x + 1)
+    for p in sieve(x)[1:]:
+        end = x - x % p     # down to the last multiple of p that names p
+        while end and obs[end] != p:
+            end -= p
+        terms = frobenius_terms(spec, p, end // p)
+        for n, r in zip(range(p, end + 1, p), terms):
+            if obs[n] == p and _is_nonresidue(r, p):
+                ok[n] = 1
+    return ok
 
 
 def non_squarefree_count(x):
@@ -341,19 +392,23 @@ def _witness_formula(spec, n):
     return None
 
 
-def _classify(spec, n, obstruction, n_exact, enum_limit, factor_timeout_s,
+# the specs for which _witness_formula can return a witness
+_WITNESS_SPECS = frozenset((POW2_PLUS_N, SQUARE_POW, FIVE_FIB_SQ_MINUS_4))
+
+
+def _obstructed(n, p, verified):
+    """The record of an index obstructed at p, once its re-check passed."""
+    _certify(verified, f"obstruction at p={p}", n)
+    return MembershipRecord(n, Obstructed(p), "qr_sieve")
+
+
+def _classify(spec, n, witnessed, n_exact, enum_limit, factor_timeout_s,
               term_digits):
-    """The record of index n given its obstruction (Obstructed or None):
-    the obstruction, else a closed-form witness where one exists, else the
-    exact solver for n <= n_exact, else Unknown. Every Obstructed and
-    Member verdict is re-verified before it is returned."""
-    if obstruction is not None:
-        p = obstruction.p
-        r = term_mod(spec, n, p)
-        _certify(p % 2 == 1 and n % p == 0 and r != 0
-                 and legendre(r, p) == -1, f"obstruction at p={p}", n)
-        return MembershipRecord(n, obstruction, "qr_sieve")
-    witness = _witness_formula(spec, n)
+    """The record of an unobstructed index n: a closed-form witness where
+    one exists (only if `witnessed`, that is spec in _WITNESS_SPECS), else
+    the exact solver for n <= n_exact, else Unknown. Every Member verdict
+    is re-verified before it is returned."""
+    witness = _witness_formula(spec, n) if witnessed else None
     if witness is not None:
         u, v = witness
         _certify(u * u + n * v * v == term(spec, n, term_digits),
@@ -373,13 +428,19 @@ def membership(spec, n, n_exact, enum_limit=DEFAULT_ENUM_LIMIT,
                term_digits=DEFAULT_TERM_DIGITS):
     """Classify one index n: obstruction first, then a closed-form witness
     where one exists, then the exact solver for n <= n_exact, else Unknown.
-    Member and Obstructed verdicts are re-verified before being returned.
+    Member and Obstructed verdicts are re-verified before being returned;
+    the obstruction by a fresh term_mod.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if spec.is_zero_sequence():
         raise ValueError("membership is undefined for the all-zero sequence")
-    return _classify(spec, n, qr_obstruction(spec, n), n_exact, enum_limit,
+    obstruction = qr_obstruction(spec, n)
+    if obstruction is not None:
+        p = obstruction.p
+        return _obstructed(n, p, p > 2 and n % p == 0 and is_prime(p)
+                           and _is_nonresidue(term_mod(spec, n, p), p))
+    return _classify(spec, n, spec in _WITNESS_SPECS, n_exact, enum_limit,
                      factor_timeout_s, term_digits)
 
 
@@ -422,11 +483,11 @@ def _classify_chunk(args):
     first index whose classification raises. The stream classifies that
     index again in the parent, where it raises the same error after the
     rows before it, so a failure looks the same for every `workers`."""
-    spec, indices, budgets = args
+    spec, indices, settings = args
     records = []
     try:
         for n in indices:
-            records.append(_classify(spec, n, None, *budgets))
+            records.append(_classify(spec, n, *settings))
     except (TermBudgetError, CertificateError):
         pass
     return records
@@ -449,18 +510,21 @@ def classify_range(spec, x, n_exact, workers=1,
                    term_digits=DEFAULT_TERM_DIGITS):
     """An iterator over the MembershipRecords for n = 1 .. x, in order.
 
-    The arguments are checked, the obstruction sieve runs and the exact
-    tier (unobstructed n <= n_exact) is classified when this is called;
-    every other index is classified as the iterator reaches it, so no
-    record outlives its turn. Only the exact tier is split over `workers`
-    processes, by contiguous chunks, so the records are independent of
-    `workers`."""
+    The arguments are checked, the obstruction sieve and its re-check run
+    and the exact tier (unobstructed n <= n_exact) is classified when this
+    is called; every other index is classified as the iterator reaches it,
+    so no record outlives its turn, and an obstruction that failed its
+    re-check raises at its own index. Only the exact tier is split over
+    `workers` processes, by contiguous chunks, so the records are
+    independent of `workers`."""
     if x < 1:
         raise ValueError("x must be >= 1")
     if spec.is_zero_sequence():
         raise ValueError("membership is undefined for the all-zero sequence")
     obs = obstruction_table(spec, x)
-    budgets = (n_exact, enum_limit, factor_timeout_s, term_digits)
+    verified = verified_obstructions(spec, obs)
+    settings = (spec in _WITNESS_SPECS, n_exact, enum_limit, factor_timeout_s,
+                term_digits)
     exact = [n for n in range(1, min(x, n_exact) + 1) if not obs[n]]
     workers, chunks = _pool_plan(exact, workers)
     pooled = {}
@@ -468,11 +532,11 @@ def classify_range(spec, x, n_exact, workers=1,
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_classify_chunk,
-                                 [(spec, chunk, budgets) for chunk in chunks]):
+                                 [(spec, chunk, settings) for chunk in chunks]):
                 pooled.update((rec.n, rec) for rec in part)
-    return (pooled[n] if n in pooled else
-            _classify(spec, n, Obstructed(obs[n]) if obs[n] else None,
-                      *budgets)
+    return (_obstructed(n, obs[n], verified[n]) if obs[n] else
+            pooled[n] if n in pooled else
+            _classify(spec, n, *settings)
             for n in range(1, x + 1))
 
 

@@ -137,20 +137,22 @@ def test_count_failed_reverification_exit_2(capsys, monkeypatch):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_count_budget_exit_3_keeps_rows_before_failing_index(
         tmp_path, capsys, threads):
-    # the 3-digit term budget first refuses an exact-tier term at n = 40
+    # the 3-digit term budget first refuses U_15 = 1705, tribonacci's first
+    # 4-digit term (index 15 is unobstructed, so the exact tier needs it)
     failed, whole = tmp_path / "failed.csv", tmp_path / "whole.csv"
     code, out, err = run_cli(capsys, "count", "--preset", "tribonacci",
                              "--x", "60", "--n-exact", "60",
                              "--term-digits", "3", "--threads", threads,
                              "--output", str(failed))
     assert code == 3 and out == ""
-    assert err.startswith("budget exhausted: term 40 ")
+    assert err == "budget exhausted: term 15 has more than the 3-digit " \
+        "budget\n"
     code, *_ = run_cli(capsys, "count", "--preset", "tribonacci",
-                       "--x", "39", "--n-exact", "60", "--threads", "1",
+                       "--x", "14", "--n-exact", "60", "--threads", "1",
                        "--output", str(whole))
     assert code == 0
     assert failed.read_text() == whole.read_text()
-    assert failed.read_text().count("\n") == 40
+    assert failed.read_text().count("\n") == 15
 
 
 def test_count_forged_obstruction_exit_2_keeps_rows_before_failing_index(
@@ -167,6 +169,36 @@ def test_count_forged_obstruction_exit_2_keeps_rows_before_failing_index(
     assert out_path.read_text().split("\n") == \
         ["n,status,u,v,obstruction_p"] + [f"{n},unknown,,," for n in
                                           range(1, 8)] + [""]
+
+
+@pytest.mark.parametrize("p, n", [(9, 9), (5, 12), (2, 4), (3, 6)])
+def test_count_forged_table_entry_exit_2_keeps_rows_before_it(
+        tmp_path, capsys, monkeypatch, p, n):
+    # a composite p (the true entry at 9 is 3), a p that does not divide n,
+    # an even p, and a p at which U_6 = 7 is a residue, each forged into
+    # the true table
+    from ternary_squares import representation
+    true_table = representation.obstruction_table
+
+    def forged(spec, x):
+        obs = list(true_table(spec, x))
+        obs[n] = p
+        return obs
+
+    whole = tmp_path / "whole.csv"
+    code, *_ = run_cli(capsys, "count", "--preset", "tribonacci",
+                       "--x", str(n - 1), "--threads", "1",
+                       "--output", str(whole))
+    assert code == 0
+    monkeypatch.setattr(representation, "obstruction_table", forged)
+    failed = tmp_path / "failed.csv"
+    code, out, err = run_cli(capsys, "count", "--preset", "tribonacci",
+                             "--x", "30", "--threads", "1",
+                             "--output", str(failed))
+    assert code == 2 and out == ""
+    assert err == f"error: obstruction at p={p} failed re-verification " \
+        f"at n={n}\n"
+    assert failed.read_text() == whole.read_text()
 
 
 def test_cli_import_leaves_process_pool_unloaded():

@@ -76,6 +76,33 @@ def test_budget_error():
         list(term_iter(TRIBONACCI, 50, budget_digits=1))
 
 
+NINES = RecurrenceSpec(10, 1, -10, 0, 9, 99)          # U_n = 10^n - 1
+TENS = RecurrenceSpec(10, 1, -10, -1, -10, -100)      # U_n = -10^n
+
+
+@pytest.mark.parametrize("spec", [TRIBONACCI, POW2_PLUS_FIB, NINES, TENS,
+                                  RecurrenceSpec(-2, 1, -1, -5, 3, -1)])
+def test_budget_refuses_first_term_over_budget(spec):
+    terms = list(term_iter(spec, 60))
+    for digits in range(1, 13):
+        first = next(n for n, u in enumerate(terms)
+                     if len(str(abs(u))) > digits)
+        assert list(term_iter(spec, first - 1, digits)) == terms[:first]
+        with pytest.raises(TermBudgetError, match=f"^term {first} "):
+            term(spec, first, digits)
+
+
+def test_budget_band_is_decided_exactly():
+    # 10^d - 1 and 10^d have the same bit length, d and d + 1 digits
+    for digits in (1, 2, 3, 19, 20, 300):
+        assert term(NINES, digits, digits) == 10**digits - 1
+        with pytest.raises(TermBudgetError):
+            term(NINES, digits + 1, digits)
+        assert term(TENS, digits - 1, digits) == -10**(digits - 1)
+        with pytest.raises(TermBudgetError, match=f"^term {digits} "):
+            term(TENS, digits, digits)
+
+
 def test_a3_must_be_nonzero():
     with pytest.raises(ValueError):
         RecurrenceSpec(1, 1, 0, 0, 0, 1)

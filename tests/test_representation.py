@@ -6,17 +6,19 @@ import tracemalloc
 
 import pytest
 
-from ternary_squares.modular import _x_pow
+from ternary_squares import representation
+from ternary_squares.modular import _x_pow, term_mod
 from ternary_squares.primes import factorize, is_prime, sieve
 from ternary_squares.representation import (_SQUARE_SIEVE, Member, NonMember,
-                                            Obstructed, Unknown, _pool_plan,
-                                            _represent, _represent_enumerate,
+                                            CertificateError, Obstructed,
+                                            Unknown, _pool_plan, _represent,
+                                            _represent_enumerate,
                                             classify_range, count_range,
-                                            integer_sqrt, membership,
-                                            non_squarefree_count,
-                                            obstruction_table,
-                                            qr_obstruction, represent,
-                                            status_name)
+                                            frobenius_terms, integer_sqrt,
+                                            membership, non_squarefree_count,
+                                            obstruction_table, qr_obstruction,
+                                            represent, status_name,
+                                            verified_obstructions)
 from ternary_squares.recurrence import (FIVE_FIB_SQ_MINUS_4, POW2_PLUS_N,
                                         SQUARE_POW, TRIBONACCI,
                                         RecurrenceSpec, fibonacci, lucas,
@@ -306,6 +308,73 @@ def test_obstruction_table_matches_per_index_oracle(spec):
         assert list(obstruction_table(spec, x)) == _oracle_table(spec, x)
 
 
+A3_THREE_SPEC = RecurrenceSpec(1, 1, 3, 1, 2, 3)
+A3_MINUS_15_SPEC = RecurrenceSpec(2, -1, -15, 1, -2, 4)
+
+
+@pytest.mark.parametrize("spec", [TRIBONACCI, POW2_PLUS_N, A3_THREE_SPEC,
+                                  A3_MINUS_15_SPEC, NEGATIVE_SPEC])
+def test_obstruction_recheck_matches_term_mod(spec):
+    # tribonacci's discriminant is -44, so its obstructions at 11 are at a
+    # ramified prime; 3 | a3 and 5 | -15 obstruct the next two specs
+    x = 3000
+    obs = obstruction_table(spec, x)
+    assert any(obs[n] == 11 for n in range(x + 1)) or spec != TRIBONACCI
+    assert any(obs[n] and spec.a3 % obs[n] == 0 for n in range(x + 1)) \
+        or abs(spec.a3) < 3
+    for p in set(obs) - {0}:
+        terms = list(frobenius_terms(spec, p, x // p))
+        assert terms == [term_mod(spec, n, p)
+                         for n in range(p, x + 1, p)], (spec, p)
+    ok = verified_obstructions(spec, obs)
+    assert [n for n in range(x + 1) if ok[n]] == \
+        [n for n in range(x + 1) if obs[n]]
+
+
+def test_frobenius_terms_seeds_lazily(monkeypatch):
+    calls = []
+    monkeypatch.setattr(representation, "term_mod",
+                        lambda spec, n, p: calls.append(n) or term_mod(spec,
+                                                                       n, p))
+    assert list(frobenius_terms(TRIBONACCI, 7, 0)) == [] and calls == []
+    assert list(frobenius_terms(TRIBONACCI, 7, 1)) == [term_mod(TRIBONACCI,
+                                                                7, 7)]
+    assert calls == [7]
+
+
+@pytest.mark.parametrize("p, n", [(9, 9), (3, 8), (2, 4), (4, 8), (3, 6),
+                                  (3, 21), (1, 5)])
+def test_obstruction_recheck_rejects_forged_entries(p, n):
+    # 9 is composite (the true entry at 9 is 3), 3 does not divide 8, 2 and
+    # 4 are even, U_6 = 7 is a residue mod 3, 3 divides U_21 and 1 is no
+    # prime: only the forged index is left unverified
+    x = 60
+    obs = list(obstruction_table(TRIBONACCI, x))
+    obs[n] = p
+    ok = verified_obstructions(TRIBONACCI, obs)
+    assert not ok[n]
+    assert all(ok[m] for m in range(x + 1) if obs[m] and m != n)
+
+
+def test_membership_rejects_forged_obstruction(monkeypatch):
+    for p, n in ((9, 18), (3, 8), (3, 6)):
+        monkeypatch.setattr(representation, "qr_obstruction",
+                            lambda spec, m, p=p: Obstructed(p))
+        with pytest.raises(CertificateError, match=f"at p={p} .* n={n}$"):
+            membership(TRIBONACCI, n, 0)
+
+
+def test_recheck_makes_two_term_mod_calls_per_obstructing_prime(monkeypatch):
+    primes = set(obstruction_table(TRIBONACCI, 30000)) - {0}
+    calls = []
+    monkeypatch.setattr(representation, "term_mod",
+                        lambda spec, n, p: calls.append(p) or term_mod(spec,
+                                                                       n, p))
+    report = count_range(TRIBONACCI, 30000, 0)
+    assert report.counts["obstructed"] == 18759
+    assert set(calls) == primes and len(calls) <= 2 * len(primes)
+
+
 def test_classify_range_matches_membership():
     for spec, x, n_exact in ((TRIBONACCI, 300, 50), (POW2_PLUS_N, 200, 40),
                              (TRIBONACCI, 1, 5), (TRIBONACCI, 3, 0)):
@@ -363,6 +432,9 @@ wrong_witness = raises_certificate_error(
 rep.obstruction_table = lambda spec, x: [0, 0, 0, 0, 0, 0, 0, 0, 3]
 wrong_obstruction = raises_certificate_error(
     lambda: list(rep.classify_range(TRIBONACCI, 8, 0)))
+rep.obstruction_table = lambda spec, x: [0] * 18 + [9]
+composite_obstruction = raises_certificate_error(
+    lambda: list(rep.classify_range(TRIBONACCI, 18, 0)))
 wrong_method = raises_certificate_error(
     lambda: rep.MembershipRecord(1, rep.Obstructed(3), "enumeration"))
 rep._represent_enumerate = lambda n_big, n: rep.Member(1, 1)
@@ -375,8 +447,9 @@ try:
     outside_prime = False
 except ArithmeticError:
     outside_prime = True
-sys.exit(0 if wrong_witness and wrong_obstruction and wrong_method
-         and wrong_member and wrong_prime and outside_prime else 1)
+sys.exit(0 if wrong_witness and wrong_obstruction and composite_obstruction
+         and wrong_method and wrong_member and wrong_prime and outside_prime
+         else 1)
 """
 
 
