@@ -7,7 +7,9 @@ All arithmetic modulo (Psi, p), Psi the characteristic cubic, is done in
 one ring, F_p[X]/Psi: X^k = c0 + c1*X + c2*X^2 there gives
 U_{k+j} = c0*U_j + c1*U_{j+1} + c2*U_{j+2} (mod p) for every j. Root
 orders are read off X^e as well: at a prime in Z the ring is
-F_p x F_{p^2} by the CRT, with X = (alpha, beta).
+F_p x F_p[X]/Q by the CRT, Q = Psi / (X - alpha), with X = (alpha, beta),
+and each order splits at p - 1 into a descent on X^e with e | p + 1 and
+an order of F_p scalars (see `classify_prime`).
 
 Terminology used throughout: for a prime p at which the characteristic
 cubic has exactly one root (the set Z), `alpha` is that root in F_p and
@@ -155,20 +157,13 @@ def count_roots_mod_p(spec, p):
 # ---------------------------------------------------------------------------
 # element orders
 
-def _merge_factorizations(*maps):
-    out = {}
-    for m in maps:
-        for q, e in m.items():
-            out[q] = out.get(q, 0) + e
-    return out
-
-
 def _element_order(pow_to, multiple, multiple_factors):
     """Smallest divisor t of `multiple` with pow_to(t) true.
 
     pow_to(multiple) is verified, not assumed: the order sweeps rely on
-    these extractions to surface any failure of the claimed p-1 / p+1 /
-    p^2-1 divisibilities rather than silently returning a wrong order.
+    these extractions to surface any failure of the claimed multiples
+    (p-1, p+1, p^2+p+1, p(p-1)) rather than silently returning a wrong
+    order.
     """
     if not pow_to(multiple):
         raise ArithmeticError(
@@ -180,17 +175,9 @@ def _element_order(pow_to, multiple, multiple_factors):
     return t
 
 
-def _restrict_factors(n, factor_map):
-    """Factorization of n given that every prime of n appears in factor_map."""
-    out = {}
-    for q in factor_map:
-        while n % q == 0:
-            out[q] = out.get(q, 0) + 1
-            n //= q
-    if n != 1:
-        raise ArithmeticError(
-            "divisor had a prime outside the reference factorization")
-    return out
+def _scalar_order(x, p, fac_p1):
+    """Order of x in F_p^*, given the factorization of p - 1."""
+    return _element_order(lambda e: pow(x, e, p) == 1, p - 1, fac_p1)
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +229,22 @@ def classify_prime(spec, p):
     and primes with 0 or 3 roots get a reduced profile (root count and
     period only).
 
-    t_p, k_p, the order of beta/gamma and n0 are read off X^e in
-    F_p[X]/Psi; alpha's order is taken in F_p. By the CRT that ring is
-    F_p^3 at a three-root prime, F_{p^3} at a no-root prime, and
-    F_p x F_{p^2} with X = (alpha, beta) at a prime in Z.
+    Every order here is that of a subgroup condition on n (X^n = 1, X^n
+    a constant, X^n fixes the state) with a known multiple M1*M2. With r
+    the least j | M2 for which n = M1*j meets it, and s the least i | M1
+    for which n = r*i does, the order is r*s, as r = t / gcd(t, M1). Both
+    halves are short: M1 = p - 1, and M2 = p + 1 at a prime in Z or
+    p^2 + p + 1 at a no-root prime.
+
+    At a prime in Z, F_p[X]/Psi = F_p x F_p[X]/Q by the CRT, with
+    Q = Psi / (X - alpha) and X = (alpha, beta). Since beta^((p-1)j) = 1
+    exactly when beta^j is in F_p, r is the least j | p + 1 with X^j mod Q
+    a constant, and r is the order of beta/gamma. Then alpha^r and
+    beta^r = gamma^r are F_p scalars, and every other order is an order
+    in F_p^*, taken by builtin `pow`. At a no-root prime the ring is
+    F_{p^3}, r is the least j | p^2 + p + 1 with X^j in F_p, and
+    t_p = r * ord(X^r). Ramified and three-root primes descend over
+    p(p-1) and p-1 directly.
     """
     if p == 2:
         raise ValueError("p = 2 is excluded from classification")
@@ -255,40 +254,55 @@ def classify_prime(spec, p):
         raise ValueError(f"{p} is not prime")
 
     fac_p1 = factorize(p - 1)
-    # one memo of X^e for every order descent at this prime
+    # one memo of X^e, so each descent's last power is not raised again
     x_pow = functools.cache(functools.partial(_x_pow, spec, p=p))
     if discriminant(spec) % p == 0:
-        t_p = _state_period(spec, p, p * (p - 1),
-                            _merge_factorizations(fac_p1, {p: 1}), x_pow)
+        t_p = _state_period(spec, p, p * (p - 1), {**fac_p1, p: 1}, x_pow)
         return PrimeProfile(p=p, root_count=RAMIFIED, in_Z=False, t_p=t_p)
 
     linear = _linear_part(spec, p)      # of degree the number of roots
     if len(linear) == 4:
         return PrimeProfile(p=p, root_count=3, in_Z=False,
                             t_p=_state_period(spec, p, p - 1, fac_p1, x_pow))
+    u0, u1, u2 = (x % p for x in spec.initial_terms)
     if len(linear) == 1:
-        fac = _merge_factorizations(fac_p1, factorize(p * p + p + 1))
-        return PrimeProfile(p=p, root_count=0, in_Z=False,
-                            t_p=_state_period(spec, p, p**3 - 1, fac, x_pow))
+        # F_{p^3}: X^((p-1)j) = 1 exactly when X^j is in F_p
+        t_p = 1
+        if u0 or u1 or u2:
+            m2 = p * p + p + 1
+            r = _element_order(lambda j: x_pow(j)[1:] == (0, 0), m2,
+                               factorize(m2))
+            t_p = r * _scalar_order(x_pow(r)[0], p, fac_p1)
+        return PrimeProfile(p=p, root_count=0, in_Z=False, t_p=t_p)
 
-    # exactly one root: p is in Z, and X^(p-1) = (1, gamma/beta)
+    # exactly one root alpha; X^2 = -q1*X - q0 modulo Q = Psi / (X - alpha)
     g0, g1 = linear
     alpha = -g0 * pow(g1, -1, p) % p
-    fac_q1 = factorize(p + 1)
-    fac_p2 = _merge_factorizations(fac_p1, fac_q1)
+    a1, a2, _ = spec.coefficients
+    q1 = (alpha - a1) % p
+    q0 = (alpha * alpha - a1 * alpha - a2) % p
 
-    def x_is_one(e):
-        return x_pow(e) == (1, 0, 0)
+    def mod_q_is_scalar(j):
+        _, c1, c2 = x_pow(j)
+        return (c1 - c2 * q1) % p == 0
 
-    ord_alpha = _element_order(lambda e: pow(alpha, e, p) == 1, p - 1, fac_p1)
-    k_p = _element_order(x_is_one, p * p - 1, fac_p2)
-    ord_ratio = _element_order(lambda e: x_is_one((p - 1) * e), p + 1, fac_q1)
-    fac_k = _restrict_factors(k_p, fac_p2)
+    r = _element_order(mod_q_is_scalar, p + 1, factorize(p + 1))
+    c0, c1, c2 = x_pow(r)
+    a = (c0 + (c1 + c2 * alpha) * alpha) % p        # alpha^r
+    b = (c0 - c2 * q0) % p                          # beta^r = gamma^r
+    ord_alpha = _scalar_order(alpha, p, fac_p1)
+    ord_beta = r * _scalar_order(b, p, fac_p1)
+    k_p = math.lcm(ord_alpha, ord_beta)
     # X^n is a constant exactly when alpha^n = beta^n = gamma^n
-    n0 = _element_order(lambda e: x_pow(e)[1:] == (0, 0), k_p, fac_k)
-    t_p = _state_period(spec, p, k_p, fac_k, x_pow)
+    n0 = r * _scalar_order(b * pow(a, -1, p) % p, p, fac_p1)
+    # U_n = L(X^n) for the functional L(X^i) = U_i. Its alpha part is zero
+    # when L vanishes on Q, its (beta, gamma) part when L vanishes on
+    # X - alpha and X^2 - alpha*X; t_p is the lcm of the parts' orders.
+    alpha_part = (u2 + q1 * u1 + q0 * u0) % p
+    beta_part = (u1 - alpha * u0) % p or (u2 - alpha * u1) % p
+    t_p = math.lcm(ord_alpha if alpha_part else 1, ord_beta if beta_part else 1)
     return PrimeProfile(p=p, root_count=1, in_Z=True, alpha=alpha, t_p=t_p,
-                        k_p=k_p, ord_alpha=ord_alpha, ord_ratio=ord_ratio,
+                        k_p=k_p, ord_alpha=ord_alpha, ord_ratio=r,
                         mult_order=k_p // n0)
 
 

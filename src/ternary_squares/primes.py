@@ -1,18 +1,25 @@
 """Prime sieves, primality testing and integer factorization.
 
 Everything here is deterministic: Miller-Rabin uses a fixed base set below
-the proven 64-bit-plus threshold and a fixed-seed PRNG above it, and
+the proven threshold psi_13 and a fixed-seed PRNG above it, and
 Pollard-Brent walks a fixed parameter schedule.
 """
 
+import bisect
 import math
 import random
 import time
 from itertools import count
 
-# Deterministic Miller-Rabin bases valid for n < 3,317,044,064,679,887,385,961,981.
-_MR_DETERMINISTIC_BOUND = 3317044064679887385961981
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_t, the least strong pseudoprime to each of the first t prime bases
+# (OEIS A014233; Jaeschke 1993, Sorenson and Webster 2017): the first t
+# bases decide every n < psi_t. psi_12 = 399165290221 * 798330580441 and
+# psi_13 are composite, so the 13th base, 41, is needed below psi_13.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+           3474749660383, 341550071728321, 341550071728321,
+           3825123056546413051, 3825123056546413051, 3825123056546413051,
+           318665857834031151167461, 3317044064679887385961981)
 _MR_EXTRA_ROUNDS = 64
 _MR_SEED = 0x5EED
 # Pollard-Brent steps between two gcds, and between two deadline checks
@@ -71,10 +78,13 @@ def _miller_rabin_witness(a, d, s, n):
 
 
 def is_prime(n):
-    """Miller-Rabin primality test, deterministic for n < 3.3e24."""
+    """Miller-Rabin primality test, deterministic below psi_13 = 3.3e24.
+
+    n < psi_t is decided by the first t bases of _MR_BASES; from psi_13
+    on, all 13 bases and _MR_EXTRA_ROUNDS seeded random bases run."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -82,10 +92,11 @@ def is_prime(n):
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    t = bisect.bisect_right(_MR_PSI, n)
+    for a in _MR_BASES[:t + 1]:
         if _miller_rabin_witness(a, d, s, n):
             return False
-    if n < _MR_DETERMINISTIC_BOUND:
+    if t < len(_MR_PSI):
         return True
     rng = random.Random(_MR_SEED ^ n)
     for _ in range(_MR_EXTRA_ROUNDS):

@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -199,6 +201,62 @@ def test_classify_prime_computes_each_power_once(monkeypatch):
     assert len(seen) == len(set(seen)) > 0
 
 
+def test_classify_prime_powers_stay_in_the_short_halves(monkeypatch):
+    # X^e is raised only to e <= p + 1 at a prime in Z and e <= p^2+p+1
+    # at a no-root prime: the orders split at p - 1, and the (p-1)-part
+    # is an order of F_p scalars
+    exponents = []
+
+    def counted(spec, e, p):
+        exponents.append(e)
+        return _x_pow(spec, e, p)
+
+    monkeypatch.setattr(modular, "_x_pow", counted)
+    bounds = {1: lambda p: p + 1, 0: lambda p: p * p + p + 1}
+    reached = set()
+    for spec in (TRIBONACCI, RecurrenceSpec(1, -1, -1, 1, 2, 3),
+                 RecurrenceSpec(-1, 1, -1, 2, 0, 1)):
+        for p in sieve(2000)[1:]:
+            exponents.clear()
+            prof = classify_prime(spec, p)
+            if prof.root_count in bounds:
+                assert max(exponents) <= bounds[prof.root_count](p), (spec, p)
+                reached.add(prof.root_count)
+    assert reached == {0, 1}
+
+
+_CORRUPT_FROBENIUS = """
+import sys
+from ternary_squares import modular
+from ternary_squares.recurrence import TRIBONACCI
+
+assert not __debug__, "run me under python -O"
+true_x_pow = modular._x_pow
+roots_47 = [x for x in range(47) if (x**3 - x * x - x - 1) % 47 == 0]
+# a wrong X^p at each kind of prime: X claims three roots, 0 claims none,
+# and 2X - root claims one root at the three-root prime 47
+cases = [(3, (0, 1, 0)), (7, (0, 1, 0)), (7, (0, 0, 0)), (13, (0, 1, 0)),
+         (13, (0, 0, 0)), (47, (0, 0, 0))]
+cases += [(47, (-x % 47, 2, 0)) for x in roots_47]
+returned = []
+for p, wrong in cases:
+    modular._x_pow = (lambda spec, e, p, wrong=wrong:
+                      wrong if e == p else true_x_pow(spec, e, p))
+    try:
+        returned.append((p, wrong, modular.classify_prime(TRIBONACCI, p)))
+    except ArithmeticError:
+        pass
+print(returned)
+sys.exit(1 if returned or len(roots_47) != 3 else 0)
+"""
+
+
+def test_corrupt_frobenius_raises_under_optimize():
+    proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_FROBENIUS],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_ramified_profile_has_period():
     prof = classify_prime(TRIBONACCI, 11)
     assert prof.root_count == RAMIFIED
@@ -295,6 +353,53 @@ def test_classify_prime_matches_brute_oracle():
                 assert prof.t_p == period_by_iteration(spec, p), (spec, p)
             branches.add(rc)
     assert branches == {0, 1, 3, RAMIFIED}
+
+
+def test_classify_prime_state_parts_match_oracles():
+    # POW2_PLUS_FIB's cubic is (X - 2)(X^2 - X - 1), so alpha = 2 at its
+    # primes in Z. Fibonacci terms have no alpha part and t_p = ord(beta);
+    # 2^n terms have no (beta, gamma) part and t_p = ord(alpha); 2^n + F_n
+    # has both and t_p = k_p; 7*F_n is zero mod 7, which is in Z. The
+    # cubic always has a root, so tribonacci brings the no-root primes,
+    # and 3 times it is zero at the no-root prime 3.
+    fib = RecurrenceSpec(3, -1, -2, 0, 1, 1)
+    pow2 = RecurrenceSpec(3, -1, -2, 1, 2, 4)
+    zero7 = RecurrenceSpec(3, -1, -2, 0, 7, 7)
+    zero3 = RecurrenceSpec(1, 1, 1, 0, 0, 3)
+    seen = set()
+    for p in sieve(300)[1:]:
+        in_z = {}
+        for spec in (POW2_PLUS_FIB, fib, pow2, zero7, TRIBONACCI, zero3):
+            rc = brute_root_count(spec, p)
+            if rc == 0 and p > 100:
+                continue    # period_by_iteration runs up to p^3 steps
+            prof = classify_prime(spec, p)
+            fields = {}
+            if rc == 1:
+                fields = brute_in_Z_fields(spec, p, brute_roots(spec, p)[0])
+            expect = PrimeProfile(p=p, root_count=rc, in_Z=rc == 1,
+                                  t_p=period_by_iteration(spec, p), **fields)
+            assert prof == expect, (spec, p)
+            if rc == 1:
+                in_z[spec] = prof
+            elif rc == 0:
+                seen.add("no root, zero state" if prof.t_p == 1 else "no root")
+        if POW2_PLUS_FIB in in_z:
+            both, t_alpha, t_beta = (in_z[spec].t_p
+                                     for spec in (POW2_PLUS_FIB, pow2, fib))
+            k_p = in_z[fib].k_p
+            assert both == k_p and t_alpha == in_z[pow2].ord_alpha
+            # each case counts where its t_p differs from the others'
+            if both not in (t_alpha, t_beta):
+                seen.add("k_p")
+            if t_alpha != k_p:
+                seen.add("ord_alpha")
+            if t_beta not in (k_p, t_alpha):
+                seen.add("ord_beta")
+            if in_z[zero7].t_p == 1:
+                seen.add("zero state")
+    assert seen == {"k_p", "ord_alpha", "ord_beta", "zero state", "no root",
+                    "no root, zero state"}
 
 
 def test_fp2_arithmetic():

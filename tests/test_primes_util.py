@@ -31,14 +31,31 @@ def test_segmented_iteration_matches_sieve():
 
 
 def test_is_prime_small():
-    flags = set(sieve(20000))
-    for n in range(20000):
+    flags = set(sieve(10**6))
+    for n in range(10**6):
         assert is_prime(n) == (n in flags), n
+
+
+# psi_t, the least strong pseudoprime to each of the first t prime bases
+# (OEIS A014233): is_prime must not stop at the first t bases at or
+# above psi_t
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051,
+       3825123056546413051, 3825123056546413051,
+       318665857834031151167461, 3317044064679887385961981)
+
+
+def test_is_prime_rejects_every_psi():
+    assert PSI[11] == 399165290221 * 798330580441
+    assert PSI[12] == 1287836182261 * 2575672364521
+    for t, psi in enumerate(PSI, 1):
+        assert not is_prime(psi), t
 
 
 @pytest.mark.parametrize("n,expected", [
     (2**61 - 1, True),            # Mersenne prime
     (2**89 - 1, True),
+    (2**127 - 1, True),
     (561, False),                 # Carmichael
     (1105, False),
     (1000000007, True),
@@ -46,6 +63,21 @@ def test_is_prime_small():
 ])
 def test_is_prime_known_values(n, expected):
     assert is_prime(n) == expected
+
+
+@pytest.mark.parametrize("k,m,a", [
+    (1026321, 21, 5),             # above psi_5: the first six bases
+    (10179051, 25, 5),            # above psi_7: nine bases
+    (3478945, 40, 3),             # above psi_11: twelve bases
+    (289824909357, 40, 5),        # above psi_12: all thirteen
+    (754208500645, 42, 3),        # above psi_13: the seeded rounds too
+])
+def test_is_prime_proth_primes(k, m, a):
+    # Proth's theorem: n = k*2^m + 1 with k odd, k < 2^m and
+    # a^((n-1)/2) = -1 (mod n) is prime
+    n = k * 2**m + 1
+    assert k % 2 == 1 and k < 2**m and pow(a, (n - 1) // 2, n) == n - 1
+    assert is_prime(n)
 
 
 def test_factorize_random_roundtrip():
