@@ -7,7 +7,7 @@ from .modular import (PrimeProfile, char_sum, classify_prime,
                       period_in_progression, term_mod, v_mod, z_primes)
 from .recurrence import (FIBONACCI, FIVE_FIB_SQ_MINUS_4, POW2_PLUS_FIB,
                          POW2_PLUS_N, PRESETS, SQUARE_POW, TRIBONACCI,
-                         BinarySpec, RecurrenceSpec, fibonacci, lucas,
+                         RecurrenceSpec, fibonacci, lucas,
                          resolve_preset, term, term_iter)
 from .representation import (CountReport, Member, MembershipRecord, NonMember,
                              Obstructed, Unknown, count_range, integer_sqrt,

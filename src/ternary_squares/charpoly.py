@@ -4,51 +4,21 @@ Covers the exact discriminant, factorization over Q, the degeneracy test
 (some root ratio a root of unity), the three admissibility conditions the
 counting theorem needs, the dominant-root modulus, and the numeric solve
 for the optimized exponent constants.
+
+No polynomial arithmetic is needed beyond evaluating the cubic. A rational
+root is an integer dividing a3, and dividing it out is synthetic division.
+Degeneracy is read off the power sums s_k = r1^k + r2^k + r3^k, which obey
+U's own recurrence: the ratio r_i/r_j has order dividing k exactly when the
+cubic with roots r1^k, r2^k, r3^k, whose coefficients are symmetric in
+the roots and so integers built from s_k, s_2k and a3^k, has a repeated
+root.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .recurrence import RecurrenceSpec
-
-# ---------------------------------------------------------------------------
-# small dense-polynomial helpers over Z, ascending coefficient lists
-
-
-def _poly_trim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    return _poly_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                       for i in range(n)])
-
-
-def _poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        if pi:
-            for j, qj in enumerate(q):
-                out[i + j] += pi * qj
-    return _poly_trim(out)
-
-
-def _poly_divmod_monic(p, d):
-    """Divide p by a monic divisor d; exact integer quotient/remainder."""
-    assert d[-1] == 1
-    p = list(p)
-    q = [0] * max(1, len(p) - len(d) + 1)
-    for i in range(len(p) - len(d), -1, -1):
-        coef = p[i + len(d) - 1]
-        if coef:
-            q[i] = coef
-            for j, dj in enumerate(d):
-                p[i + j] -= coef * dj
-    return _poly_trim(q), _poly_trim(p[:len(d) - 1] or [0])
+from .recurrence import RecurrenceSpec, term_iter
 
 
 def char_poly(spec):
@@ -62,24 +32,6 @@ def _poly_eval(p, x):
         acc = acc * x + c
     return acc
 
-
-# Cyclotomic polynomials Phi_n for every n with euler_phi(n) <= 6: a root
-# ratio that is a root of unity generates a field of degree <= 6 over Q.
-CYCLOTOMIC = {
-    1: [-1, 1],
-    2: [1, 1],
-    3: [1, 1, 1],
-    4: [1, 0, 1],
-    5: [1, 1, 1, 1, 1],
-    6: [1, -1, 1],
-    7: [1, 1, 1, 1, 1, 1, 1],
-    8: [1, 0, 0, 0, 1],
-    9: [1, 0, 0, 1, 0, 0, 1],
-    10: [1, -1, 1, -1, 1],
-    12: [1, 0, -1, 0, 1],
-    14: [1, -1, 1, -1, 1, -1, 1],
-    18: [1, 0, 0, -1, 0, 0, 1],
-}
 
 # ---------------------------------------------------------------------------
 # factorization over Q
@@ -108,10 +60,14 @@ class RepeatedRoot:
     roots: tuple  # (root, multiplicity) pairs
 
 
-def discriminant(spec):
-    a1, a2, a3 = spec.coefficients
+def _disc(a1, a2, a3):
+    """Discriminant of X^3 - a1 X^2 - a2 X - a3."""
     return (a1 * a1 * a2 * a2 + 4 * a2**3 - 4 * a1**3 * a3
             - 18 * a1 * a2 * a3 - 27 * a3 * a3)
+
+
+def discriminant(spec):
+    return _disc(*spec.coefficients)
 
 
 def _is_square(n):
@@ -135,82 +91,56 @@ def _integer_roots(spec):
 
 
 def factorize(spec):
-    """Exact factorization shape of the characteristic cubic over Q."""
-    psi = char_poly(spec)
+    """Exact factorization shape of the characteristic cubic over Q.
+
+    Every rational root is an integer. With an integer root a, synthetic
+    division gives Psi = (X - a)(X^2 + bX + c), b = a - a1, c = a*b - a2,
+    and the quadratic splits over Q exactly when all three roots are
+    integers. A repeated root r of a monic integer cubic is an integer;
+    it is double when Psi'(r) = 0 and triple when also 3r = a1.
+    """
+    a1, a2, _ = spec.coefficients
+    roots = _integer_roots(spec)
     if discriminant(spec) == 0:
-        # a repeated root of a monic integer cubic is an integer
-        mult = {}
-        rem = psi
-        for r in _integer_roots(spec):
-            while True:
-                q, residue = _poly_divmod_monic(rem, [-r, 1])
-                if residue != [0]:
-                    break
-                rem = q
-                mult[r] = mult.get(r, 0) + 1
+        mult = {r: 1 + (3 * r * r - 2 * a1 * r - a2 == 0) * (1 + (3 * r == a1))
+                for r in roots}
         assert sum(mult.values()) == 3, "zero discriminant forces full split"
         return RepeatedRoot(tuple(sorted(mult.items())))
-    roots = _integer_roots(spec)
     if not roots:
         return Irreducible()
+    if len(roots) == 3:
+        return ThreeLinear(tuple(roots))
     a = roots[0]
-    quotient, residue = _poly_divmod_monic(psi, [-a, 1])
-    assert residue == [0]
-    c, b, _ = quotient  # X^2 + bX + c
-    if _is_square(b * b - 4 * c):
-        all_roots = tuple(sorted(roots))
-        assert len(all_roots) == 3, (spec, roots)
-        return ThreeLinear(all_roots)
-    return LinearTimesQuadratic(a, b, c)
+    b = a - a1
+    return LinearTimesQuadratic(a, b, a * b - a2)
 
 
 # ---------------------------------------------------------------------------
 # degeneracy: is some ratio of roots a root of unity?
 
-
-def _ratio_resultant(spec):
-    """Degree-9 integer polynomial whose roots are the ratios r_i/r_j.
-
-    It is the norm prod_i Psi(x*r_i) = a3^3 * prod_{i,j} (x - r_i/r_j):
-    the determinant of multiplication by Psi(x*X) on Q[X]/Psi, whose
-    entries are polynomials in x.
-    """
-    a1, a2, a3 = spec.coefficients
-    # Psi(x*X) reduced by X^3 = a1 X^2 + a2 X + a3, coefficients of 1, X, X^2
-    col = [[-a3, 0, 0, a3], [0, -a2, 0, a2], [0, 0, -a1, a1]]
-    cols = [col]
-    for _ in range(2):  # times X: shift up and reduce X^3
-        c0, c1, c2 = cols[-1]
-        cols.append([_poly_mul([a3], c2),
-                     _poly_add(c0, _poly_mul([a2], c2)),
-                     _poly_add(c1, _poly_mul([a1], c2))])
-    det = [0]
-    for i, j, k, sign in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
-                          (0, 2, 1, -1), (1, 0, 2, -1), (2, 1, 0, -1)):
-        term = _poly_mul(_poly_mul(cols[0][i], cols[1][j]), cols[2][k])
-        det = _poly_add(det, [sign * c for c in term])
-    return det
+# Every k > 1 with euler_phi(k) <= 6: a root ratio lies in the splitting
+# field, of degree <= 6 over Q, so a root of unity there has such an order.
+RATIO_ORDERS = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 18)
 
 
 def is_degenerate(spec):
     """(flag, witness): some ratio of characteristic roots is a root of unity.
 
-    Repeated roots count as degenerate (ratio 1). Otherwise the three
-    trivial diagonal ratios are divided out of the degree-9 ratio polynomial
-    and the remainder is tested against each cyclotomic of degree <= 6.
+    Repeated roots count as degenerate (ratio 1). Otherwise r_i/r_j has
+    order dividing k exactly when r_i^k = r_j^k, that is, when the cubic
+    X^3 - e1 X^2 + e2 X - e3 with roots r1^k, r2^k, r3^k has discriminant
+    0. Its coefficients are e1 = s_k, e2 = (s_k^2 - s_2k)/2 and
+    e3 = a3^k, from the power sums s_m = r1^m + r2^m + r3^m. The first
+    such k in RATIO_ORDERS is the least order of a root-of-unity ratio.
     """
     if discriminant(spec) == 0:
         return True, "repeated root (ratio 1)"
-    r9 = _ratio_resultant(spec)
-    assert len(r9) == 10, "ratio polynomial must have degree 9"
-    r6 = r9
-    for _ in range(3):  # strip the three r_i/r_i = 1 diagonal ratios
-        r6, rem = _poly_divmod_monic(r6, [-1, 1])
-        assert rem == [0], "diagonal ratios must divide exactly"
-    for n in sorted(CYCLOTOMIC):
-        _, rem = _poly_divmod_monic(r6, CYCLOTOMIC[n])
-        if rem == [0]:
-            return True, f"some root ratio is a primitive root of unity of order {n}"
+    a1, a2, a3 = spec.coefficients
+    s = list(term_iter(RecurrenceSpec(a1, a2, a3, 3, a1, a1 * a1 + 2 * a2),
+                       2 * RATIO_ORDERS[-1]))
+    for k in RATIO_ORDERS:
+        if _disc(s[k], (s[2 * k] - s[k] ** 2) // 2, a3**k) == 0:
+            return True, f"some root ratio is a primitive root of unity of order {k}"
     return False, None
 
 
@@ -219,21 +149,28 @@ def is_degenerate(spec):
 
 
 def _bisect_root(psi, lo, hi, iterations=130):
-    """Exact-sign bisection for a root of psi in (lo, hi); Fraction endpoints."""
+    """Bisection for the root of an irreducible cubic psi in (lo, hi).
+
+    lo and hi are integers or floats, so every point visited is k / 2^e for
+    one e, and the sign of psi there is that of the integer
+    2^(3e) psi(k / 2^e), the scaled cubic at k. It is never 0, since psi
+    has no rational root.
+    """
     lo, hi = Fraction(lo), Fraction(hi)
-    flo = _poly_eval(psi, lo)
-    if flo == 0:
-        return float(lo)
+    e = iterations + max(lo.denominator, hi.denominator).bit_length() - 1
+    k_lo, k_hi = int(lo * 2**e), int(hi * 2**e)
+    scaled = [c << (e * (3 - i)) for i, c in enumerate(psi)]
+    lo_positive = _poly_eval(scaled, k_lo) > 0
+    assert lo_positive != (_poly_eval(scaled, k_hi) > 0), \
+        "the ends must bracket a root"
     for _ in range(iterations):
-        mid = (lo + hi) / 2
-        fmid = _poly_eval(psi, mid)
-        if fmid == 0:
-            return float(mid)
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
+        # both ends start as multiples of 2^iterations, so mid is exact
+        mid = (k_lo + k_hi) // 2
+        if (_poly_eval(scaled, mid) > 0) == lo_positive:
+            k_lo = mid
         else:
-            hi = mid
-    return float((lo + hi) / 2)
+            k_hi = mid
+    return (k_lo + k_hi) / 2**(e + 1)
 
 
 def root_moduli(spec):
@@ -261,30 +198,13 @@ def root_moduli(spec):
         pair_sq = spec.a3 / r
         assert pair_sq > 0
         return sorted([abs(r)] + [math.sqrt(pair_sq)] * 2)
-    # three distinct real roots; critical points separate them
+    # three distinct real roots, which the critical points separate; an
+    # irreducible cubic has no rational root, so none sits on a cut
     a1, a2 = spec.a1, spec.a2
     s = math.sqrt(a1 * a1 + 3 * a2)
-    crit = [(a1 - s) / 3, (a1 + s) / 3]
-    # exact sign checks at the float critical points, nudging if a root
-    # happens to sit unreasonably close (cannot occur for integer cubics
-    # at desk scale, but verify instead of trusting)
-    lo, hi = Fraction(-bound), Fraction(bound)
-    cuts = []
-    for t in crit:
-        ft = Fraction(t)
-        for _ in range(60):
-            if _poly_eval(psi, ft) != 0:
-                break
-            ft += Fraction(1, 10**9)
-        cuts.append(ft)
-    points = [lo, cuts[0], cuts[1], hi]
-    roots = []
-    for i in range(3):
-        a, b = points[i], points[i + 1]
-        assert (_poly_eval(psi, a) > 0) != (_poly_eval(psi, b) > 0), \
-            "critical points must separate the three real roots"
-        roots.append(_bisect_root(psi, a, b))
-    return sorted(abs(r) for r in roots)
+    points = [-bound, (a1 - s) / 3, (a1 + s) / 3, bound]
+    return sorted(abs(_bisect_root(psi, points[i], points[i + 1]))
+                  for i in range(3))
 
 
 def gamma(spec):
@@ -342,8 +262,6 @@ class PolyAnalysis:
 
 
 def check_conditions(spec):
-    if not isinstance(spec, RecurrenceSpec):
-        raise TypeError("condition analysis needs a ternary recurrence spec")
     disc = discriminant(spec)
     kind = factorize(spec)
 

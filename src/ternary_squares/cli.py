@@ -16,8 +16,7 @@ from . import experiments as ex
 from .charpoly import check_conditions, solve_exponents
 from .modular import ScanBudgetError, classify_prime, count_roots_mod_p
 from .primes import FactorTimeout, iter_primes
-from .recurrence import (PRESETS, BinarySpec, TermBudgetError,
-                         spec_from_json)
+from .recurrence import PRESETS, TermBudgetError, spec_from_json
 from .representation import CertificateError, classify_range, summarize
 
 SCHEMA_VERSION = "1"
@@ -37,8 +36,15 @@ class InputError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an input error (exit 1), not argparse's 2."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ternary-squares",
         description="Ternary recurrences U_n and the representation "
                     "U_n = u^2 + n*v^2: analysis, prime profiles, counts "
@@ -51,8 +57,6 @@ def _build_parser():
                         help="worker count (default: TERNARY_THREADS or CPU count)")
     common.add_argument("--factor-timeout", type=float, default=10.0,
                         help="seconds allowed per factorization (default 10)")
-    common.add_argument("--scan-states", type=int, default=10**8,
-                        help="period-scan state budget (default 1e8)")
     common.add_argument("--term-digits", type=int, default=10**6,
                         help="exact-term decimal digit budget (default 1e6)")
     common.add_argument("--output", help="write CSV here instead of stdout")
@@ -107,7 +111,7 @@ def _load_config(args):
     return cfg
 
 
-def _resolve_spec(args, cfg, allow_binary=False):
+def _resolve_spec(args, cfg):
     preset = args.preset or cfg.get("preset")
     inline = args.spec or cfg.get("spec")
     if preset and inline:
@@ -125,9 +129,6 @@ def _resolve_spec(args, cfg, allow_binary=False):
             raise InputError(f"bad spec: {exc}")
     else:
         raise InputError("a sequence is required: --preset NAME or --spec JSON")
-    if isinstance(spec, BinarySpec) and not allow_binary:
-        raise InputError("this command needs a ternary spec; "
-                         "the fibonacci preset is order 2")
     return spec, preset
 
 
@@ -149,7 +150,7 @@ def _thread_count(args, cfg):
 
 
 def _check_budgets(args):
-    if args.factor_timeout <= 0 or args.scan_states <= 0 or args.term_digits <= 0:
+    if args.factor_timeout <= 0 or args.term_digits <= 0:
         raise InputError("budgets must be positive")
 
 
@@ -175,7 +176,6 @@ def cmd_primes(args, cfg):
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(PRIMES_COLUMNS)
     n_primes = n_z = 0
-    code = EXIT_OK
     try:
         if args.max >= 3:
             for p in iter_primes(args.max):
@@ -195,16 +195,13 @@ def cmd_primes(args, cfg):
                     "" if prof.ord_ratio is None else prof.ord_ratio,
                     "" if prof.mult_order is None else prof.mult_order,
                 ])
-    except ScanBudgetError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        code = EXIT_BUDGET
     finally:
         if close_out:
             out.close()
     if n_primes:
         print(f"#Z({args.max})/pi({args.max}) = {n_z}/{n_primes} "
               f"= {n_z / n_primes:.4f}", file=sys.stderr)
-    return code
+    return EXIT_OK
 
 
 def cmd_count(args, cfg):
@@ -280,7 +277,7 @@ EXPERIMENTS = {
     "char-sum-sweep": {
         "needs_spec": True, "fn": ex.char_sum_sweep,
         "params": {"p_max": int, "max_states": int},
-        "defaults": {"p_max": 1000, "max_states": None},  # None: --scan-states
+        "defaults": {"p_max": 1000, "max_states": 10**8},
     },
     "smooth-count": {
         "needs_spec": False, "fn": _report_experiment(ex.smooth_count),
@@ -328,8 +325,6 @@ def cmd_verify(args, cfg):
             params[key] = entry["params"][key](raw)
         except ValueError:
             raise InputError(f"parameter {key} must be {entry['params'][key].__name__}")
-    if params.get("max_states") is None and "max_states" in entry["params"]:
-        params["max_states"] = args.scan_states
     missing = {k for k in entry["params"] if params.get(k) is None}
     if missing:
         raise InputError(f"experiment {name} needs --param for {sorted(missing)}")
@@ -362,9 +357,8 @@ def cmd_constants(args, cfg):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _load_config(args)
         _check_budgets(args)
         return args.fn(args, cfg)

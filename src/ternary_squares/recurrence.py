@@ -47,16 +47,6 @@ class RecurrenceSpec:
                 "u0": self.u0, "u1": self.u1, "u2": self.u2}
 
 
-@dataclass(frozen=True)
-class BinarySpec:
-    """Order-2 companion spec; only Fibonacci uses it, and only the
-    representation layer consumes it (the charpoly analyzer rejects it)."""
-    b1: int
-    b2: int
-    u0: int
-    u1: int
-
-
 def fibonacci(n):
     a, b = 0, 1
     for _ in range(n):
@@ -74,12 +64,14 @@ def lucas(n):
 # Preset tuples. The three "counterexample" presets have closed forms:
 # pow2-plus-n is 2^n + n, square-pow is (2^n + 1)^2, and
 # five-fib-sq-minus-4 is L_n^2, which equals 5*F_n^2 - 4 at every odd n.
+# Fibonacci is the ternary F_{n+3} = 2 F_{n+2} - F_n, with cubic
+# (X - 1)(X^2 - X - 1).
 TRIBONACCI = RecurrenceSpec(1, 1, 1, 0, 0, 1)
 POW2_PLUS_FIB = RecurrenceSpec(3, -1, -2, 1, 3, 5)
 POW2_PLUS_N = RecurrenceSpec(4, -5, 2, 1, 3, 6)
 SQUARE_POW = RecurrenceSpec(7, -14, 8, 4, 9, 25)
 FIVE_FIB_SQ_MINUS_4 = RecurrenceSpec(2, 2, -1, 4, 1, 9)
-FIBONACCI = BinarySpec(1, 1, 0, 1)
+FIBONACCI = RecurrenceSpec(2, 0, -1, 0, 1, 1)
 
 PRESETS = {
     "tribonacci": TRIBONACCI,
@@ -96,7 +88,7 @@ _CLOSED_FORMS = {
     "pow2-plus-n": lambda n: 2**n + n,
     "square-pow": lambda n: (2**n + 1) ** 2,
     "five-fib-sq-minus-4": lambda n: lucas(n) ** 2,
-    "fibonacci": None,
+    "fibonacci": fibonacci,
 }
 
 
@@ -109,14 +101,14 @@ def resolve_preset(name):
 
 
 def validate_presets():
-    """Check each ternary preset against 20 terms of its closed form.
+    """Check each preset against 20 terms of its closed form.
 
     The coefficient tuples were derived from the stated factorizations,
     so they are machine-checked here rather than trusted.
     """
     for name, spec in PRESETS.items():
         closed = _CLOSED_FORMS[name]
-        if closed is None or not isinstance(spec, RecurrenceSpec):
+        if closed is None:
             continue
         for n, value in enumerate(term_iter(spec, 19)):
             if value != closed(n):

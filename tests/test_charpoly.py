@@ -1,14 +1,16 @@
+import cmath
+import hashlib
+import itertools
+import json
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
-from ternary_squares.charpoly import (CYCLOTOMIC, Irreducible,
-                                      LinearTimesQuadratic, RepeatedRoot,
-                                      ThreeLinear, _exponent_gap,
-                                      _poly_divmod_monic, _ratio_resultant,
-                                      char_poly, check_conditions,
+from ternary_squares.charpoly import (Irreducible, LinearTimesQuadratic,
+                                      RepeatedRoot, ThreeLinear,
+                                      _exponent_gap, char_poly,
+                                      check_conditions,
                                       discriminant, factorize, gamma,
                                       is_degenerate, root_moduli,
                                       solve_exponents)
@@ -100,29 +102,78 @@ def test_split_discriminant_is_square():
             assert d >= 0 and math.isqrt(d) ** 2 == d
 
 
-def test_ratio_resultant_roots():
-    rng = random.Random(14)
-    for _ in range(30):
-        roots = rng.sample([r for r in range(-9, 10) if r], 3)
-        spec = spec_from_roots(*roots)
-        r9 = _ratio_resultant(spec)
-        assert len(r9) == 10
-        lead = r9[-1]
-        assert abs(lead) == abs(spec.a3) ** 3
-        for x in (Fraction(2), Fraction(3), Fraction(-1, 2)):
-            expect = lead
-            for ri in roots:
-                for rj in roots:
-                    expect *= x - Fraction(ri, rj)
-            got = sum(c * x**i for i, c in enumerate(r9))
-            assert got == expect
+def numeric_roots(spec):
+    """The three complex roots of Psi by Durand-Kerner iteration."""
+    a1, a2, a3 = spec.coefficients
+    roots = [(0.4 + 0.9j) ** k for k in range(3)]
+    for _ in range(2000):
+        step = 0.0
+        for i, z in enumerate(roots):
+            den = 1
+            for j, w in enumerate(roots):
+                if j != i:
+                    den *= z - w
+            dz = (((z - a1) * z - a2) * z - a3) / den
+            roots[i] = z - dz
+            step = max(step, abs(dz))
+        if step < 1e-15:
+            break
+    return roots
 
 
-def test_ratio_resultant_irreducible_pin():
-    # the tribonacci cubic is irreducible, so the three-integer-root
-    # oracle above cannot reach it; the value was computed with the
-    # 6x6 Sylvester determinant
-    assert _ratio_resultant(TRIBONACCI) == [-1, -1, -2, 10, -4, 4, -10, 2, 1, 1]
+# every k > 1 with euler_phi(k) <= 6 (phi(k) >= sqrt(k/2) bounds the range)
+SMALL_TOTIENT_ORDERS = [k for k in range(2, 100)
+                        if sum(math.gcd(k, m) == 1 for m in range(k)) <= 6]
+
+
+def ratio_order(roots):
+    """Least k in SMALL_TOTIENT_ORDERS such that some r_i/r_j is within
+    1e-9 of a k-th root of unity, or None."""
+    for k in SMALL_TOTIENT_ORDERS:
+        for i, j in itertools.permutations(range(3), 2):
+            q = roots[i] / roots[j]
+            if any(abs(q - cmath.exp(2j * math.pi * m / k)) < 1e-9
+                   for m in range(k)):
+                return k
+    return None
+
+
+def test_degeneracy_and_factorization_against_numeric_roots():
+    seen = set()
+    for a1, a2, a3 in itertools.product(range(-6, 7), repeat=3):
+        if a3 == 0:
+            continue
+        spec = RecurrenceSpec(a1, a2, a3, 0, 0, 1)
+        psi = char_poly(spec)
+        flag, why = is_degenerate(spec)
+        kind = factorize(spec)
+        if not isinstance(kind, Irreducible):
+            assert expand_factorization(kind) == psi, (spec, kind)
+        if discriminant(spec) == 0:
+            # repeated roots are ill-conditioned numerically; the exact
+            # expansion above is the check
+            assert isinstance(kind, RepeatedRoot)
+            assert flag and "repeated" in why
+            continue
+        roots = numeric_roots(spec)
+        k = ratio_order(roots)
+        assert flag == (k is not None), spec
+        if flag:
+            assert why.endswith(f"order {k}"), (spec, why)
+            seen.add(k)
+        # the integer roots are the numeric roots next to an exact root
+        near = sorted(round(z.real) for z in roots
+                      if abs(z - round(z.real)) < 1e-6
+                      and sum(c * round(z.real)**i
+                              for i, c in enumerate(psi)) == 0)
+        if isinstance(kind, Irreducible):
+            assert near == [], spec
+        elif isinstance(kind, LinearTimesQuadratic):
+            assert near == [kind.a], (spec, kind)
+        else:
+            assert near == list(kind.roots), (spec, kind)
+    # the orders a root-of-unity ratio of an integer cubic can have
+    assert seen == {2, 3, 4, 6}
 
 
 def test_degeneracy_presets():
@@ -142,19 +193,6 @@ def test_degeneracy_unit_ratios():
     # roots of X^2+X+1 paired with X-2: primitive cube roots over a split
     flag, _ = is_degenerate(RecurrenceSpec(1, 1, 2, 0, 0, 1))  # (X-2)(X^2+X+1)
     assert flag
-
-
-def test_cyclotomic_table():
-    totient = {1: 1, 2: 1, 3: 2, 4: 2, 5: 4, 6: 2, 7: 6, 8: 4, 9: 6,
-               10: 4, 12: 4, 14: 6, 18: 6}
-    assert set(CYCLOTOMIC) == set(totient)
-    for n, phi in CYCLOTOMIC.items():
-        assert len(phi) - 1 == totient[n]
-        # Phi_n divides X^n - 1 exactly
-        xn1 = [0] * (n + 1)
-        xn1[0], xn1[n] = -1, 1
-        _, rem = _poly_divmod_monic(xn1, phi)
-        assert rem == [0], n
 
 
 def test_gamma_values():
@@ -215,15 +253,30 @@ def test_conditions_c3_cubic():
     assert "perfect square" in a.cond_i_reason
 
 
-def test_conditions_reject_binary():
-    with pytest.raises(TypeError):
-        check_conditions(FIBONACCI)
+def test_conditions_fibonacci():
+    a = check_conditions(FIBONACCI)
+    assert a.factorization == LinearTimesQuadratic(1, -1, -1)
+    assert a.cond_i and a.cond_iii and not a.cond_ii
+    assert a.cond_ii_reason == "integer root a = 1"
+    assert a.gamma == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-12)
 
 
 def test_analysis_json():
     d = check_conditions(TRIBONACCI).to_json_dict()
     assert d["satisfies_all"] is True
     assert d["factorization"] == {"kind": "irreducible"}
+
+
+def test_analyze_grid_pin():
+    # sha256 of the analyze JSON for every cubic with a1, a2, a3 in
+    # [-9, 9], a3 != 0; it moves only with a CHANGES.md entry saying why
+    lines = [json.dumps(check_conditions(RecurrenceSpec(a1, a2, a3, 0, 0, 1))
+                        .to_json_dict(), sort_keys=True)
+             for a1, a2, a3 in itertools.product(range(-9, 10), repeat=3)
+             if a3 != 0]
+    assert len(lines) == 6498
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "35d3356df141d1abf0144c6c1c10b4465d16fafb585482a0df7f1bf3951cea79"
 
 
 def test_solve_exponents_paper_values():

@@ -27,14 +27,18 @@ def test_analyze_condition_failure_exit_2(capsys):
     data = json.loads(out)
     assert data["cond_ii"] is False
     assert "integer root a = -1" in data["cond_ii_reason"]
+    # Fibonacci's cubic (X - 1)(X^2 - X - 1) fails (ii) at its root 1
+    code, out, _ = run_cli(capsys, "analyze", "--preset", "fibonacci")
+    assert code == 2
+    data = json.loads(out)
+    assert data["cond_ii_reason"] == "integer root a = 1"
+    assert data["cond_i"] is True and data["cond_iii"] is True
 
 
 def test_analyze_input_errors(capsys):
     code, _, err = run_cli(capsys, "analyze", "--spec",
                            '{"a1":0,"a2":0,"a3":0,"u0":0,"u1":0,"u2":1}')
     assert code == 1 and "a3" in err
-    code, _, _ = run_cli(capsys, "analyze", "--preset", "fibonacci")
-    assert code == 1
     code, _, _ = run_cli(capsys, "analyze", "--preset", "unknown-name")
     assert code == 1
     code, _, _ = run_cli(capsys, "analyze")
@@ -316,6 +320,24 @@ def test_negative_n_exact_is_input_error(capsys):
     assert code == 1 and out == ""
     assert err.startswith("error:") and "--n-exact" in err
     assert err.count("\n") == 1
+
+
+def test_usage_errors_exit_1(capsys):
+    # argparse's own exit code 2 would read as a failed condition
+    code, out, err = run_cli(capsys, "count", "--preset", "tribonacci")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "--x" in err and err.count("\n") == 1
+    code, _, err = run_cli(capsys, "count", "--preset", "tribonacci",
+                           "--x", "abc")
+    assert code == 1 and "invalid int value" in err
+    code, _, err = run_cli(capsys, "analyze", "--scan-states", "5",
+                           "--preset", "tribonacci")
+    assert code == 1 and "unrecognized arguments" in err
+    code, _, _ = run_cli(capsys)
+    assert code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--help"])
+    assert exc.value.code == 0
 
 
 def test_budget_validation(capsys):

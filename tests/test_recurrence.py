@@ -4,7 +4,7 @@ import pytest
 
 from ternary_squares.recurrence import (FIBONACCI, FIVE_FIB_SQ_MINUS_4,
                                         POW2_PLUS_FIB, POW2_PLUS_N, PRESETS,
-                                        SQUARE_POW, TRIBONACCI, BinarySpec,
+                                        SQUARE_POW, TRIBONACCI,
                                         RecurrenceSpec, TermBudgetError,
                                         fibonacci, lucas, resolve_preset,
                                         spec_from_json, term, term_iter,
@@ -21,9 +21,8 @@ def test_tribonacci_prefix():
 
 def test_initial_terms():
     for spec in PRESETS.values():
-        if isinstance(spec, RecurrenceSpec):
-            assert term(spec, 0) == spec.u0
-            assert list(term_iter(spec, 0)) == [spec.u0]
+        assert term(spec, 0) == spec.u0
+        assert list(term_iter(spec, 0)) == [spec.u0]
 
 
 def test_pow2_plus_fib_values():
@@ -116,7 +115,7 @@ def test_zero_sequence_flag():
 def test_presets_resolve():
     assert resolve_preset("tribonacci") == TRIBONACCI
     assert resolve_preset("Five-Fib-Sq-Minus-4") == FIVE_FIB_SQ_MINUS_4
-    assert isinstance(resolve_preset("fibonacci"), BinarySpec)
+    assert resolve_preset("fibonacci") == FIBONACCI
     with pytest.raises(KeyError):
         resolve_preset("nope")
 
@@ -137,5 +136,7 @@ def test_validate_presets_runs():
     validate_presets()
 
 
-def test_fibonacci_preset_is_binary():
-    assert FIBONACCI == BinarySpec(1, 1, 0, 1)
+def test_fibonacci_preset_is_ternary():
+    # F_{n+3} = 2 F_{n+2} - F_n: the cubic (X - 1)(X^2 - X - 1)
+    assert FIBONACCI == RecurrenceSpec(2, 0, -1, 0, 1, 1)
+    assert list(term_iter(FIBONACCI, 200)) == [fibonacci(n) for n in range(201)]
