@@ -2,7 +2,8 @@
 
 Subcommands: analyze, primes, count, verify, constants. Exit codes are a
 stable contract: 0 success/pass, 1 input error, 2 condition or
-verification failure, 3 budget exhaustion.
+verification failure, 3 budget exhaustion, 141 (128 + SIGPIPE) standard
+output closed by its reader before the command finished.
 """
 
 import argparse
@@ -25,6 +26,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_FAILED = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141
 
 PRIMES_COLUMNS = ["p", "root_count", "in_Z", "alpha", "t_p", "k_p",
                   "ord_alpha", "ord_ratio", "mult_order"]
@@ -212,14 +214,13 @@ def cmd_count(args, cfg):
         raise InputError("--n-exact must be >= 0")
     threads = _thread_count(args, cfg)
     start = time.monotonic()
-    records = classify_range(spec, args.x, args.n_exact, workers=threads,
-                             factor_timeout_s=args.factor_timeout,
-                             term_digits=args.term_digits)
+    items = classify_range(spec, args.x, args.n_exact, workers=threads,
+                           factor_timeout_s=args.factor_timeout,
+                           term_digits=args.term_digits)
     out, close_out = _open_output(args)
     try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(COUNT_COLUMNS)
-        report = summarize(_written(writer, records), args.x, args.n_exact)
+        out.write(",".join(COUNT_COLUMNS) + "\n")
+        report = summarize(_written(out, items), args.x, args.n_exact)
     finally:
         if close_out:
             out.close()
@@ -233,12 +234,12 @@ def cmd_count(args, cfg):
     return EXIT_OK
 
 
-def _written(writer, records):
-    """The records, each after its CSV row is written: a failure in the
-    stream leaves the rows before the failing index in the CSV."""
-    for rec in records:
-        writer.writerow(rec.csv_fields())
-        yield rec
+def _written(out, items):
+    """The stream's items, each after its CSV rows are written: a failure
+    in the stream leaves the rows before the failing index in the CSV."""
+    for item in items:
+        out.write(item.csv_text())
+        yield item
 
 
 def _report_experiment(fn):
@@ -375,6 +376,11 @@ def main(argv=None):
     except CertificateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
+    except BrokenPipeError:
+        # the reader went away (`| head`): stop quietly, with stdout on
+        # devnull so that its flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -11,18 +11,33 @@ p | n with U_n a nonresidue mod p certifies that U_n = u^2 + n*v^2 has
 no solution at all. `count` finds it for every n <= x at once with a
 prime-major sieve; `qr_obstruction` decides one index.
 
+Each verdict names its method: qr_sieve (Obstructed), witness_formula,
+sign (a negative U_n), enumeration, partial_factor, cornacchia, or
+not_attempted (Unknown past n_exact, where no exact tier ran; an Unknown
+from cornacchia is a factorization timeout).
+
+`classify_range` streams n = 1 .. x in order as two kinds of item. A
+MembershipRecord is one index of the exact tier or of a witness formula.
+A SieveBlock is a run of at most _BLOCK consecutive indices that the
+sieve alone decides (obstructed, or not_attempted), read straight off
+the sieve's table with no per-index object; it writes its CSV rows with
+one join and tallies them from the table.
+
 Every Member, Obstructed, witness and partial_factor verdict is
 re-verified by an explicit check that raises CertificateError, so the
 checks also run under -O. `count` re-verifies its obstructions prime by
 prime, on the subsequence U_p, U_2p, ... mod p, which obeys U's own
-recurrence; `membership` re-verifies its one obstruction by a fresh
-term_mod.
+recurrence; a block compares its obstructed indices with those flags,
+and at the first that failed the stream yields the rows before it as a
+shorter block, then raises. `membership` re-verifies its one
+obstruction by a fresh term_mod.
 """
 
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
+from typing import NamedTuple
 
 from .modular import term_mod, terms_at_multiples
 from .primes import (FactorTimeout, divisors_from_factorization, factorize,
@@ -380,35 +395,61 @@ class MembershipRecord:
                 s.v if isinstance(s, Member) else "",
                 s.p if isinstance(s, Obstructed) else "")
 
+    def csv_text(self):
+        return ",".join(map(str, self.csv_fields())) + "\n"
+
+    def tallies(self):
+        """(status name, method, count) for the summary."""
+        return ((status_name(self.status), self.method, 1),)
+
+
+class SieveBlock(NamedTuple):
+    """The indices lo, lo + 1, ..., lo + len(primes) - 1, decided by the
+    sieve alone: Obstructed(p) (method qr_sieve) where p = primes[i] is
+    nonzero, its re-check passed, else Unknown (method not_attempted).
+    A named tuple, not a dataclass: it is cheaper to define at import."""
+    lo: int
+    primes: object      # a slice of obstruction_table
+
+    def csv_text(self):
+        return "".join([f"{n},obstructed,,,{p}\n" if p else f"{n},unknown,,,\n"
+                        for n, p in enumerate(self.primes, self.lo)])
+
+    def tallies(self):
+        """(status name, method, count) for the summary, nonzero counts
+        only, in the order their first rows come."""
+        obstructed = len(self.primes) - self.primes.count(0)
+        parts = [("obstructed", "qr_sieve", obstructed),
+                 ("unknown", "not_attempted", len(self.primes) - obstructed)]
+        if not self.primes[0]:
+            parts.reverse()
+        return [part for part in parts if part[2]]
+
+
+# spec -> (r, m): _witness_formula has a witness exactly at n = r mod m
+_WITNESS_CLASSES = {POW2_PLUS_N: (0, 2), SQUARE_POW: (0, 1),
+                    FIVE_FIB_SQ_MINUS_4: (1, 2)}
+
 
 def _witness_formula(spec, n):
-    """Closed-form witness (u, v) for the three counterexample presets."""
-    if spec == POW2_PLUS_N and n % 2 == 0:
+    """Closed-form witness (u, v) for the three counterexample presets,
+    at the n of their class in _WITNESS_CLASSES, else None."""
+    residue_class = _WITNESS_CLASSES.get(spec)
+    if residue_class is None or n % residue_class[1] != residue_class[0]:
+        return None
+    if spec == POW2_PLUS_N:
         return (2 ** (n // 2), 1)
     if spec == SQUARE_POW:
         return (2**n + 1, 0)
-    if spec == FIVE_FIB_SQ_MINUS_4 and n % 2 == 1:
-        return (lucas(n), 0)
-    return None
+    return (lucas(n), 0)
 
 
-# the specs for which _witness_formula can return a witness
-_WITNESS_SPECS = frozenset((POW2_PLUS_N, SQUARE_POW, FIVE_FIB_SQ_MINUS_4))
-
-
-def _obstructed(n, p, verified):
-    """The record of an index obstructed at p, once its re-check passed."""
-    _certify(verified, f"obstruction at p={p}", n)
-    return MembershipRecord(n, Obstructed(p), "qr_sieve")
-
-
-def _classify(spec, n, witnessed, n_exact, enum_limit, factor_timeout_s,
-              term_digits):
+def _classify(spec, n, n_exact, enum_limit, factor_timeout_s, term_digits):
     """The record of an unobstructed index n: a closed-form witness where
-    one exists (only if `witnessed`, that is spec in _WITNESS_SPECS), else
-    the exact solver for n <= n_exact, else Unknown. Every Member verdict
-    is re-verified before it is returned."""
-    witness = _witness_formula(spec, n) if witnessed else None
+    one exists, else the exact solver for n <= n_exact, else Unknown
+    (method not_attempted). Every Member verdict is re-verified before it
+    is returned."""
+    witness = _witness_formula(spec, n)
     if witness is not None:
         u, v = witness
         _certify(u * u + n * v * v == term(spec, n, term_digits),
@@ -420,7 +461,7 @@ def _classify(spec, n, witnessed, n_exact, enum_limit, factor_timeout_s,
             return MembershipRecord(n, NonMember(), "sign")
         status, method = _represent(u_n, n, enum_limit, factor_timeout_s)
         return MembershipRecord(n, status, method)
-    return MembershipRecord(n, Unknown(), "qr_sieve")
+    return MembershipRecord(n, Unknown(), "not_attempted")
 
 
 def membership(spec, n, n_exact, enum_limit=DEFAULT_ENUM_LIMIT,
@@ -438,10 +479,12 @@ def membership(spec, n, n_exact, enum_limit=DEFAULT_ENUM_LIMIT,
     obstruction = qr_obstruction(spec, n)
     if obstruction is not None:
         p = obstruction.p
-        return _obstructed(n, p, p > 2 and n % p == 0 and is_prime(p)
-                           and _is_nonresidue(term_mod(spec, n, p), p))
-    return _classify(spec, n, spec in _WITNESS_SPECS, n_exact, enum_limit,
-                     factor_timeout_s, term_digits)
+        _certify(p > 2 and n % p == 0 and is_prime(p)
+                 and _is_nonresidue(term_mod(spec, n, p), p),
+                 f"obstruction at p={p}", n)
+        return MembershipRecord(n, obstruction, "qr_sieve")
+    return _classify(spec, n, n_exact, enum_limit, factor_timeout_s,
+                     term_digits)
 
 
 @dataclass(frozen=True)
@@ -508,23 +551,25 @@ def classify_range(spec, x, n_exact, workers=1,
                    enum_limit=DEFAULT_ENUM_LIMIT,
                    factor_timeout_s=DEFAULT_FACTOR_TIMEOUT_S,
                    term_digits=DEFAULT_TERM_DIGITS):
-    """An iterator over the MembershipRecords for n = 1 .. x, in order.
+    """An iterator over n = 1 .. x in order, as MembershipRecords and
+    SieveBlocks.
 
     The arguments are checked, the obstruction sieve and its re-check run
     and the exact tier (unobstructed n <= n_exact) is classified when this
-    is called; every other index is classified as the iterator reaches it,
-    so no record outlives its turn, and an obstruction that failed its
-    re-check raises at its own index. Only the exact tier is split over
-    `workers` processes, by contiguous chunks, so the records are
-    independent of `workers`."""
+    is called. A record comes at each unobstructed n <= n_exact and each
+    unobstructed n past it with a closed-form witness, classified as the
+    iterator reaches it; blocks cover the indices between. So no item
+    outlives its turn, and an obstruction that failed its re-check raises
+    at its own index, after the rows before it. Only the exact tier is
+    split over `workers` processes, by contiguous chunks, so the items
+    are independent of `workers`."""
     if x < 1:
         raise ValueError("x must be >= 1")
     if spec.is_zero_sequence():
         raise ValueError("membership is undefined for the all-zero sequence")
     obs = obstruction_table(spec, x)
     verified = verified_obstructions(spec, obs)
-    settings = (spec in _WITNESS_SPECS, n_exact, enum_limit, factor_timeout_s,
-                term_digits)
+    settings = (n_exact, enum_limit, factor_timeout_s, term_digits)
     exact = [n for n in range(1, min(x, n_exact) + 1) if not obs[n]]
     workers, chunks = _pool_plan(exact, workers)
     pooled = {}
@@ -534,18 +579,57 @@ def classify_range(spec, x, n_exact, workers=1,
             for part in pool.map(_classify_chunk,
                                  [(spec, chunk, settings) for chunk in chunks]):
                 pooled.update((rec.n, rec) for rec in part)
-    return (_obstructed(n, obs[n], verified[n]) if obs[n] else
-            pooled[n] if n in pooled else
-            _classify(spec, n, *settings)
-            for n in range(1, x + 1))
+    witnessed = ()
+    if spec in _WITNESS_CLASSES:
+        r, m = _WITNESS_CLASSES[spec]
+        first = n_exact + 1 + (r - n_exact - 1) % m
+        witnessed = (n for n in range(first, x + 1, m) if not obs[n])
+    return _stream(spec, obs, verified, chain(exact, witnessed), pooled,
+                   settings)
 
 
-def summarize(records, x, n_exact):
+_BLOCK = 1 << 10    # the most indices in one SieveBlock
+
+
+def _stream(spec, obs, verified, record_indices, pooled, settings):
+    """A record at each of the increasing `record_indices` (from `pooled`
+    where the pool classified it), and SieveBlocks over the rest of
+    1 .. len(obs) - 1."""
+    lo = 1
+    for n in record_indices:
+        yield from _sieve_blocks(obs, verified, lo, n)
+        rec = pooled.pop(n, None)
+        yield rec if rec is not None else _classify(spec, n, *settings)
+        lo = n + 1
+    yield from _sieve_blocks(obs, verified, lo, len(obs))
+
+
+def _sieve_blocks(obs, verified, lo, hi):
+    """SieveBlocks over lo .. hi - 1, at most _BLOCK indices each. Each
+    block's obstructed indices must be exactly those the re-check flagged
+    in `verified`; at the first index where they differ, the rows before
+    it come as a shorter block and CertificateError is raised."""
+    for start in range(lo, hi, _BLOCK):
+        end = min(start + _BLOCK, hi)
+        primes = obs[start:end]
+        mask, flags = bytes(map(bool, primes)), verified[start:end]
+        if mask != flags:
+            bad = next(i for i, (a, b) in enumerate(zip(mask, flags))
+                       if a != b)
+            if bad:
+                yield SieveBlock(start, primes[:bad])
+            _certify(False, f"obstruction at p={primes[bad]}", start + bad)
+        yield SieveBlock(start, primes)
+
+
+def summarize(items, x, n_exact):
+    """The CountReport of a classify_range stream."""
     counts = {"member": 0, "non_member": 0, "obstructed": 0, "unknown": 0}
     method_counts = {}
-    for rec in records:
-        counts[status_name(rec.status)] += 1
-        method_counts[rec.method] = method_counts.get(rec.method, 0) + 1
+    for item in items:
+        for status, method, k in item.tallies():
+            counts[status] += k
+            method_counts[method] = method_counts.get(method, 0) + k
     certified = counts["non_member"] + counts["obstructed"]
     return CountReport(
         x=x, n_exact=n_exact, counts=counts, method_counts=method_counts,
@@ -565,7 +649,7 @@ def count_range(spec, x, n_exact, workers=1,
     The upper bound on members is x minus the certified non-members
     (obstructed plus exact non-members); the lower bound is the verified
     member count. Pure function of its arguments. One pass over the
-    records, so memory does not grow with x beyond the sieve's table."""
-    records = classify_range(spec, x, n_exact, workers, enum_limit,
-                             factor_timeout_s, term_digits)
-    return summarize(records, x, n_exact)
+    stream, so memory does not grow with x beyond the sieve's table."""
+    items = classify_range(spec, x, n_exact, workers, enum_limit,
+                           factor_timeout_s, term_digits)
+    return summarize(items, x, n_exact)

@@ -1,10 +1,16 @@
+import csv
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
-from ternary_squares.cli import main
+from ternary_squares import representation
+from ternary_squares.cli import COUNT_COLUMNS, PRIMES_COLUMNS, main
+from ternary_squares.recurrence import PRESETS
+from ternary_squares.representation import (membership, non_squarefree_count,
+                                            status_name)
 
 
 def run_cli(capsys, *argv):
@@ -203,6 +209,146 @@ def test_count_forged_table_entry_exit_2_keeps_rows_before_it(
     assert err == f"error: obstruction at p={p} failed re-verification " \
         f"at n={n}\n"
     assert failed.read_text() == whole.read_text()
+
+
+def _oracle_count(spec, x, n_exact, threads):
+    """The CSV text and summary of `count` built index by index from
+    `membership`, written by csv.writer and tallied by hand."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(COUNT_COLUMNS)
+    counts = {"member": 0, "non_member": 0, "obstructed": 0, "unknown": 0}
+    method_counts = {}
+    for n in range(1, x + 1):
+        rec = membership(spec, n, n_exact)
+        writer.writerow(rec.csv_fields())
+        counts[status_name(rec.status)] += 1
+        method_counts[rec.method] = method_counts.get(rec.method, 0) + 1
+    certified = counts["non_member"] + counts["obstructed"]
+    summary = {"schema_version": "1", "threads": threads, "x": x,
+               "n_exact": n_exact, "counts": counts,
+               "method_counts": method_counts,
+               "member_count": counts["member"],
+               "certified_non_members": certified,
+               "upper_bound": x - certified,
+               "density_lower": counts["member"] / x,
+               "density_upper": (x - certified) / x,
+               "non_squarefree": non_squarefree_count(x)}
+    return out.getvalue(), summary
+
+
+def _count_to_file(capsys, path, *argv):
+    code, out, err = run_cli(capsys, "count", *argv, "--output", str(path))
+    summary = json.loads(out) if out else None
+    if summary is not None:
+        summary.pop("wall_time_s")
+    return code, summary, err
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n_exact", [0, 40])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_count_stream_matches_membership_oracle(
+        tmp_path, capsys, monkeypatch, preset, n_exact, threads):
+    # 16-index blocks, so that blocks end next to records and each other
+    monkeypatch.setattr(representation, "_BLOCK", 16)
+    x = 200
+    path = tmp_path / "rows.csv"
+    code, summary, _ = _count_to_file(
+        capsys, path, "--preset", preset, "--x", str(x), "--n-exact",
+        str(n_exact), "--threads", str(threads))
+    text, expected = _oracle_count(PRESETS[preset], x, n_exact, threads)
+    assert code == 0
+    assert path.read_text() == text
+    assert json.dumps(summary) == json.dumps(expected)
+
+
+def test_count_stream_matches_membership_oracle_at_full_blocks(
+        tmp_path, capsys):
+    x = 2 * representation._BLOCK + 100
+    path = tmp_path / "rows.csv"
+    code, summary, _ = _count_to_file(capsys, path, "--preset", "tribonacci",
+                                      "--x", str(x), "--threads", "1")
+    text, expected = _oracle_count(PRESETS["tribonacci"], x, 0, 1)
+    assert code == 0
+    assert path.read_text() == text
+    assert json.dumps(summary) == json.dumps(expected)
+
+
+def test_count_undecided_indices_are_not_attempted(capsys, tmp_path):
+    # past --n-exact an unobstructed index is unknown by method
+    # not_attempted; qr_sieve counts only the sieve's obstructions
+    code, summary, _ = _count_to_file(
+        capsys, tmp_path / "rows.csv", "--preset", "fibonacci", "--x", "1000",
+        "--n-exact", "100", "--threads", "1")
+    assert code == 0
+    assert summary["method_counts"]["qr_sieve"] == 482 == \
+        summary["counts"]["obstructed"]
+    assert summary["method_counts"]["not_attempted"] == 456 == \
+        summary["counts"]["unknown"]
+
+
+def _first_record_index(n_exact):
+    """The first unobstructed tribonacci index n < n_exact: its record is
+    the exact tier's, and n + 1 is still in the exact range."""
+    table = representation.obstruction_table(PRESETS["tribonacci"], n_exact)
+    return next(n for n in range(2, n_exact) if not table[n])
+
+
+@pytest.mark.parametrize("where", ["first of a block", "last of a block",
+                                   "first of all", "after a record"])
+def test_count_forged_entry_in_a_block_exit_2_keeps_rows_before_it(
+        tmp_path, capsys, monkeypatch, where):
+    # blocks of 16 from index 1 at --n-exact 0, so 17 opens the second
+    # block and 32 ends it; at --n-exact 30 the forged index follows an
+    # exact-tier record; 9 is composite, so no re-check can pass it
+    monkeypatch.setattr(representation, "_BLOCK", 16)
+    n_exact = 30 if where == "after a record" else 0
+    n = {"first of a block": 17, "last of a block": 32, "first of all": 1,
+         "after a record": _first_record_index(30) + 1}[where]
+    true_table = representation.obstruction_table
+
+    def forged(spec, x):
+        obs = true_table(spec, x)
+        obs[n] = 9
+        return obs
+
+    whole = tmp_path / "whole.csv"
+    code, *_ = _count_to_file(capsys, whole, "--preset", "tribonacci",
+                              "--x", str(max(n - 1, 1)),
+                              "--n-exact", str(n_exact), "--threads", "1")
+    assert code == 0
+    monkeypatch.setattr(representation, "obstruction_table", forged)
+    failed = tmp_path / "failed.csv"
+    code, summary, err = _count_to_file(
+        capsys, failed, "--preset", "tribonacci", "--x", "60", "--n-exact",
+        str(n_exact), "--threads", "1")
+    assert code == 2 and summary is None
+    assert err == f"error: obstruction at p=9 failed re-verification " \
+        f"at n={n}\n"
+    rows = whole.read_text().split("\n")[:n] + [""]
+    assert failed.read_text() == "\n".join(rows)
+
+
+_READER_CLOSES_AFTER_ONE_LINE = [
+    ["primes", "--preset", "fibonacci", "--max", "40000"],
+    ["count", "--preset", "tribonacci", "--x", "30000", "--threads", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", _READER_CLOSES_AFTER_ONE_LINE)
+def test_closed_stdout_ends_quietly(argv):
+    # both commands write well over a pipe's buffer, so the reader's close
+    # is met by a write
+    header = COUNT_COLUMNS if argv[0] == "count" else PRIMES_COLUMNS
+    with subprocess.Popen([sys.executable, "-m", "ternary_squares", *argv],
+                          stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == (",".join(header) + "\n").encode()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_cli_import_leaves_process_pool_unloaded():

@@ -10,9 +10,10 @@ from ternary_squares import representation
 from ternary_squares.modular import _x_pow, term_mod
 from ternary_squares.primes import factorize, is_prime, sieve
 from ternary_squares.representation import (_SQUARE_SIEVE, Member, NonMember,
-                                            CertificateError, Obstructed,
-                                            Unknown, _pool_plan, _represent,
-                                            _represent_enumerate,
+                                            CertificateError,
+                                            MembershipRecord, Obstructed,
+                                            SieveBlock, Unknown, _pool_plan,
+                                            _represent, _represent_enumerate,
                                             classify_range, count_range,
                                             frobenius_terms, integer_sqrt,
                                             membership, non_squarefree_count,
@@ -214,8 +215,20 @@ def test_membership_validation():
         membership(RecurrenceSpec(1, 1, 1, 0, 0, 0), 5, 10)
 
 
+def expand(items):
+    """The records of a classify_range stream, each SieveBlock expanded
+    index by index: the oracle view of the columnar tier."""
+    for item in items:
+        if isinstance(item, SieveBlock):
+            for n, p in enumerate(item.primes, item.lo):
+                yield (MembershipRecord(n, Obstructed(p), "qr_sieve") if p
+                       else MembershipRecord(n, Unknown(), "not_attempted"))
+        else:
+            yield item
+
+
 def test_count_range_tribonacci_brute():
-    records = classify_range(TRIBONACCI, 10, 120)
+    records = expand(classify_range(TRIBONACCI, 10, 120))
     by_n = {rec.n: rec for rec in records}
     for n in range(1, 11):
         u_n = term(TRIBONACCI, n)
@@ -375,10 +388,26 @@ def test_recheck_makes_two_term_mod_calls_per_obstructing_prime(monkeypatch):
     assert set(calls) == primes and len(calls) <= 2 * len(primes)
 
 
+def test_stream_covers_every_index_once_in_bounded_blocks(monkeypatch):
+    monkeypatch.setattr(representation, "_BLOCK", 16)
+    x = 300
+    for spec, n_exact in ((TRIBONACCI, 0), (TRIBONACCI, 60),
+                          (POW2_PLUS_N, 40)):
+        indices = []
+        for item in classify_range(spec, x, n_exact):
+            if isinstance(item, SieveBlock):
+                assert 0 < len(item.primes) <= representation._BLOCK
+                indices += range(item.lo, item.lo + len(item.primes))
+            else:
+                assert item.method != "not_attempted"
+                indices.append(item.n)
+        assert indices == list(range(1, x + 1))
+
+
 def test_classify_range_matches_membership():
     for spec, x, n_exact in ((TRIBONACCI, 300, 50), (POW2_PLUS_N, 200, 40),
                              (TRIBONACCI, 1, 5), (TRIBONACCI, 3, 0)):
-        assert list(classify_range(spec, x, n_exact)) == \
+        assert list(expand(classify_range(spec, x, n_exact))) == \
             [membership(spec, n, n_exact) for n in range(1, x + 1)]
 
 
@@ -435,6 +464,15 @@ wrong_obstruction = raises_certificate_error(
 rep.obstruction_table = lambda spec, x: [0] * 18 + [9]
 composite_obstruction = raises_certificate_error(
     lambda: list(rep.classify_range(TRIBONACCI, 18, 0)))
+after_record = raises_certificate_error(
+    lambda: list(rep.classify_range(TRIBONACCI, 18, 17)))
+rep._BLOCK = 4
+items = []
+cut_block = raises_certificate_error(
+    lambda: items.extend(rep.classify_range(TRIBONACCI, 20, 0))) and \
+    [(item.lo, len(item.primes)) for item in items] == [(1, 4), (5, 4),
+                                                       (9, 4), (13, 4),
+                                                       (17, 1)]
 wrong_method = raises_certificate_error(
     lambda: rep.MembershipRecord(1, rep.Obstructed(3), "enumeration"))
 rep._represent_enumerate = lambda n_big, n: rep.Member(1, 1)
@@ -443,7 +481,8 @@ rep._nonmember_prime = lambda factors, n: 3
 wrong_prime = raises_certificate_error(
     lambda: rep.represent(233, 13, enum_limit=0))
 sys.exit(0 if wrong_witness and wrong_obstruction and composite_obstruction
-         and wrong_method and wrong_member and wrong_prime else 1)
+         and after_record and cut_block and wrong_method and wrong_member
+         and wrong_prime else 1)
 """
 
 
