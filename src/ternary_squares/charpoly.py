@@ -148,7 +148,10 @@ def is_degenerate(spec):
 # root moduli
 
 
-def _bisect_root(psi, lo, hi, iterations=130):
+_BISECT_STEPS = 130    # halvings of the bracket, far past a float's precision
+
+
+def _bisect_root(psi, lo, hi):
     """Bisection for the root of an irreducible cubic psi in (lo, hi).
 
     lo and hi are integers or floats, so every point visited is k / 2^e for
@@ -157,14 +160,14 @@ def _bisect_root(psi, lo, hi, iterations=130):
     has no rational root.
     """
     lo, hi = Fraction(lo), Fraction(hi)
-    e = iterations + max(lo.denominator, hi.denominator).bit_length() - 1
+    e = _BISECT_STEPS + max(lo.denominator, hi.denominator).bit_length() - 1
     k_lo, k_hi = int(lo * 2**e), int(hi * 2**e)
     scaled = [c << (e * (3 - i)) for i, c in enumerate(psi)]
     lo_positive = _poly_eval(scaled, k_lo) > 0
     assert lo_positive != (_poly_eval(scaled, k_hi) > 0), \
         "the ends must bracket a root"
-    for _ in range(iterations):
-        # both ends start as multiples of 2^iterations, so mid is exact
+    for _ in range(_BISECT_STEPS):
+        # both ends start as multiples of 2^_BISECT_STEPS, so mid is exact
         mid = (k_lo + k_hi) // 2
         if (_poly_eval(scaled, mid) > 0) == lo_positive:
             k_lo = mid

@@ -15,7 +15,8 @@ import time
 
 from . import experiments as ex
 from .charpoly import check_conditions, solve_exponents
-from .modular import ScanBudgetError, classify_prime, count_roots_mod_p
+from .modular import (DEFAULT_SCAN_STATES, ScanBudgetError, classify_prime,
+                      count_roots_mod_p)
 from .primes import FactorTimeout, iter_primes
 from .recurrence import PRESETS, TermBudgetError, spec_from_json
 from .representation import CertificateError, classify_range, summarize
@@ -179,24 +180,23 @@ def cmd_primes(args, cfg):
     writer.writerow(PRIMES_COLUMNS)
     n_primes = n_z = 0
     try:
-        if args.max >= 3:
-            for p in iter_primes(args.max):
-                n_primes += 1
-                if p == 2 or spec.a3 % p == 0:
-                    rc = count_roots_mod_p(spec, p)
-                    writer.writerow([p, rc, False, "", "", "", "", "", ""])
-                    continue
-                prof = classify_prime(spec, p)
-                n_z += prof.in_Z
-                writer.writerow([
-                    prof.p, prof.root_count, prof.in_Z,
-                    "" if prof.alpha is None else prof.alpha,
-                    "" if prof.t_p is None else prof.t_p,
-                    "" if prof.k_p is None else prof.k_p,
-                    "" if prof.ord_alpha is None else prof.ord_alpha,
-                    "" if prof.ord_ratio is None else prof.ord_ratio,
-                    "" if prof.mult_order is None else prof.mult_order,
-                ])
+        for p in iter_primes(args.max):
+            n_primes += 1
+            if p == 2 or spec.a3 % p == 0:
+                rc = count_roots_mod_p(spec, p)
+                writer.writerow([p, rc, False, "", "", "", "", "", ""])
+                continue
+            prof = classify_prime(spec, p)
+            n_z += prof.in_Z
+            writer.writerow([
+                prof.p, prof.root_count, prof.in_Z,
+                "" if prof.alpha is None else prof.alpha,
+                "" if prof.t_p is None else prof.t_p,
+                "" if prof.k_p is None else prof.k_p,
+                "" if prof.ord_alpha is None else prof.ord_alpha,
+                "" if prof.ord_ratio is None else prof.ord_ratio,
+                "" if prof.mult_order is None else prof.mult_order,
+            ])
     finally:
         if close_out:
             out.close()
@@ -278,7 +278,7 @@ EXPERIMENTS = {
     "char-sum-sweep": {
         "needs_spec": True, "fn": ex.char_sum_sweep,
         "params": {"p_max": int, "max_states": int},
-        "defaults": {"p_max": 1000, "max_states": 10**8},
+        "defaults": {"p_max": 1000, "max_states": DEFAULT_SCAN_STATES},
     },
     "smooth-count": {
         "needs_spec": False, "fn": _report_experiment(ex.smooth_count),

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 from . import modular as md
 from .charpoly import is_degenerate
-from .modular import classify_prime, in_Z, z_primes
+from .modular import DEFAULT_SCAN_STATES, classify_prime, in_Z, z_primes
 from .primes import factorize, iter_primes
 from .recurrence import term_iter
-from .representation import _witness_formula
+from .representation import _WITNESS_CLASSES, _witness_formula
 
 COUNT_BUDGET = 10**8
 
@@ -158,7 +158,7 @@ def beukers_zero_count(spec, n_max):
 # ---------------------------------------------------------------------------
 # character sums
 
-def char_sum_sweep(spec, p_max, max_states=10**6):
+def char_sum_sweep(spec, p_max, max_states=DEFAULT_SCAN_STATES):
     """max |sum of (V_{c+dk}/p)| / p over p in Z up to p_max (with the
     period within budget) and d in {1,2,3}, c < d. The remark after the
     progression lemma says 6 bounds the implied constant."""
@@ -251,26 +251,23 @@ def omega_IZ(spec, n, z3, y2):
 # ---------------------------------------------------------------------------
 # counterexample witness densities
 
-_WITNESS_CLASSES = {
-    "pow2-plus-n": ("even n", lambda n: n % 2 == 0),
-    "square-pow": ("all n", lambda n: True),
-    "five-fib-sq-minus-4": ("odd n", lambda n: n % 2 == 1),
-}
+# the residue classes n = r mod m of representation's witness formulas
+_CLASS_LABELS = {(0, 1): "all n", (0, 2): "even n", (1, 2): "odd n"}
 
 
 def counterexample_density(preset_name, spec, x):
     """Verify the closed-form witnesses for a counterexample preset on
     every applicable n <= x and report the member densities."""
-    if preset_name not in _WITNESS_CLASSES:
+    if spec not in _WITNESS_CLASSES:
         raise ValueError(f"no closed-form witness class for {preset_name!r}")
-    label, applies = _WITNESS_CLASSES[preset_name]
+    r, m = _WITNESS_CLASSES[spec]
     report = ExperimentReport("counterexample-density",
                               {"preset": preset_name, "x": x,
-                               "witness_class": label})
+                               "witness_class": _CLASS_LABELS[r, m]})
     applicable = verified = 0
     terms = list(term_iter(spec, x))
     for n in range(1, x + 1):
-        if not applies(n):
+        if n % m != r:
             continue
         applicable += 1
         witness = _witness_formula(spec, n)

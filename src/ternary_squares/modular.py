@@ -1,7 +1,8 @@
 """Everything modulo p: fast terms, root counting, prime classification,
 periods, root orders, multiplier groups, the Frobenius-reduced companion
-sequence V, character sums over it, and the order/zero-pattern
-membership tests.
+sequence V, the periods and character sums of its progressions, and the
+zero-pattern test in_P_fU. The sets K_y and L_y are read off a profile:
+ord_alpha <= y and ord_ratio <= y.
 
 All arithmetic modulo (Psi, p), Psi the characteristic cubic, is done in
 one ring, F_p[X]/Psi: X^k = c0 + c1*X + c2*X^2 there gives
@@ -334,22 +335,6 @@ def z_primes(spec, x):
 # ---------------------------------------------------------------------------
 # the reduced sequence V and sums over it
 
-def _require_in_Z(profile):
-    if not profile.in_Z:
-        raise ValueError(f"p = {profile.p} is not in Z")
-
-
-def _profile(spec, p, profile):
-    return profile if profile is not None else classify_prime(spec, p)
-
-
-def v_mod(spec, p, m, profile=None):
-    """V_m mod p, i.e. U_{p*m} mod p, for p in Z (index reduced mod t_p)."""
-    prof = _profile(spec, p, profile)
-    _require_in_Z(prof)
-    return term_mod(spec, (p % prof.t_p) * (m % prof.t_p) % prof.t_p, p)
-
-
 def _v_values_one_period(spec, p, max_states):
     """V_0 .. V_{t-1}, V_m = U_{p*m} mod p, where t is the state period of
     V; p must not divide a3.
@@ -410,42 +395,7 @@ def _progression_char_sum(values, c, d, chi):
     return sum(map(chi.__getitem__, word[:t_cdp]))
 
 
-def char_sum(spec, p, c, d, profile=None, max_states=DEFAULT_SCAN_STATES):
-    """Sum of Legendre symbols (V_{c+dk} / p) over k = 1 .. t_{c,d,p},
-    where t_{c,d,p} is the minimal period of that subsequence; zero terms
-    contribute zero."""
-    _require_in_Z(_profile(spec, p, profile))
-    return _progression_char_sum(_v_values_one_period(spec, p, max_states),
-                                 c, d, _legendre_table(p))
-
-
-def period_in_progression(spec, p, c, d, profile=None,
-                          max_states=DEFAULT_SCAN_STATES):
-    """{"t_cdp", "matches_formula"}: the observed minimal period of
-    V_{c+dk} versus the generic value t_p / gcd(d, t_p)."""
-    prof = _profile(spec, p, profile)
-    _require_in_Z(prof)
-    _, t_cdp = _progression_word(
-        _v_values_one_period(spec, p, max_states), c, d)
-    return {"t_cdp": t_cdp,
-            "matches_formula": t_cdp == prof.t_p // math.gcd(d, prof.t_p)}
-
-
-def in_K_y(spec, p, y, profile=None):
-    """p in K_y: the order of alpha mod p is at most y (p must be in Z)."""
-    prof = _profile(spec, p, profile)
-    _require_in_Z(prof)
-    return prof.ord_alpha <= y
-
-
-def in_L_y(spec, p, y, profile=None):
-    """p in L_y: the order of beta/gamma is at most y (p must be in Z)."""
-    prof = _profile(spec, p, profile)
-    _require_in_Z(prof)
-    return prof.ord_ratio <= y
-
-
-def in_P_fU(spec, p, f_p, max_states=DEFAULT_SCAN_STATES):
+def in_P_fU(spec, p, f_p):
     """Does U_{p*m} vanish mod p at 7 indices m_1 < ... < m_7 with
     m_7 - m_1 <= f_p?  Returns (flag, witness indices or None); the
     witness is the one with the smallest m_1.
@@ -459,7 +409,7 @@ def in_P_fU(spec, p, f_p, max_states=DEFAULT_SCAN_STATES):
         raise ValueError("need odd p not dividing a3")
     if f_p < 1:
         raise ValueError("f_p must be positive")
-    values = _v_values_one_period(spec, p, max_states)
+    values = _v_values_one_period(spec, p, DEFAULT_SCAN_STATES)
     t = len(values)
     zeros = [m for m in range(1, t + int(min(f_p, 6 * t)) + 1)
              if values[m % t] == 0]

@@ -24,6 +24,8 @@ _MR_EXTRA_ROUNDS = 64
 _MR_SEED = 0x5EED
 # Pollard-Brent steps between two gcds, and between two deadline checks
 _BRENT_BLOCK = 128
+# numbers sieved at once by iter_primes
+_SEGMENT = 1 << 20
 
 
 class FactorTimeout(Exception):
@@ -43,10 +45,10 @@ def sieve(limit):
     return [i for i, f in enumerate(flags) if f]
 
 
-def iter_primes(limit, segment_size=1 << 20):
+def iter_primes(limit):
     """Yield primes <= limit in increasing order using a segmented sieve.
 
-    Memory stays O(sqrt(limit) + segment_size) regardless of limit.
+    Memory stays O(sqrt(limit) + _SEGMENT) regardless of limit.
     """
     if limit < 2:
         return
@@ -55,7 +57,7 @@ def iter_primes(limit, segment_size=1 << 20):
     yield from (p for p in base if p <= limit)
     low = root + 1
     while low <= limit:
-        high = min(low + segment_size - 1, limit)
+        high = min(low + _SEGMENT - 1, limit)
         flags = bytearray([1]) * (high - low + 1)
         for p in base:
             start = max(p * p, ((low + p - 1) // p) * p)

@@ -10,6 +10,7 @@ purely periodic modulo any prime not dividing a3.
 
 import math
 from dataclasses import dataclass
+from itertools import count, islice
 
 DEFAULT_TERM_DIGITS = 10**6
 
@@ -55,9 +56,14 @@ def fibonacci(n):
 
 
 def lucas(n):
-    a, b = 2, 1
-    for _ in range(n):
-        a, b = b, a + b
+    """L_n by doubling (L_k, L_{k+1}) over the bits of n, with
+    L_2k = L_k^2 - 2(-1)^k and L_2k+1 = L_k*L_{k+1} - (-1)^k."""
+    a, b, k = 2, 1, 0
+    for bit in bin(n)[2:]:
+        sign = -1 if k & 1 else 1
+        a, b, k = a * a - 2 * sign, a * b - sign, 2 * k
+        if bit == "1":
+            a, b, k = b, a + b, k + 1
     return a
 
 
@@ -132,21 +138,17 @@ def _check_budget(spec, n, budget_digits):
             f"{budget_digits}-digit budget")
 
 
-def term_iter(spec, n_max, budget_digits=DEFAULT_TERM_DIGITS):
-    """Yield U_0 .. U_{n_max} exactly, with O(1) big-integer state.
-
-    Raises TermBudgetError at the first term with more than budget_digits
-    decimal digits, before yielding it."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    _check_budget(spec, n_max, budget_digits)
+def _terms(spec, budget_digits):
+    """U_0, U_1, ... exactly, with O(1) big-integer state. Raises
+    TermBudgetError at the first term with more than budget_digits decimal
+    digits, before yielding it."""
     a1, a2, a3 = spec.coefficients
     x, y, z = spec.initial_terms
     # 2^ok_bits < 10^budget_digits < 2^(ok_bits + 1), so a term of at most
     # ok_bits bits fits, one of more than ok_bits + 1 does not, and only
     # the band in between needs the exact comparison
     ok_bits = int(budget_digits * math.log2(10))
-    for n in range(n_max + 1):
+    for n in count():
         bits = x.bit_length()
         if bits > ok_bits and (bits > ok_bits + 1
                                or abs(x) >= 10**budget_digits):
@@ -156,13 +158,45 @@ def term_iter(spec, n_max, budget_digits=DEFAULT_TERM_DIGITS):
         x, y, z = y, z, a1 * z + a2 * y + a3 * x
 
 
+def term_iter(spec, n_max, budget_digits=DEFAULT_TERM_DIGITS):
+    """Yield U_0 .. U_{n_max} exactly, with O(1) big-integer state.
+
+    Raises TermBudgetError at the first term with more than budget_digits
+    decimal digits, before yielding it."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    _check_budget(spec, n_max, budget_digits)
+    yield from islice(_terms(spec, budget_digits), n_max + 1)
+
+
 def term(spec, n, budget_digits=DEFAULT_TERM_DIGITS):
     """U_n computed exactly."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    for value in term_iter(spec, n, budget_digits):
-        pass
-    return value
+    return term_walker(spec, budget_digits)(n)
+
+
+def term_walker(spec, budget_digits=DEFAULT_TERM_DIGITS):
+    """A function n -> U_n for nondecreasing n >= 0 that steps on from
+    the last n it was given, so indices up to x cost x steps in all.
+
+    It raises TermBudgetError wherever term(spec, n, budget_digits) would:
+    at an n over the growth estimate, else at the first term up to n with
+    more than budget_digits digits; it cannot be used after that."""
+    terms = _terms(spec, budget_digits)
+    last, value = -1, None
+
+    def term_at(n):
+        nonlocal last, value
+        if n < last:
+            raise ValueError("indices must not decrease")
+        _check_budget(spec, n, budget_digits)
+        if n > last:
+            value = next(islice(terms, n - last - 1, None))
+            last = n
+        return value
+
+    return term_at
 
 
 def spec_from_json(obj):

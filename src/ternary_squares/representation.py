@@ -36,6 +36,7 @@ obstruction by a fresh term_mod.
 import math
 from array import array
 from dataclasses import dataclass
+from decimal import Decimal
 from itertools import chain, compress
 from typing import NamedTuple
 
@@ -44,10 +45,11 @@ from .primes import (FactorTimeout, divisors_from_factorization, factorize,
                      is_prime, sieve, trial_division)
 from .recurrence import (DEFAULT_TERM_DIGITS, FIVE_FIB_SQ_MINUS_4,
                          POW2_PLUS_N, SQUARE_POW, TermBudgetError, lucas,
-                         term)
+                         term, term_walker)
 from .sqrtmod import legendre, sqrt_mod
 
-DEFAULT_ENUM_LIMIT = 10**6
+# the largest sqrt(N/n) that _represent enumerates; read at each call
+ENUM_LIMIT = 10**6
 DEFAULT_FACTOR_TIMEOUT_S = 10.0
 
 
@@ -203,7 +205,7 @@ def _cornacchia_primitive(m, n, m_factors):
     return None
 
 
-def _represent(n_big, n, enum_limit, factor_timeout_s):
+def _represent(n_big, n, factor_timeout_s):
     """(status, method) for N = u^2 + n*v^2 over nonnegative integers;
     a Member is re-verified against N before it is returned."""
     if n_big < 0:
@@ -212,7 +214,7 @@ def _represent(n_big, n, enum_limit, factor_timeout_s):
         raise ValueError("n must be positive")
     if n_big == 0:
         return Member(0, 0), "enumeration"
-    if math.isqrt(n_big // n) <= enum_limit:
+    if math.isqrt(n_big // n) <= ENUM_LIMIT:
         status, method = _represent_enumerate(n_big, n), "enumeration"
     else:
         status, method = _represent_cornacchia(n_big, n, factor_timeout_s)
@@ -274,11 +276,10 @@ def _val(g, p):
     return e
 
 
-def represent(n_big, n, enum_limit=DEFAULT_ENUM_LIMIT,
-              factor_timeout_s=DEFAULT_FACTOR_TIMEOUT_S):
+def represent(n_big, n, factor_timeout_s=DEFAULT_FACTOR_TIMEOUT_S):
     """Decide N = u^2 + n*v^2: Member(u, v), NonMember(), or Unknown()
     (the latter only on factorization timeout in the Cornacchia tier)."""
-    status, _ = _represent(n_big, n, enum_limit, factor_timeout_s)
+    status, _ = _represent(n_big, n, factor_timeout_s)
     return status
 
 
@@ -378,6 +379,14 @@ def non_squarefree_count(x):
 # ---------------------------------------------------------------------------
 # membership classification
 
+def _text(field):
+    """str(field); through Decimal past str's limit (4300 digits)."""
+    try:
+        return str(field)
+    except ValueError:
+        return str(Decimal(field))
+
+
 @dataclass(frozen=True, slots=True)
 class MembershipRecord:
     n: int
@@ -396,7 +405,7 @@ class MembershipRecord:
                 s.p if isinstance(s, Obstructed) else "")
 
     def csv_text(self):
-        return ",".join(map(str, self.csv_fields())) + "\n"
+        return ",".join(map(_text, self.csv_fields())) + "\n"
 
     def tallies(self):
         """(status name, method, count) for the summary."""
@@ -444,28 +453,33 @@ def _witness_formula(spec, n):
     return (lucas(n), 0)
 
 
-def _classify(spec, n, n_exact, enum_limit, factor_timeout_s, term_digits):
+def _classify(spec, n, n_exact, factor_timeout_s, term_at):
     """The record of an unobstructed index n: a closed-form witness where
     one exists, else the exact solver for n <= n_exact, else Unknown
-    (method not_attempted). Every Member verdict is re-verified before it
-    is returned."""
+    (method not_attempted). term_at(n) gives U_n exactly. Every Member
+    verdict is re-verified before it is returned."""
     witness = _witness_formula(spec, n)
     if witness is not None:
         u, v = witness
-        _certify(u * u + n * v * v == term(spec, n, term_digits),
-                 "closed-form witness", n)
+        _certify(u * u + n * v * v == term_at(n), "closed-form witness", n)
         return MembershipRecord(n, Member(u, v), "witness_formula")
     if n <= n_exact:
-        u_n = term(spec, n, term_digits)
+        u_n = term_at(n)
         if u_n < 0:     # u^2 + n*v^2 >= 0
             return MembershipRecord(n, NonMember(), "sign")
-        status, method = _represent(u_n, n, enum_limit, factor_timeout_s)
+        status, method = _represent(u_n, n, factor_timeout_s)
         return MembershipRecord(n, status, method)
     return MembershipRecord(n, Unknown(), "not_attempted")
 
 
-def membership(spec, n, n_exact, enum_limit=DEFAULT_ENUM_LIMIT,
-               factor_timeout_s=DEFAULT_FACTOR_TIMEOUT_S,
+def _classifier(spec, settings):
+    """_classify at increasing n, its terms from one term_walker."""
+    n_exact, factor_timeout_s, term_digits = settings
+    term_at = term_walker(spec, term_digits)
+    return lambda n: _classify(spec, n, n_exact, factor_timeout_s, term_at)
+
+
+def membership(spec, n, n_exact, factor_timeout_s=DEFAULT_FACTOR_TIMEOUT_S,
                term_digits=DEFAULT_TERM_DIGITS):
     """Classify one index n: obstruction first, then a closed-form witness
     where one exists, then the exact solver for n <= n_exact, else Unknown.
@@ -483,8 +497,8 @@ def membership(spec, n, n_exact, enum_limit=DEFAULT_ENUM_LIMIT,
                  and _is_nonresidue(term_mod(spec, n, p), p),
                  f"obstruction at p={p}", n)
         return MembershipRecord(n, obstruction, "qr_sieve")
-    return _classify(spec, n, n_exact, enum_limit, factor_timeout_s,
-                     term_digits)
+    return _classify(spec, n, n_exact, factor_timeout_s,
+                     lambda k: term(spec, k, term_digits))
 
 
 @dataclass(frozen=True)
@@ -527,10 +541,11 @@ def _classify_chunk(args):
     index again in the parent, where it raises the same error after the
     rows before it, so a failure looks the same for every `workers`."""
     spec, indices, settings = args
+    classify = _classifier(spec, settings)
     records = []
     try:
         for n in indices:
-            records.append(_classify(spec, n, *settings))
+            records.append(classify(n))
     except (TermBudgetError, CertificateError):
         pass
     return records
@@ -548,7 +563,6 @@ def _pool_plan(indices, workers):
 
 
 def classify_range(spec, x, n_exact, workers=1,
-                   enum_limit=DEFAULT_ENUM_LIMIT,
                    factor_timeout_s=DEFAULT_FACTOR_TIMEOUT_S,
                    term_digits=DEFAULT_TERM_DIGITS):
     """An iterator over n = 1 .. x in order, as MembershipRecords and
@@ -569,7 +583,7 @@ def classify_range(spec, x, n_exact, workers=1,
         raise ValueError("membership is undefined for the all-zero sequence")
     obs = obstruction_table(spec, x)
     verified = verified_obstructions(spec, obs)
-    settings = (n_exact, enum_limit, factor_timeout_s, term_digits)
+    settings = (n_exact, factor_timeout_s, term_digits)
     exact = [n for n in range(1, min(x, n_exact) + 1) if not obs[n]]
     workers, chunks = _pool_plan(exact, workers)
     pooled = {}
@@ -595,11 +609,12 @@ def _stream(spec, obs, verified, record_indices, pooled, settings):
     """A record at each of the increasing `record_indices` (from `pooled`
     where the pool classified it), and SieveBlocks over the rest of
     1 .. len(obs) - 1."""
+    classify = _classifier(spec, settings)
     lo = 1
     for n in record_indices:
         yield from _sieve_blocks(obs, verified, lo, n)
         rec = pooled.pop(n, None)
-        yield rec if rec is not None else _classify(spec, n, *settings)
+        yield rec if rec is not None else classify(n)
         lo = n + 1
     yield from _sieve_blocks(obs, verified, lo, len(obs))
 
@@ -641,7 +656,6 @@ def summarize(items, x, n_exact):
 
 
 def count_range(spec, x, n_exact, workers=1,
-                enum_limit=DEFAULT_ENUM_LIMIT,
                 factor_timeout_s=DEFAULT_FACTOR_TIMEOUT_S,
                 term_digits=DEFAULT_TERM_DIGITS):
     """Classify every n <= x and aggregate counts and density bounds.
@@ -650,6 +664,6 @@ def count_range(spec, x, n_exact, workers=1,
     (obstructed plus exact non-members); the lower bound is the verified
     member count. Pure function of its arguments. One pass over the
     stream, so memory does not grow with x beyond the sieve's table."""
-    items = classify_range(spec, x, n_exact, workers, enum_limit,
-                           factor_timeout_s, term_digits)
+    items = classify_range(spec, x, n_exact, workers, factor_timeout_s,
+                           term_digits)
     return summarize(items, x, n_exact)

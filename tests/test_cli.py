@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -68,12 +69,16 @@ def test_primes_csv(capsys):
     assert "#Z(13)/pi(13) = 2/6" in err
 
 
-def test_primes_max_below_three_yields_header_only(capsys):
-    code, out, _ = run_cli(capsys, "primes", "--preset", "tribonacci",
-                           "--max", "2")
+def test_primes_small_max_keeps_p_2(capsys):
+    header = "p,root_count,in_Z,alpha,t_p,k_p,ord_alpha,ord_ratio,mult_order"
+    code, out, err = run_cli(capsys, "primes", "--preset", "tribonacci",
+                             "--max", "2")
     assert code == 0
-    assert out.strip().split("\n") == [
-        "p,root_count,in_Z,alpha,t_p,k_p,ord_alpha,ord_ratio,mult_order"]
+    assert out.split("\n") == [header, "2,ramified,False,,,,,,", ""]
+    assert err == "#Z(2)/pi(2) = 0/1 = 0.0000\n"
+    code, out, err = run_cli(capsys, "primes", "--preset", "tribonacci",
+                             "--max", "1")
+    assert (code, out, err) == (0, header + "\n", "")
 
 
 def test_primes_pow2_plus_fib_z_set(capsys):
@@ -163,6 +168,44 @@ def test_count_budget_exit_3_keeps_rows_before_failing_index(
     assert code == 0
     assert failed.read_text() == whole.read_text()
     assert failed.read_text().count("\n") == 15
+
+
+# (count arguments, CSV lines, CSV SHA-256, budget message), pinned from
+# runs that computed each exact term from U_0 afresh. The budget first
+# binds at a witness index past --n-exact (pow2-plus-n with --n-exact 0,
+# five-fib-sq-minus-4), after a pooled exact tier (--threads 2), and by
+# the growth estimate before any digit count (U_n = n).
+_BUDGET_RUNS = [
+    ("--preset pow2-plus-n --x 200 --n-exact 0 --term-digits 20 --threads 1",
+     68, "8f5f28fc859fdbf187bb9cd45d23d63403b19e37a1c135c27072d6cbaae84671",
+     "term 67 has more than the 20-digit budget"),
+    ("--preset pow2-plus-n --x 200 --n-exact 90 --term-digits 20 --threads 2",
+     68, "ea1ee11e206144d2fd56f093f6d0133ed3b87e11f0ee31d377d6f0bc86cf1912",
+     "term 67 has more than the 20-digit budget"),
+    ("--preset square-pow --x 100 --n-exact 30 --term-digits 25 --threads 2",
+     42, "94147ff709183dce3c98a6c8d637e64e8283b77138a2bafd3cff2e7dc4fb600d",
+     "term 42 has more than the 25-digit budget"),
+    ("--preset five-fib-sq-minus-4 --x 300 --n-exact 0 --term-digits 30 "
+     "--threads 1",
+     73, "878a0f5689761a039fcc1f318bfee3bfea170beda0fa9a9800e2769011f421b6",
+     "term 72 has more than the 30-digit budget"),
+    ('--spec {"a1":3,"a2":-3,"a3":1,"u0":0,"u1":1,"u2":2} --x 40 '
+     "--n-exact 40 --term-digits 3 --threads 2",
+     20, "1ba2193c30146b3c55fb3d26899d3483d7dafa1199ae69304df064541ca2b659",
+     "term 20 would have roughly 12 digits, over the 3-digit budget"),
+]
+
+
+@pytest.mark.parametrize("args, lines, sha, message", _BUDGET_RUNS)
+def test_count_budget_prefix_is_pinned(tmp_path, capsys, args, lines, sha,
+                                       message):
+    path = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, "count", *args.split(" "),
+                             "--output", str(path))
+    assert (code, out, err) == (3, "", f"budget exhausted: {message}\n")
+    data = path.read_bytes()
+    assert data.count(b"\n") == lines
+    assert hashlib.sha256(data).hexdigest() == sha
 
 
 def test_count_forged_obstruction_exit_2_keeps_rows_before_failing_index(

@@ -12,11 +12,8 @@ from ternary_squares.modular import (DEFAULT_SCAN_STATES, RAMIFIED,
                                      _legendre_table, _polymulmod,
                                      _progression_char_sum, _progression_word,
                                      _reduction_rows, _v_values_one_period,
-                                     _x_pow, char_sum,
-                                     classify_prime, count_roots_mod_p,
-                                     in_K_y, in_L_y, in_P_fU, in_Z,
-                                     period_in_progression, term_mod, v_mod,
-                                     z_primes)
+                                     _x_pow, classify_prime, count_roots_mod_p,
+                                     in_P_fU, in_Z, term_mod, z_primes)
 from ternary_squares.primes import sieve
 from ternary_squares.recurrence import (FIVE_FIB_SQ_MINUS_4, POW2_PLUS_FIB,
                                         TRIBONACCI, RecurrenceSpec, term,
@@ -36,6 +33,22 @@ def period_by_iteration(spec, p, max_states=DEFAULT_SCAN_STATES):
         if (x, y, z) == s0:
             return k
     raise ScanBudgetError(f"no period within {max_states} states for p={p}")
+
+
+def v_period(spec, p):
+    """One period V_0 .. V_{t-1} of V_m = U_{p*m} mod p."""
+    return _v_values_one_period(spec, p, DEFAULT_SCAN_STATES)
+
+
+def progression_sum(spec, p, c, d):
+    """Sum of (V_{c+dk} / p) over one minimal period of the progression,
+    from a fresh period of V."""
+    return _progression_char_sum(v_period(spec, p), c, d, _legendre_table(p))
+
+
+def progression_period(spec, p, c, d):
+    """t_{c,d,p}, the minimal period of V_{c+dk}, from a fresh period of V."""
+    return _progression_word(v_period(spec, p), c, d)[1]
 
 
 def _minimal_word_period(word):
@@ -430,22 +443,31 @@ def test_frobenius_swap_many_primes():
 
 
 def test_v_mod_examples_and_oracle():
-    assert v_mod(TRIBONACCI, 7, 1) == 6     # V_1 = U_7 = 13 = 6 mod 7
-    assert v_mod(TRIBONACCI, 7, 0) == 0
-    prof = classify_prime(TRIBONACCI, 7, )
+    # V_m = U_{p*m} mod p, by term_mod at p*m or at p*m reduced mod t_p,
+    # and by stepping V over one period
+    assert term_mod(TRIBONACCI, 7 * 1, 7) == 6     # V_1 = U_7 = 13 = 6 mod 7
+    assert term_mod(TRIBONACCI, 7 * 0, 7) == 0
+    prof = classify_prime(TRIBONACCI, 7)
+    values = v_period(TRIBONACCI, 7)
     for m in range(40):
-        assert v_mod(TRIBONACCI, 7, m, prof) == term(TRIBONACCI, 7 * m) % 7
-    seq = [v_mod(TRIBONACCI, 7, m, prof) for m in range(1, 97)]
+        expect = term(TRIBONACCI, 7 * m) % 7
+        assert term_mod(TRIBONACCI, 7 * m, 7) == expect
+        assert term_mod(TRIBONACCI, 7 * m % prof.t_p, 7) == expect
+        assert values[m % len(values)] == expect
+    seq = [term_mod(TRIBONACCI, 7 * m % prof.t_p, 7) for m in range(1, 97)]
     assert seq[:48] == seq[48:]             # period divides 48
 
 
 def test_v_mod_requires_Z_membership():
-    with pytest.raises(ValueError):
-        v_mod(TRIBONACCI, 3, 1)
+    # the Z-only profile fields, which the sets K_y and L_y read, are
+    # absent outside Z
+    prof = classify_prime(TRIBONACCI, 3)
+    assert not prof.in_Z and not in_Z(TRIBONACCI, 3)
+    assert prof.alpha is prof.ord_alpha is prof.ord_ratio is None
 
 
 def test_char_sum_values():
-    s = char_sum(TRIBONACCI, 7, 0, 1)
+    s = progression_sum(TRIBONACCI, 7, 0, 1)
     assert abs(s) <= 6 * 7
     # independent recomputation from exact terms over one period
     word = [term(TRIBONACCI, 7 * k) % 7 for k in range(1, 49)]
@@ -454,39 +476,38 @@ def test_char_sum_values():
         if w != 0:
             expect += 1 if pow(w, 3, 7) == 1 else -1
     assert s == expect
-    s13 = char_sum(TRIBONACCI, 13, 0, 1)
+    s13 = progression_sum(TRIBONACCI, 13, 0, 1)
     assert abs(s13) <= 6 * 13
 
 
 def test_char_sum_constant_subsequence():
     prof = classify_prime(TRIBONACCI, 7)
-    assert abs(char_sum(TRIBONACCI, 7, 0, prof.t_p, prof)) <= 1
+    assert abs(progression_sum(TRIBONACCI, 7, 0, prof.t_p)) <= 1
 
 
 def test_period_in_progression():
-    assert period_in_progression(TRIBONACCI, 7, 0, 1) == \
-        {"t_cdp": 48, "matches_formula": True}
-    assert period_in_progression(TRIBONACCI, 7, 0, 48) == \
-        {"t_cdp": 1, "matches_formula": True}
-    assert period_in_progression(TRIBONACCI, 7, 1, 2) == \
-        {"t_cdp": 24, "matches_formula": True}
+    t_p = classify_prime(TRIBONACCI, 7).t_p
+    for c, d, t_cdp in ((0, 1, 48), (0, 48, 1), (1, 2, 24)):
+        assert progression_period(TRIBONACCI, 7, c, d) == t_cdp \
+            == t_p // math.gcd(d, t_p)
     with pytest.raises(ValueError):
-        period_in_progression(TRIBONACCI, 7, 2, 2)
+        progression_period(TRIBONACCI, 7, 2, 2)
 
 
 def test_progression_periods_match_formula_sample():
     for p in z_primes(TRIBONACCI, 60):
         prof = classify_prime(TRIBONACCI, p)
+        values = v_period(TRIBONACCI, p)
         for d in (1, 2, 3, 5):
             for c in range(min(d, 3)):
-                r = period_in_progression(TRIBONACCI, p, c, d, prof)
-                assert r["t_cdp"] == prof.t_p // math.gcd(d, prof.t_p), (p, c, d)
+                assert _progression_word(values, c, d)[1] == \
+                    prof.t_p // math.gcd(d, prof.t_p), (p, c, d)
 
 
 def test_progression_tables_match_word_oracle():
-    # two of the benchmark's sweep cubics beside tribonacci. The public
-    # functions step V once per call, so below p = 50 they are checked
-    # directly and above it through the helpers they share.
+    # two of the benchmark's sweep cubics beside tribonacci. The helpers
+    # progression_sum and progression_period step V afresh at each call,
+    # so they are checked below p = 50 only.
     specs = (TRIBONACCI, RecurrenceSpec(1, -1, -1, 0, 0, 1),
              RecurrenceSpec(-1, 1, -1, 2, 0, 1))
     seen_g, seen_c_ge_g, seen_d_gt_tv = set(), False, False
@@ -510,11 +531,8 @@ def test_progression_tables_match_word_oracle():
                 assert _progression_word(values, c, d)[1] == t_cdp, \
                     (spec, p, c, d)
                 if p < 50:
-                    assert char_sum(spec, p, c, d, prof) == expect
-                    assert period_in_progression(spec, p, c, d, prof) == {
-                        "t_cdp": t_cdp,
-                        "matches_formula":
-                            t_cdp == prof.t_p // math.gcd(d, prof.t_p)}, \
+                    assert progression_sum(spec, p, c, d) == expect
+                    assert progression_period(spec, p, c, d) == t_cdp, \
                         (spec, p, c, d)
                 g = math.gcd(d, t_v)
                 seen_g.add(g)
@@ -524,13 +542,13 @@ def test_progression_tables_match_word_oracle():
 
 
 def test_order_threshold_sets():
+    # p in K_y when ord(alpha) <= y, p in L_y when ord(beta/gamma) <= y
     prof = classify_prime(TRIBONACCI, 7)
-    assert in_K_y(TRIBONACCI, 7, 6, prof)
-    assert not in_K_y(TRIBONACCI, 7, 5, prof)
-    assert in_L_y(TRIBONACCI, 7, 8, prof)
-    assert not in_L_y(TRIBONACCI, 7, 7.5, prof)
-    with pytest.raises(ValueError):
-        in_K_y(TRIBONACCI, 3, 10)
+    assert prof.ord_alpha <= 6
+    assert not prof.ord_alpha <= 5
+    assert prof.ord_ratio <= 8
+    assert not prof.ord_ratio <= 7.5
+    assert classify_prime(TRIBONACCI, 3).ord_alpha is None     # 3 not in Z
 
 
 def test_in_P_fU_against_brute_zeros():
@@ -594,7 +612,7 @@ def test_scan_budget_errors():
     with pytest.raises(ScanBudgetError):
         period_by_iteration(TRIBONACCI, 97, max_states=10)
     with pytest.raises(ScanBudgetError):
-        char_sum(TRIBONACCI, 13, 0, 1, max_states=10)    # t(13) = 168
+        _v_values_one_period(TRIBONACCI, 13, 10)    # t(13) = 168
 
 
 def test_lemma5_divisibilities_small_sweep():

@@ -25,8 +25,9 @@ def test_sieve_matches_trial_division():
     assert sieve(2) == [2]
 
 
-def test_segmented_iteration_matches_sieve():
-    assert list(iter_primes(10**5, segment_size=1024)) == sieve(10**5)
+def test_segmented_iteration_matches_sieve(monkeypatch):
+    monkeypatch.setattr(primes, "_SEGMENT", 1024)
+    assert list(iter_primes(10**5)) == sieve(10**5)
     assert list(iter_primes(1)) == []
 
 

@@ -8,7 +8,7 @@ from ternary_squares.recurrence import (FIBONACCI, FIVE_FIB_SQ_MINUS_4,
                                         RecurrenceSpec, TermBudgetError,
                                         fibonacci, lucas, resolve_preset,
                                         spec_from_json, term, term_iter,
-                                        validate_presets)
+                                        term_walker, validate_presets)
 
 TRIB_PREFIX = [0, 0, 1, 1, 2, 4, 7, 13, 24, 44, 81]
 
@@ -89,6 +89,34 @@ def test_budget_refuses_first_term_over_budget(spec):
         assert list(term_iter(spec, first - 1, digits)) == terms[:first]
         with pytest.raises(TermBudgetError, match=f"^term {first} "):
             term(spec, first, digits)
+
+
+@pytest.mark.parametrize("spec", [TRIBONACCI, POW2_PLUS_FIB, NINES, TENS])
+def test_term_walker_matches_term(spec):
+    terms = list(term_iter(spec, 60))
+    term_at = term_walker(spec)
+    for n in (0, 0, 1, 2, 3, 7, 30, 30, 60):
+        assert term_at(n) == terms[n]
+    with pytest.raises(ValueError):
+        term_at(59)
+    for digits in range(1, 13):
+        first = next(n for n, u in enumerate(terms)
+                     if len(str(abs(u))) > digits)
+        term_at = term_walker(spec, digits)
+        assert term_at(first // 2) == terms[first // 2]
+        assert term_at(first - 1) == terms[first - 1]
+        with pytest.raises(TermBudgetError, match=f"^term {first} "):
+            term_at(first)
+
+
+def test_term_walker_refuses_at_the_growth_estimate():
+    # U_n = n; the estimate refuses n = 20 at 3 digits, as term does
+    spec = RecurrenceSpec(3, -3, 1, 0, 1, 2)
+    term_at = term_walker(spec, 3)
+    assert term_at(19) == 19
+    for refuse in (lambda: term(spec, 20, 3), lambda: term_at(20)):
+        with pytest.raises(TermBudgetError, match="^term 20 would have"):
+            refuse()
 
 
 def test_budget_band_is_decided_exactly():

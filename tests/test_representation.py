@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 
 import pytest
 
@@ -111,25 +112,31 @@ def test_square_sieve_across_segments():
         plain_scan(u * u + n * v * v, n)
 
 
-def test_cornacchia_tier_differential():
+@pytest.fixture
+def cornacchia_only(monkeypatch):
+    """Every N > 0 skips the enumeration and goes to the Cornacchia tier."""
+    monkeypatch.setattr(representation, "ENUM_LIMIT", 0)
+
+
+def test_cornacchia_tier_differential(cornacchia_only):
     rng = random.Random(31)
     for _ in range(500):
         n_big = rng.randrange(1, 10**6)
         n = rng.randrange(1, 60)
-        got = represent(n_big, n, enum_limit=0)    # force the cornacchia tier
+        got = represent(n_big, n)
         assert isinstance(got, Member) == brute_representable(n_big, n), (n_big, n)
         if isinstance(got, Member):
             assert got.u**2 + n * got.v**2 == n_big
 
 
-def test_cornacchia_edge_shapes():
+def test_cornacchia_edge_shapes(cornacchia_only):
     # pure square, n*y^2, square divisors, prime powers dividing n
-    assert isinstance(represent(16, 3, enum_limit=0), Member)       # 4^2
-    assert isinstance(represent(63, 7, enum_limit=0), Member)       # 7*9
-    assert isinstance(represent(4 * 233, 13, enum_limit=0), Member)  # 2*(5,4)
-    assert isinstance(represent(7, 7, enum_limit=0), Member)        # (0,1)
-    assert isinstance(represent(49, 7, enum_limit=0), Member)       # (7,0)
-    got = represent(2**10 * 3, 5, enum_limit=0)
+    assert isinstance(represent(16, 3), Member)         # 4^2
+    assert isinstance(represent(63, 7), Member)         # 7*9
+    assert isinstance(represent(4 * 233, 13), Member)   # 2*(5,4)
+    assert isinstance(represent(7, 7), Member)          # (0,1)
+    assert isinstance(represent(49, 7), Member)         # (7,0)
+    got = represent(2**10 * 3, 5)
     assert isinstance(got, Member) == brute_representable(2**10 * 3, 5)
 
 
@@ -141,23 +148,30 @@ def test_fibonacci_prime_representations():
         assert got.u**2 + p * got.v**2 == f_p
 
 
-def test_represent_unknown_on_factor_timeout():
+def test_represent_unknown_on_factor_timeout(cornacchia_only):
     hard = (2**89 - 1) * (2**107 - 1)   # 59-digit semiprime
-    got = represent(hard, 3, enum_limit=0, factor_timeout_s=0.05)
+    got = represent(hard, 3, factor_timeout_s=0.05)
     assert got == Unknown()
 
 
-def test_partial_factor_certifies_before_factoring():
+def test_partial_factor_certifies_before_factoring(cornacchia_only):
     # 7 | N with (-1/7) = -1 decides N before the 59-digit cofactor is
     # split, so the timeout that leaves the semiprime Unknown never fires
     hard = 7 * (2**89 - 1) * (2**107 - 1)
-    assert represent(hard, 1, enum_limit=0, factor_timeout_s=0.05) \
-        == NonMember()
-    assert _represent(hard, 1, 0, 0.05) == (NonMember(), "partial_factor")
+    assert represent(hard, 1, factor_timeout_s=0.05) == NonMember()
+    assert _represent(hard, 1, 0.05) == (NonMember(), "partial_factor")
     # a certificate prime above 10^4, found in the full factorization
-    assert _represent(1000003 * 1000039, 1, 0, None) \
+    assert _represent(1000003 * 1000039, 1, None) \
         == (NonMember(), "partial_factor")
-    assert _represent(233 * 1000003**2, 13, 0, None)[1] == "cornacchia"
+    assert _represent(233 * 1000003**2, 13, None)[1] == "cornacchia"
+
+
+def test_csv_text_writes_witnesses_past_the_str_limit():
+    # u = 2^14300 + 1 has 4305 digits; str takes 4300 by default
+    row = membership(SQUARE_POW, 14300, 0).csv_text()
+    n, status, u, v, p = row.split(",")
+    assert (n, status, v, p) == ("14300", "member", "0", "\n")
+    assert len(u) == 4305 and Decimal(u) == 2**14300 + 1
 
 
 def test_represent_input_validation():
@@ -478,8 +492,8 @@ wrong_method = raises_certificate_error(
 rep._represent_enumerate = lambda n_big, n: rep.Member(1, 1)
 wrong_member = raises_certificate_error(lambda: rep.represent(233, 13))
 rep._nonmember_prime = lambda factors, n: 3
-wrong_prime = raises_certificate_error(
-    lambda: rep.represent(233, 13, enum_limit=0))
+rep.ENUM_LIMIT = 0
+wrong_prime = raises_certificate_error(lambda: rep.represent(233, 13))
 sys.exit(0 if wrong_witness and wrong_obstruction and composite_obstruction
          and after_record and cut_block and wrong_method and wrong_member
          and wrong_prime else 1)
