@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .recurrence import RecurrenceSpec, term_iter
+from .sqrtmod import integer_sqrt
 
 
 def char_poly(spec):
@@ -68,13 +69,6 @@ def _disc(a1, a2, a3):
 
 def discriminant(spec):
     return _disc(*spec.coefficients)
-
-
-def _is_square(n):
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
 
 
 def _integer_roots(spec):
@@ -269,7 +263,7 @@ def check_conditions(spec):
     kind = factorize(spec)
 
     if isinstance(kind, Irreducible):
-        label = "C3" if _is_square(disc) else "S3"
+        label = "C3" if disc >= 0 and integer_sqrt(disc)[1] else "S3"
     elif isinstance(kind, LinearTimesQuadratic):
         label = "C2"
     elif isinstance(kind, ThreeLinear):

@@ -12,14 +12,17 @@ import json
 import os
 import sys
 import time
+from operator import attrgetter
 
 from . import experiments as ex
 from .charpoly import check_conditions, solve_exponents
-from .modular import (DEFAULT_SCAN_STATES, ScanBudgetError, classify_prime,
-                      count_roots_mod_p)
+from .modular import (DEFAULT_SCAN_STATES, PrimeProfile, ScanBudgetError,
+                      classify_prime, count_roots_mod_p)
 from .primes import FactorTimeout, iter_primes
-from .recurrence import PRESETS, TermBudgetError, spec_from_json
-from .representation import CertificateError, classify_range, summarize
+from .recurrence import (DEFAULT_TERM_DIGITS, PRESETS, TermBudgetError,
+                         spec_from_json)
+from .representation import (DEFAULT_FACTOR_TIMEOUT_S, CertificateError,
+                             classify_range, summarize)
 
 SCHEMA_VERSION = "1"
 
@@ -29,6 +32,7 @@ EXIT_FAILED = 2
 EXIT_BUDGET = 3
 EXIT_PIPE = 141
 
+# the fields of PrimeProfile, in order
 PRIMES_COLUMNS = ["p", "root_count", "in_Z", "alpha", "t_p", "k_p",
                   "ord_alpha", "ord_ratio", "mult_order"]
 COUNT_COLUMNS = ["n", "status", "u", "v", "obstruction_p"]
@@ -58,10 +62,13 @@ def _build_parser():
     common.add_argument("--config", help="JSON file with default options")
     common.add_argument("--threads", type=int, default=None,
                         help="worker count (default: TERNARY_THREADS or CPU count)")
-    common.add_argument("--factor-timeout", type=float, default=10.0,
-                        help="seconds allowed per factorization (default 10)")
-    common.add_argument("--term-digits", type=int, default=10**6,
-                        help="exact-term decimal digit budget (default 1e6)")
+    common.add_argument("--factor-timeout", type=float,
+                        default=DEFAULT_FACTOR_TIMEOUT_S,
+                        help="seconds allowed per factorization "
+                             "(default %(default)s)")
+    common.add_argument("--term-digits", type=int, default=DEFAULT_TERM_DIGITS,
+                        help="exact-term decimal digit budget "
+                             "(default %(default)s)")
     common.add_argument("--output", help="write CSV here instead of stdout")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -178,25 +185,17 @@ def cmd_primes(args, cfg):
     out, close_out = _open_output(args)
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(PRIMES_COLUMNS)
+    columns = attrgetter(*PRIMES_COLUMNS)
     n_primes = n_z = 0
     try:
         for p in iter_primes(args.max):
             n_primes += 1
             if p == 2 or spec.a3 % p == 0:
-                rc = count_roots_mod_p(spec, p)
-                writer.writerow([p, rc, False, "", "", "", "", "", ""])
-                continue
-            prof = classify_prime(spec, p)
+                prof = PrimeProfile(p, count_roots_mod_p(spec, p), False)
+            else:
+                prof = classify_prime(spec, p)
             n_z += prof.in_Z
-            writer.writerow([
-                prof.p, prof.root_count, prof.in_Z,
-                "" if prof.alpha is None else prof.alpha,
-                "" if prof.t_p is None else prof.t_p,
-                "" if prof.k_p is None else prof.k_p,
-                "" if prof.ord_alpha is None else prof.ord_alpha,
-                "" if prof.ord_ratio is None else prof.ord_ratio,
-                "" if prof.mult_order is None else prof.mult_order,
-            ])
+            writer.writerow(["" if v is None else v for v in columns(prof)])
     finally:
         if close_out:
             out.close()
@@ -242,11 +241,17 @@ def _written(out, items):
         yield item
 
 
+# the keywords under which an experiment takes the CLI's budgets
+BUDGET_KEYWORDS = ("term_digits", "factor_timeout_s")
+
+
 def _report_experiment(fn):
+    """fn's value as an ExperimentReport; its parameters are the keyword
+    arguments, the budgets left out."""
     def run(**params):
         value = fn(**params)
         shown = {k: (v.to_json_dict() if hasattr(v, "to_json_dict") else v)
-                 for k, v in params.items()}
+                 for k, v in params.items() if k not in BUDGET_KEYWORDS}
         report = ex.ExperimentReport(getattr(fn, "__name__", "experiment"),
                                      shown)
         report.observe("value", value)
@@ -274,6 +279,7 @@ EXPERIMENTS = {
         "needs_spec": True, "fn": ex.beukers_zero_count,
         "params": {"n_max": int},
         "defaults": {"n_max": 500},
+        "budget": "term_digits",
     },
     "char-sum-sweep": {
         "needs_spec": True, "fn": ex.char_sum_sweep,
@@ -299,11 +305,13 @@ EXPERIMENTS = {
         "needs_spec": True, "fn": _report_experiment(ex.omega_IZ),
         "params": {"n": int, "z3": float, "y2": float},
         "defaults": {"z3": 2, "y2": 10**6},
+        "budget": "factor_timeout_s",
     },
     "counterexample-density": {
         "needs_spec": "preset", "fn": ex.counterexample_density,
         "params": {"x": int},
         "defaults": {"x": 1000},
+        "budget": "term_digits",
     },
 }
 
@@ -339,6 +347,10 @@ def cmd_verify(args, cfg):
     elif entry["needs_spec"]:
         spec, _ = _resolve_spec(args, cfg)
         kwargs = {"spec": spec, **kwargs}
+    if "budget" in entry:
+        budgets = {"term_digits": args.term_digits,
+                   "factor_timeout_s": args.factor_timeout}
+        kwargs[entry["budget"]] = budgets[entry["budget"]]
 
     report = entry["fn"](**kwargs)
     report.name = name
@@ -363,10 +375,7 @@ def main(argv=None):
         cfg = _load_config(args)
         _check_budgets(args)
         return args.fn(args, cfg)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, KeyError, TypeError) as exc:
+    except (InputError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (TermBudgetError, ScanBudgetError, ex.CountBudgetError,

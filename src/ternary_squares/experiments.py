@@ -14,8 +14,9 @@ from . import modular as md
 from .charpoly import is_degenerate
 from .modular import DEFAULT_SCAN_STATES, classify_prime, in_Z, z_primes
 from .primes import factorize, iter_primes
-from .recurrence import term_iter
+from .recurrence import DEFAULT_TERM_DIGITS, term_iter
 from .representation import _WITNESS_CLASSES, _witness_formula
+from .sqrtmod import _squares_mod
 
 COUNT_BUDGET = 10**8
 
@@ -137,16 +138,18 @@ def multiplier_sweep(spec, p_min, p_max):
 # ---------------------------------------------------------------------------
 # zero counts
 
-def beukers_zero_count(spec, n_max):
+def beukers_zero_count(spec, n_max, term_digits=DEFAULT_TERM_DIGITS):
     """Count n <= n_max with U_n = 0 exactly; at most 6 can occur for a
-    nondegenerate integer sequence."""
+    nondegenerate integer sequence. Raises TermBudgetError at a term of
+    more than term_digits digits."""
     if spec.is_zero_sequence():
         raise ValueError("zero-count is undefined for the all-zero sequence")
     degenerate, why = is_degenerate(spec)
     if degenerate:
         raise ValueError(f"sequence is degenerate: {why}")
     report = ExperimentReport("beukers-zero-count", {"n_max": n_max})
-    zeros = [n for n, u in enumerate(term_iter(spec, n_max)) if u == 0]
+    zeros = [n for n, u in enumerate(term_iter(spec, n_max, term_digits))
+             if u == 0]
     report.observe("zero_count", len(zeros))
     report.observe("zero_indices", zeros[:10])
     report.passed = len(zeros) <= 6
@@ -173,7 +176,8 @@ def char_sum_sweep(spec, p_max, max_states=DEFAULT_SCAN_STATES):
             skipped += 1
             continue
         values = md._v_values_one_period(spec, p, max_states)
-        chi = md._legendre_table(p)
+        chi = [2 * s - 1 for s in _squares_mod(p)]
+        chi[0] = 0
         checked += 1
         for d in (1, 2, 3):
             for c in range(d):
@@ -240,11 +244,12 @@ def shifted_prime_count(x, y, z, lam):
 # ---------------------------------------------------------------------------
 # prime-factor statistics
 
-def omega_IZ(spec, n, z3, y2):
-    """Number of distinct primes p | n with z3 < p < y2 and p in Z."""
+def omega_IZ(spec, n, z3, y2, factor_timeout_s=None):
+    """Number of distinct primes p | n with z3 < p < y2 and p in Z.
+    Raises FactorTimeout if factoring n takes over factor_timeout_s."""
     if not z3 < y2:
         raise ValueError("need z3 < y2")
-    return sum(1 for p in factorize(n)
+    return sum(1 for p in factorize(n, timeout_s=factor_timeout_s)
                if z3 < p < y2 and in_Z(spec, p))
 
 
@@ -255,9 +260,12 @@ def omega_IZ(spec, n, z3, y2):
 _CLASS_LABELS = {(0, 1): "all n", (0, 2): "even n", (1, 2): "odd n"}
 
 
-def counterexample_density(preset_name, spec, x):
+def counterexample_density(preset_name, spec, x,
+                           term_digits=DEFAULT_TERM_DIGITS):
     """Verify the closed-form witnesses for a counterexample preset on
-    every applicable n <= x and report the member densities."""
+    every applicable n <= x and report the member densities. The exact
+    terms are walked once, one at a time; a term of more than term_digits
+    digits raises TermBudgetError."""
     if spec not in _WITNESS_CLASSES:
         raise ValueError(f"no closed-form witness class for {preset_name!r}")
     r, m = _WITNESS_CLASSES[spec]
@@ -265,13 +273,14 @@ def counterexample_density(preset_name, spec, x):
                               {"preset": preset_name, "x": x,
                                "witness_class": _CLASS_LABELS[r, m]})
     applicable = verified = 0
-    terms = list(term_iter(spec, x))
-    for n in range(1, x + 1):
+    terms = term_iter(spec, x, term_digits)
+    next(terms)     # U_0
+    for n, u_n in enumerate(terms, 1):
         if n % m != r:
             continue
         applicable += 1
         witness = _witness_formula(spec, n)
-        if witness is None or witness[0] ** 2 + n * witness[1] ** 2 != terms[n]:
+        if witness is None or witness[0] ** 2 + n * witness[1] ** 2 != u_n:
             report.violations.append({"n": n, "kind": "witness",
                                       "witness": witness})
         else:

@@ -377,15 +377,6 @@ def _progression_word(values, c, d):
                                 factorize(n))
 
 
-def _legendre_table(p):
-    """[(a/p) for 0 <= a < p], from the squares mod p."""
-    chi = [-1] * p
-    chi[0] = 0
-    for i in range(1, p // 2 + 1):
-        chi[i * i % p] = 1
-    return chi
-
-
 def _progression_char_sum(values, c, d, chi):
     """Sum of chi(V_{c+dk}) over one minimal period k = 1 .. t_{c,d,p}.
     W and the subsequence's word are each len(W) / t_{c,d,p} copies of

@@ -1,4 +1,4 @@
-"""Prime sieves, primality testing and integer factorization.
+"""A prime sieve, primality testing and integer factorization.
 
 Everything here is deterministic: Miller-Rabin uses a fixed base set below
 the proven threshold psi_13 and a fixed-seed PRNG above it, and
@@ -9,7 +9,7 @@ import bisect
 import math
 import random
 import time
-from itertools import count
+from itertools import compress, count
 
 # psi_t, the least strong pseudoprime to each of the first t prime bases
 # (OEIS A014233; Jaeschke 1993, Sorenson and Webster 2017): the first t
@@ -32,39 +32,25 @@ class FactorTimeout(Exception):
     """Raised when factorization exceeds its time budget."""
 
 
-def sieve(limit):
-    """Return the list of primes <= limit (simple Eratosthenes)."""
-    if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            start = p * p
-            flags[start:limit + 1:p] = b"\x00" * ((limit - start) // p + 1)
-    return [i for i, f in enumerate(flags) if f]
-
-
 def iter_primes(limit):
-    """Yield primes <= limit in increasing order using a segmented sieve.
+    """Yield the primes <= limit in increasing order: a segmented sieve
+    of Eratosthenes from 2, its base primes from iter_primes(isqrt(limit)).
 
     Memory stays O(sqrt(limit) + _SEGMENT) regardless of limit.
     """
     if limit < 2:
         return
-    root = math.isqrt(limit)
-    base = sieve(root)
-    yield from (p for p in base if p <= limit)
-    low = root + 1
+    base = list(iter_primes(math.isqrt(limit)))
+    low = 2
     while low <= limit:
         high = min(low + _SEGMENT - 1, limit)
         flags = bytearray([1]) * (high - low + 1)
         for p in base:
-            start = max(p * p, ((low + p - 1) // p) * p)
-            flags[start - low::p] = b"\x00" * ((high - start) // p + 1)
-        for i, f in enumerate(flags):
-            if f:
-                yield low + i
+            if p * p > high:
+                break
+            start = max(p * p, (low + p - 1) // p * p)
+            flags[start - low::p] = bytes((high - start) // p + 1)
+        yield from compress(range(low, high + 1), flags)
         low = high + 1
 
 
@@ -155,7 +141,7 @@ def pollard_brent(n, deadline=None):
         # rare cycle failure: retry with the next parameter pair
 
 
-_SMALL_PRIME_CACHE = sieve(10_000)
+_SMALL_PRIME_CACHE = list(iter_primes(10_000))
 
 
 def trial_division(n):

@@ -42,11 +42,11 @@ from typing import NamedTuple
 
 from .modular import term_mod, terms_at_multiples
 from .primes import (FactorTimeout, divisors_from_factorization, factorize,
-                     is_prime, sieve, trial_division)
+                     is_prime, iter_primes, trial_division)
 from .recurrence import (DEFAULT_TERM_DIGITS, FIVE_FIB_SQ_MINUS_4,
                          POW2_PLUS_N, SQUARE_POW, TermBudgetError, lucas,
                          term, term_walker)
-from .sqrtmod import legendre, sqrt_mod
+from .sqrtmod import _squares_mod, integer_sqrt, legendre, sqrt_mod
 
 # the largest sqrt(N/n) that _represent enumerates; read at each call
 ENUM_LIMIT = 10**6
@@ -94,24 +94,8 @@ def status_name(status):
     return _STATUS_NAMES[type(status)]
 
 
-def integer_sqrt(n):
-    """(floor sqrt, exact?) for n >= 0."""
-    if n < 0:
-        raise ValueError("integer_sqrt needs a nonnegative argument")
-    r = math.isqrt(n)
-    return r, r * r == n
-
-
 # ---------------------------------------------------------------------------
 # the representation solver
-
-def _squares_mod(q):
-    """bytes s of length q with s[a] = 1 exactly when a is a square mod q."""
-    table = bytearray(q)
-    for r in range(q):
-        table[r * r % q] = 1
-    return bytes(table)
-
 
 # Moduli of the square sieve over v, pairwise coprime (2^6, 3^2 * 7,
 # 5 * 13 and the other primes up to 47), each with its table of squares.
@@ -297,10 +281,7 @@ def qr_obstruction(spec, n):
     if n < 2:
         return None
     for p in sorted(factorize(n)):
-        if p == 2:
-            continue
-        r = term_mod(spec, n, p)
-        if r != 0 and legendre(r, p) == -1:
+        if p != 2 and _is_nonresidue(term_mod(spec, n, p), p):
             return Obstructed(p)
     return None
 
@@ -321,7 +302,7 @@ def obstruction_table(spec, x):
     An array of machine ints: about 8 bytes per index.
     """
     obs = array("L", [0]) * (x + 1)
-    for p in sieve(x)[1:]:
+    for p in list(iter_primes(x))[1:]:
         residues = terms_at_multiples(spec, p, x // p)
         for n, r in zip(range(p, x + 1, p), residues):
             if not obs[n] and r and legendre(r, p) == -1:
@@ -357,7 +338,7 @@ def verified_obstructions(spec, obs):
     """
     x = len(obs) - 1
     ok = bytearray(x + 1)
-    for p in sieve(x)[1:]:
+    for p in list(iter_primes(x))[1:]:
         end = x - x % p     # down to the last multiple of p that names p
         while end and obs[end] != p:
             end -= p
@@ -371,7 +352,7 @@ def verified_obstructions(spec, obs):
 def non_squarefree_count(x):
     """#{n <= x : p^2 | n for some prime p}, by marking multiples of p^2."""
     flags = bytearray(x + 1)
-    for p in sieve(math.isqrt(x)):
+    for p in iter_primes(math.isqrt(x)):
         flags[p * p::p * p] = b"\x01" * (x // (p * p))
     return flags.count(1)
 

@@ -1,4 +1,5 @@
-"""Square roots modulo primes, prime powers and composites.
+"""Square roots modulo primes, prime powers and composites, the square
+test on integers, and the table of squares modulo q.
 
 Tonelli-Shanks for odd primes, Hensel lifting to prime powers, the 2-adic
 case analysis for powers of two, and a CRT combine that enumerates every
@@ -12,6 +13,14 @@ from itertools import product
 from .primes import factorize
 
 
+def integer_sqrt(n):
+    """(floor sqrt, exact?) for n >= 0."""
+    if n < 0:
+        raise ValueError("integer_sqrt needs a nonnegative argument")
+    r = math.isqrt(n)
+    return r, r * r == n
+
+
 def legendre(a, p):
     """Legendre symbol (a/p) in {-1, 0, 1} for an odd prime p."""
     a %= p
@@ -19,6 +28,15 @@ def legendre(a, p):
         return 0
     s = pow(a, (p - 1) // 2, p)
     return 1 if s == 1 else -1
+
+
+def _squares_mod(q):
+    """bytes s of length q with s[a] = 1 exactly when a is a square mod q;
+    for an odd prime q, (a/q) = 2*s[a] - 1 at every a != 0."""
+    table = bytearray(q)
+    for r in range(q // 2 + 1):     # r and q - r have the same square
+        table[r * r % q] = 1
+    return bytes(table)
 
 
 def tonelli_shanks(a, p):

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -448,6 +449,7 @@ def test_verify_omega_iz_report_is_json(capsys):
     report = json.loads(out)
     assert ["value", 2] in report["observations"]
     assert report["parameters"]["spec"]["a1"] == 1
+    assert set(report["parameters"]) == {"spec", "z3", "y2", "n"}
 
 
 def test_verify_counterexample_density(capsys):
@@ -462,6 +464,29 @@ def test_verify_budget_exit_code(capsys):
     code, _, err = run_cli(capsys, "verify", "smooth-count",
                            "--param", "x=1000000000", "--param", "y=10")
     assert code == 3 and "budget" in err
+
+
+def test_verify_honours_term_digits(capsys):
+    # tribonacci's U_500 has 130 digits, square-pow's U_100 has 31
+    code, out, err = run_cli(capsys, "verify", "beukers-zero-count",
+                             "--preset", "tribonacci", "--param", "n_max=500",
+                             "--term-digits", "3")
+    assert (code, out) == (3, "") and err.startswith("budget exhausted")
+    code, out, err = run_cli(capsys, "verify", "counterexample-density",
+                             "--preset", "square-pow", "--param", "x=100",
+                             "--term-digits", "5")
+    assert (code, out) == (3, "") and err.startswith("budget exhausted")
+
+
+def test_verify_honours_factor_timeout(capsys):
+    # two primes near 10^18: far beyond Pollard-Brent in one second
+    n = 1000000001000000090000000003000000261
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "verify", "omega-iz",
+                             "--preset", "tribonacci", "--param", f"n={n}",
+                             "--factor-timeout", "1")
+    assert time.monotonic() - start < 5
+    assert (code, out) == (3, "") and err.startswith("budget exhausted")
 
 
 def test_config_file(tmp_path, capsys):

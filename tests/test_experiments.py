@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -59,9 +60,9 @@ def test_divisor_interval_brute_oracle():
 
 def test_shifted_prime_brute_oracle():
     def brute_P(x, y, z, lam):
-        from ternary_squares.primes import sieve
+        from ternary_squares.primes import iter_primes
         count = 0
-        for p in sieve(x):
+        for p in iter_primes(x):
             m = p + lam
             if m >= 1 and any(m % d == 0 for d in range(1, m + 1) if y < d < z):
                 count += 1
@@ -83,10 +84,10 @@ def test_smooth_density_shape():
 
 
 def test_hard_count_bounds():
-    from ternary_squares.primes import sieve
+    from ternary_squares.primes import iter_primes
     x, y, z = 200, 3, 9
     assert ex.divisor_interval_count(x, y, z) <= x
-    assert ex.shifted_prime_count(x, y, z, 1) <= len(sieve(x))
+    assert ex.shifted_prime_count(x, y, z, 1) <= len(list(iter_primes(x)))
 
 
 def test_omega_iz_examples():
@@ -165,6 +166,17 @@ def test_counterexample_densities():
 
     with pytest.raises(ValueError):
         ex.counterexample_density("tribonacci", TRIBONACCI, 100)
+
+
+def test_counterexample_density_holds_one_term_at_a_time():
+    # all 8000 exact terms of square-pow held at once take about 8.8 MB
+    tracemalloc.start()
+    try:
+        r = ex.counterexample_density("square-pow", SQUARE_POW, 8000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r.passed and peak < 10**6
 
 
 def test_report_json_shape():

@@ -9,16 +9,16 @@ from ternary_squares import modular
 from ternary_squares.charpoly import discriminant
 from ternary_squares.modular import (DEFAULT_SCAN_STATES, RAMIFIED,
                                      PrimeProfile, ScanBudgetError,
-                                     _legendre_table, _polymulmod,
+                                     _polymulmod,
                                      _progression_char_sum, _progression_word,
                                      _reduction_rows, _v_values_one_period,
                                      _x_pow, classify_prime, count_roots_mod_p,
                                      in_P_fU, in_Z, term_mod, z_primes)
-from ternary_squares.primes import sieve
+from ternary_squares.primes import iter_primes
 from ternary_squares.recurrence import (FIVE_FIB_SQ_MINUS_4, POW2_PLUS_FIB,
                                         TRIBONACCI, RecurrenceSpec, term,
                                         term_iter)
-from ternary_squares.sqrtmod import legendre
+from ternary_squares.sqrtmod import _squares_mod, legendre
 
 GOOD_PRESETS = (TRIBONACCI, POW2_PLUS_FIB)
 
@@ -40,10 +40,17 @@ def v_period(spec, p):
     return _v_values_one_period(spec, p, DEFAULT_SCAN_STATES)
 
 
+def chi_table(p):
+    """[(a/p) for 0 <= a < p], read off the table of squares mod p."""
+    chi = [2 * s - 1 for s in _squares_mod(p)]
+    chi[0] = 0
+    return chi
+
+
 def progression_sum(spec, p, c, d):
     """Sum of (V_{c+dk} / p) over one minimal period of the progression,
     from a fresh period of V."""
-    return _progression_char_sum(v_period(spec, p), c, d, _legendre_table(p))
+    return _progression_char_sum(v_period(spec, p), c, d, chi_table(p))
 
 
 def progression_period(spec, p, c, d):
@@ -97,7 +104,7 @@ def test_term_mod_full_oracle_grid():
     # agreement with exact terms for all n <= 1000, p <= 1000
     for spec in GOOD_PRESETS:
         exact = list(term_iter(spec, 1000))
-        for p in sieve(1000):
+        for p in iter_primes(1000):
             residues = [u % p for u in exact]
             for n in range(1001):
                 assert term_mod(spec, n, p) == residues[n], (spec, n, p)
@@ -131,13 +138,13 @@ def random_cubics(seed, count):
 def test_count_roots_frobenius_path_vs_scan():
     specs = list(GOOD_PRESETS) + random_cubics(21, 6)
     for spec in specs:
-        for p in sieve(1500):
+        for p in iter_primes(1500):
             assert count_roots_mod_p(spec, p) == brute_root_count(spec, p), \
                 (spec, p)
 
 
 def test_three_root_primes_tribonacci():
-    three_root = [p for p in sieve(1000)[1:]
+    three_root = [p for p in list(iter_primes(1000))[1:]
                   if count_roots_mod_p(TRIBONACCI, p) == 3]
     assert three_root[:3] == [47, 53, 103]
 
@@ -145,7 +152,7 @@ def test_three_root_primes_tribonacci():
 def test_in_Z_matches_root_count():
     specs = list(GOOD_PRESETS) + random_cubics(22, 5)
     for spec in specs:
-        for p in sieve(500):
+        for p in iter_primes(500):
             expected = (p != 2 and spec.a3 % p != 0
                         and count_roots_mod_p(spec, p) == 1)
             assert in_Z(spec, p) == expected, (spec, p)
@@ -194,7 +201,7 @@ def test_period_divisor_method_matches_iteration():
                        rng.randint(-3, 3), rng.randint(-3, 3),
                        rng.choice([1, 2, 3])) for _ in range(5)]
     for spec in specs:
-        for p in sieve(60):
+        for p in iter_primes(60):
             if p == 2 or spec.a3 % p == 0:
                 continue
             assert classify_prime(spec, p).t_p == period_by_iteration(spec, p), \
@@ -209,7 +216,7 @@ def test_classify_prime_computes_each_power_once(monkeypatch):
         return _x_pow(spec, e, p)
 
     monkeypatch.setattr(modular, "_x_pow", counted)
-    for p in sieve(500)[1:]:
+    for p in list(iter_primes(500))[1:]:
         classify_prime(TRIBONACCI, p)
     assert len(seen) == len(set(seen)) > 0
 
@@ -229,7 +236,7 @@ def test_classify_prime_powers_stay_in_the_short_halves(monkeypatch):
     reached = set()
     for spec in (TRIBONACCI, RecurrenceSpec(1, -1, -1, 1, 2, 3),
                  RecurrenceSpec(-1, 1, -1, 2, 0, 1)):
-        for p in sieve(2000)[1:]:
+        for p in list(iter_primes(2000))[1:]:
             exponents.clear()
             prof = classify_prime(spec, p)
             if prof.root_count in bounds:
@@ -351,7 +358,7 @@ def test_classify_prime_matches_brute_oracle():
         for _ in range(4)]
     branches = set()
     for spec in specs:
-        for p in sieve(300)[1:]:
+        for p in list(iter_primes(300))[1:]:
             if spec.a3 % p == 0:
                 continue
             prof = classify_prime(spec, p)
@@ -380,7 +387,7 @@ def test_classify_prime_state_parts_match_oracles():
     zero7 = RecurrenceSpec(3, -1, -2, 0, 7, 7)
     zero3 = RecurrenceSpec(1, 1, 1, 0, 0, 3)
     seen = set()
-    for p in sieve(300)[1:]:
+    for p in list(iter_primes(300))[1:]:
         in_z = {}
         for spec in (POW2_PLUS_FIB, fib, pow2, zero7, TRIBONACCI, zero3):
             rc = brute_root_count(spec, p)
@@ -515,7 +522,7 @@ def test_progression_tables_match_word_oracle():
         for p in z_primes(spec, 300):
             prof = classify_prime(spec, p)
             values = _v_values_one_period(spec, p, DEFAULT_SCAN_STATES)
-            chi = _legendre_table(p)
+            chi = chi_table(p)
             euler = [legendre(a, p) for a in range(p)]
             t_v = len(values)
             pairs = [(c, d) for d in range(1, 7) for c in range(d)]

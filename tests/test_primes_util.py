@@ -8,7 +8,7 @@ from ternary_squares import primes
 from ternary_squares.primes import (_BRENT_BLOCK, FactorTimeout,
                                     divisors_from_factorization, factorize,
                                     is_prime, iter_primes, pollard_brent,
-                                    sieve, trial_division)
+                                    trial_division)
 
 
 def trial_division_primes(limit):
@@ -20,19 +20,24 @@ def trial_division_primes(limit):
 
 
 def test_sieve_matches_trial_division():
-    assert sieve(3000) == trial_division_primes(3000)
-    assert sieve(1) == []
-    assert sieve(2) == [2]
+    for limit in (0, 1, 2, 3, 4, 3000):
+        assert list(iter_primes(limit)) == trial_division_primes(limit), limit
 
 
 def test_segmented_iteration_matches_sieve(monkeypatch):
-    monkeypatch.setattr(primes, "_SEGMENT", 1024)
-    assert list(iter_primes(10**5)) == sieve(10**5)
+    # segments are [2 + k*_SEGMENT, 1 + (k+1)*_SEGMENT]: at 1024 segments
+    # end on the primes 12289, 13313, ...; at 47 and 48 the square 49 of
+    # the base prime 7 starts, and ends, a segment
+    expected = trial_division_primes(10**5)
+    for segment, limit in ((1024, 10**5), (47, 3000), (48, 3000)):
+        monkeypatch.setattr(primes, "_SEGMENT", segment)
+        assert list(iter_primes(limit)) == [p for p in expected
+                                            if p <= limit], segment
     assert list(iter_primes(1)) == []
 
 
 def test_is_prime_small():
-    flags = set(sieve(10**6))
+    flags = set(iter_primes(10**6))
     for n in range(10**6):
         assert is_prime(n) == (n in flags), n
 
@@ -144,7 +149,7 @@ def test_pollard_brent_checks_deadline_every_block(monkeypatch):
 
 def test_trial_division_splits_off_small_primes():
     rng = random.Random(3)
-    small = sieve(10**4)
+    small = list(iter_primes(10**4))
     big = 10007 * 10009                 # no prime factor below 10^4
     for _ in range(300):
         n = rng.randrange(1, 10**9) * rng.choice((1, big))

@@ -9,14 +9,14 @@ import pytest
 
 from ternary_squares import representation
 from ternary_squares.modular import _x_pow, term_mod
-from ternary_squares.primes import factorize, is_prime, sieve
+from ternary_squares.primes import factorize, is_prime, iter_primes
 from ternary_squares.representation import (_SQUARE_SIEVE, Member, NonMember,
                                             CertificateError,
                                             MembershipRecord, Obstructed,
                                             SieveBlock, Unknown, _pool_plan,
                                             _represent, _represent_enumerate,
                                             classify_range, count_range,
-                                            frobenius_terms, integer_sqrt,
+                                            frobenius_terms,
                                             membership, non_squarefree_count,
                                             obstruction_table, qr_obstruction,
                                             represent, status_name,
@@ -25,6 +25,7 @@ from ternary_squares.recurrence import (FIVE_FIB_SQ_MINUS_4, POW2_PLUS_N,
                                         SQUARE_POW, TRIBONACCI,
                                         RecurrenceSpec, fibonacci, lucas,
                                         term, term_iter)
+from ternary_squares.sqrtmod import integer_sqrt
 
 
 def plain_scan(n_big, n):
@@ -42,6 +43,7 @@ def brute_representable(n_big, n):
 
 
 def test_integer_sqrt():
+    assert representation.integer_sqrt is integer_sqrt
     assert integer_sqrt(25) == (5, True)
     assert integer_sqrt(26) == (5, False)
     assert integer_sqrt(2**128) == (2**64, True)
@@ -434,7 +436,7 @@ def test_non_squarefree_count_matches_factorization():
 
 def test_x_pow_matches_exact_terms():
     rng = random.Random(7)
-    primes = sieve(2000)
+    primes = list(iter_primes(2000))
     for spec in (TRIBONACCI, NEGATIVE_SPEC, A3_DIVISIBLE_SPEC):
         exact = list(term_iter(spec, 400))
         for _ in range(200):

@@ -1,8 +1,8 @@
 import random
 
-from ternary_squares.primes import factorize, sieve
-from ternary_squares.sqrtmod import (legendre, sqrt_mod, sqrt_mod_prime_power,
-                                     tonelli_shanks)
+from ternary_squares.primes import factorize, iter_primes
+from ternary_squares.sqrtmod import (_squares_mod, legendre, sqrt_mod,
+                                     sqrt_mod_prime_power, tonelli_shanks)
 
 
 def brute_roots(a, m):
@@ -10,15 +10,21 @@ def brute_roots(a, m):
 
 
 def test_legendre_against_square_table():
-    for p in sieve(200)[1:]:
+    for p in list(iter_primes(200))[1:]:
         squares = {x * x % p for x in range(1, p)}
         for a in range(p):
             expected = 0 if a == 0 else (1 if a in squares else -1)
             assert legendre(a, p) == expected
 
 
+def test_squares_mod_against_brute():
+    for q in range(1, 130):
+        squares = {x * x % q for x in range(q)}
+        assert _squares_mod(q) == bytes(a in squares for a in range(q)), q
+
+
 def test_tonelli_shanks_roots():
-    for p in sieve(500)[1:]:
+    for p in list(iter_primes(500))[1:]:
         for a in range(p):
             r = tonelli_shanks(a, p)
             if legendre(a, p) == -1:
