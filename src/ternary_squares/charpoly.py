@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .recurrence import RecurrenceSpec, term_iter
+from .recurrence import RecurrenceSpec, growth_rate, term_iter
 from .sqrtmod import integer_sqrt
 
 
@@ -72,16 +72,30 @@ def discriminant(spec):
 
 
 def _integer_roots(spec):
-    """Integer roots of the monic cubic; rational roots must divide a3."""
+    """Integer roots of the monic cubic, ascending, in O(log|a3|) steps.
+
+    With s = isqrt(max(a1^2 + 3*a2, 0)), each real critical point
+    (a1 -+ sqrt(a1^2 + 3*a2)) / 3 lies within 1 of k = (a1 -+ s) // 3, so
+    Psi is strictly monotone on each piece that the two k cut out of the
+    Cauchy bound. Both k are tested directly, and integer bisection finds
+    the root, if any, of each piece.
+    """
     psi = char_poly(spec)
-    roots = []
-    for d in sorted({d for k in range(1, math.isqrt(abs(spec.a3)) + 1)
-                     if abs(spec.a3) % k == 0
-                     for d in (k, abs(spec.a3) // k)}):
-        for r in (d, -d):
-            if _poly_eval(psi, r) == 0:
-                roots.append(r)
-    return sorted(set(roots))
+    bound = growth_rate(spec)
+    a1, a2 = spec.a1, spec.a2
+    s = math.isqrt(max(a1 * a1 + 3 * a2, 0))
+    k1, k2 = (a1 - s) // 3, (a1 + s) // 3
+    tested = [k1, k2]
+    for lo, hi, sign in ((-bound, k1 - 1, 1), (k1 + 1, k2 - 1, -1),
+                         (k2 + 1, bound, 1)):
+        while lo < hi:      # the least x in [lo, hi] with sign*Psi(x) >= 0
+            mid = (lo + hi) // 2
+            if sign * _poly_eval(psi, mid) < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        tested.append(lo)
+    return sorted({r for r in tested if _poly_eval(psi, r) == 0})
 
 
 def factorize(spec):
@@ -188,7 +202,7 @@ def root_moduli(spec):
         return sorted([abs(kind.a) * 1.0] + pair)
     # irreducible cubic
     psi = char_poly(spec)
-    bound = 1 + max(abs(c) for c in psi[:-1])
+    bound = growth_rate(spec)
     if discriminant(spec) < 0:
         # one real root, one conjugate pair with |z|^2 = a3 / r
         r = _bisect_root(psi, -bound, bound)

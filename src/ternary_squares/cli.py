@@ -160,7 +160,7 @@ def _thread_count(args, cfg):
 
 
 def _check_budgets(args):
-    if args.factor_timeout <= 0 or args.term_digits <= 0:
+    if not args.factor_timeout > 0 or args.term_digits <= 0:
         raise InputError("budgets must be positive")
 
 

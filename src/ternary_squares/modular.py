@@ -22,7 +22,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .charpoly import char_poly, discriminant
+from .charpoly import discriminant
 from .primes import factorize, is_prime, iter_primes
 from .sqrtmod import legendre
 
@@ -103,56 +103,38 @@ def term_mod(spec, n, p):
         raise ValueError("modulus must be >= 2")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    u = [x % p for x in spec.initial_terms]
-    if n < 3:
-        return u[n]
+    u0, u1, u2 = spec.initial_terms
     c0, c1, c2 = _x_pow(spec, n, p)
-    return (c0 * u[0] + c1 * u[1] + c2 * u[2]) % p
+    return (c0 * u0 + c1 * u1 + c2 * u2) % p
 
 
 # ---------------------------------------------------------------------------
 # root counting mod p
 
-def _poly_gcd_modp(f, g, p):
-    """gcd(f, g) over F_p by Euclid's remainder sequence; ascending
-    coefficient lists, the result not made monic."""
-    def trimmed(h):
-        h = [c % p for c in h]
-        while h and h[-1] == 0:
-            h.pop()
-        return h
-
-    f, g = trimmed(f), trimmed(g)
-    while g:
-        inv = pow(g[-1], -1, p)
-        while len(f) >= len(g):
-            k = len(f) - len(g)
-            coef = f[-1] * inv % p
-            for i, gc in enumerate(g):
-                f[i + k] = (f[i + k] - coef * gc) % p
-            while f and f[-1] == 0:
-                f.pop()
-        f, g = g, f
-    return f or [0]
-
-
-def _linear_part(spec, p):
-    """gcd(X^p - X, Psi) over F_p: the product of the distinct linear
-    factors of the characteristic cubic mod p (Psi itself when X^p = X)."""
-    xp = _x_pow(spec, p, p)
-    return _poly_gcd_modp([xp[0], (xp[1] - 1) % p, xp[2]], char_poly(spec), p)
+def _root_count(spec, p, x_pow):
+    """`count_roots_mod_p`, given x_pow(e) = X^e modulo (Psi, p)."""
+    d = discriminant(spec)
+    if d % p == 0:
+        return RAMIFIED
+    if p == 2:
+        a1, a2, a3 = spec.coefficients
+        return int(a3 % 2 == 0 or (1 - a1 - a2 - a3) % 2 == 0)
+    if legendre(d, p) == -1:
+        return 1
+    return 3 if x_pow(p) == (0, 1, 0) else 0
 
 
 def count_roots_mod_p(spec, p):
     """Number of distinct roots of the characteristic cubic in F_p:
-    0, 1, 3, or "ramified" when p divides the discriminant.
+    0, 1, 3, or "ramified" when p divides the discriminant d.
 
-    Every p uses the Frobenius criterion deg gcd(X^p - X, Psi), with X^p
-    computed by repeated squaring mod Psi.
+    At an odd prime Stickelberger gives (d/p) = (-1)^(3 - r), r the number
+    of irreducible factors of Psi mod p, so there is one root exactly when
+    (d/p) = -1. Otherwise r is 1 or 3: three roots when X^p = X, none when
+    not. F_2 cannot hold three distinct roots, so at p = 2 there is one
+    exactly when Psi(0) or Psi(1) is even.
     """
-    if discriminant(spec) % p == 0:
-        return RAMIFIED
-    return len(_linear_part(spec, p)) - 1
+    return _root_count(spec, p, functools.partial(_x_pow, spec, p=p))
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +239,15 @@ def classify_prime(spec, p):
     fac_p1 = factorize(p - 1)
     # one memo of X^e, so each descent's last power is not raised again
     x_pow = functools.cache(functools.partial(_x_pow, spec, p=p))
-    if discriminant(spec) % p == 0:
+    root_count = _root_count(spec, p, x_pow)
+    if root_count == RAMIFIED:
         t_p = _state_period(spec, p, p * (p - 1), {**fac_p1, p: 1}, x_pow)
         return PrimeProfile(p=p, root_count=RAMIFIED, in_Z=False, t_p=t_p)
-
-    linear = _linear_part(spec, p)      # of degree the number of roots
-    if len(linear) == 4:
+    if root_count == 3:
         return PrimeProfile(p=p, root_count=3, in_Z=False,
                             t_p=_state_period(spec, p, p - 1, fac_p1, x_pow))
     u0, u1, u2 = (x % p for x in spec.initial_terms)
-    if len(linear) == 1:
+    if root_count == 0:
         # F_{p^3}: X^((p-1)j) = 1 exactly when X^j is in F_p
         t_p = 1
         if u0 or u1 or u2:
@@ -276,10 +257,21 @@ def classify_prime(spec, p):
             t_p = r * _scalar_order(x_pow(r)[0], p, fac_p1)
         return PrimeProfile(p=p, root_count=0, in_Z=False, t_p=t_p)
 
-    # exactly one root alpha; X^2 = -q1*X - q0 modulo Q = Psi / (X - alpha)
-    g0, g1 = linear
-    alpha = -g0 * pow(g1, -1, p) % p
-    a1, a2, _ = spec.coefficients
+    # exactly one root alpha, that of the linear gcd(h, Psi) for
+    # h = X^p - X = h0 + h1*X + h2*X^2: of h if h2 = 0, else of
+    # h2^2 * (Psi mod h). Only the true alpha has Psi(alpha) = 0.
+    a1, a2, a3 = spec.coefficients
+    h0, h1, h2 = x_pow(p)
+    h1 -= 1
+    if h2 % p:
+        h0, h1 = (h0 * h1 + a1 * h0 * h2 - a3 * h2 * h2,
+                  h1 * h1 - h0 * h2 + a1 * h1 * h2 - a2 * h2 * h2)
+    if h1 % p == 0:
+        raise ArithmeticError(f"gcd(X^p - X, Psi) is not linear at p = {p}")
+    alpha = -h0 * pow(h1, -1, p) % p
+    if (((alpha - a1) * alpha - a2) * alpha - a3) % p:
+        raise ArithmeticError(f"{alpha} is not a root of Psi mod {p}")
+    # X^2 = -q1*X - q0 modulo Q = Psi / (X - alpha)
     q1 = (alpha - a1) % p
     q0 = (alpha * alpha - a1 * alpha - a2) % p
 
@@ -324,8 +316,6 @@ def in_Z(spec, p):
 
 def z_primes(spec, x):
     """Yield the primes p <= x in Z, increasing, by segmented enumeration."""
-    if x < 3:
-        return
     is_z = _z_predicate(spec)
     for p in iter_primes(x):
         if is_z(p):

@@ -109,12 +109,7 @@ _MAX_SEGMENT = 1 << 16
 def _represent_enumerate(n_big, n):
     """Member(u, v) with the smallest v, else NonMember(): isqrt on every
     v <= sqrt(N/n) that the square sieve keeps, in increasing v."""
-    vmax = math.isqrt(n_big // n)
-    if vmax < _FIRST_SEGMENT:
-        segments = (range(vmax + 1),)
-    else:
-        segments = _square_sieve(n_big, n, vmax)
-    for candidates in segments:
+    for candidates in _square_sieve(n_big, n, math.isqrt(n_big // n)):
         for v in candidates:
             rest = n_big - n * v * v
             u = math.isqrt(rest)

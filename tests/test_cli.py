@@ -82,6 +82,33 @@ def test_primes_small_max_keeps_p_2(capsys):
     assert (code, out, err) == (0, header + "\n", "")
 
 
+# stdout SHA-256 of `primes --max 2000`, one per preset: any change to a
+# root count, alpha or order in a profile moves it
+PRIMES_2000_SHA = {
+    "fibonacci":
+        "36d7bd0dce91ba09d81a5ac64a30e8b4c0fa1bd5707e4ab8c04402b61c8afa7c",
+    "five-fib-sq-minus-4":
+        "6431fe8aae1b6b36656b691618b5fd9ca5577bd7c1358f2084b388410f6708ca",
+    "pow2-plus-fib":
+        "5ca0f123dbb775412aae11738c05b0670935535fd52a85eb767a81fb9881ede0",
+    "pow2-plus-n":
+        "82d8923f1dc6c668a32f909787b0b2adbe054fb710574c7905447570a827df12",
+    "square-pow":
+        "92a5789ddd0d9d5117927ff7742c65a5d7bb88588c86d2d91d84ade961886fcd",
+    "tribonacci":
+        "30a55e97e27e17e23c910ddbf2f288754f344370f150a2866e9d49a0bcb31935",
+}
+
+
+def test_primes_csv_is_pinned_for_every_preset(capsys):
+    assert set(PRIMES_2000_SHA) == set(PRESETS)
+    for name, sha in PRIMES_2000_SHA.items():
+        code, out, _ = run_cli(capsys, "primes", "--preset", name,
+                               "--max", "2000")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha, name
+
+
 def test_primes_pow2_plus_fib_z_set(capsys):
     code, out, _ = run_cli(capsys, "primes", "--preset", "pow2-plus-fib",
                            "--max", "30")
@@ -558,3 +585,27 @@ def test_budget_validation(capsys):
     code, _, err = run_cli(capsys, "analyze", "--preset", "tribonacci",
                            "--factor-timeout", "-1")
     assert code == 1 and "budget" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--preset", "tribonacci", "--x", "5"),
+    ("verify", "omega-iz", "--preset", "tribonacci", "--param", "n=91"),
+])
+def test_nan_factor_timeout_is_input_error(capsys, argv):
+    # a NaN deadline is never passed, so NaN would mean "no budget"
+    code, out, err = run_cli(capsys, *argv, "--factor-timeout", "nan")
+    assert (code, out) == (1, "")
+    assert err == "error: budgets must be positive\n"
+    code, _, _ = run_cli(capsys, *argv, "--factor-timeout", "inf")
+    assert code == 0
+
+
+def test_analyze_huge_a3_is_fast(capsys):
+    # integer roots by bisection: no trial division up to sqrt|a3|
+    spec = json.dumps({"a1": 1, "a2": 1, "a3": 10**30 + 7,
+                       "u0": 0, "u1": 0, "u2": 1})
+    start = time.monotonic()
+    code, out, _ = run_cli(capsys, "analyze", "--spec", spec)
+    assert time.monotonic() - start < 1
+    assert code == 2
+    assert json.loads(out)["cond_ii"] is False

@@ -143,6 +143,20 @@ def test_count_roots_frobenius_path_vs_scan():
                 (spec, p)
 
 
+def test_count_roots_at_2_every_parity_class():
+    classes = set()
+    for a1 in range(-3, 5):
+        for a2 in range(-3, 5):
+            for a3 in (-3, -2, -1, 1, 2, 3, 4):
+                spec = RecurrenceSpec(a1, a2, a3, 0, 0, 1)
+                assert count_roots_mod_p(spec, 2) == brute_root_count(spec, 2), \
+                    spec
+                if discriminant(spec) % 2:
+                    classes.add((a1 % 2, a2 % 2, a3 % 2))
+    # d = a1*a2 + a3 mod 2: four of the eight classes are unramified at 2
+    assert classes == {(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0)}
+
+
 def test_three_root_primes_tribonacci():
     three_root = [p for p in list(iter_primes(1000))[1:]
                   if count_roots_mod_p(TRIBONACCI, p) == 3]
@@ -253,21 +267,31 @@ from ternary_squares.recurrence import TRIBONACCI
 assert not __debug__, "run me under python -O"
 true_x_pow = modular._x_pow
 roots_47 = [x for x in range(47) if (x**3 - x * x - x - 1) % 47 == 0]
-# a wrong X^p at each kind of prime: X claims three roots, 0 claims none,
-# and 2X - root claims one root at the three-root prime 47
+# a wrong X^p at each kind of prime: where (d/p) = 1 (3 and 47), X claims
+# three roots and 0 or 2X - root none; at the one-root primes 7 and 13 a
+# wrong X^p gives the alpha step a wrong h = X^p - X
 cases = [(3, (0, 1, 0)), (7, (0, 1, 0)), (7, (0, 0, 0)), (13, (0, 1, 0)),
          (13, (0, 0, 0)), (47, (0, 0, 0))]
 cases += [(47, (-x % 47, 2, 0)) for x in roots_47]
-returned = []
-for p, wrong in cases:
+# h = X - 1 (h2 = 0), X^2 and X^2 - 1 (h2 != 0) give the non-root alpha 1,
+# the non-root alpha -1 and a gcd with Psi that is not linear: each must
+# raise in the alpha step
+alpha_cases = [(p, wrong) for p in (7, 13)
+               for wrong in ((p - 1, 2, 0), (0, 1, 1), (p - 1, 1, 1))]
+returned, alpha_errors = [], []
+for p, wrong in cases + alpha_cases:
     modular._x_pow = (lambda spec, e, p, wrong=wrong:
                       wrong if e == p else true_x_pow(spec, e, p))
     try:
         returned.append((p, wrong, modular.classify_prime(TRIBONACCI, p)))
-    except ArithmeticError:
-        pass
-print(returned)
-sys.exit(1 if returned or len(roots_47) != 3 else 0)
+    except ArithmeticError as exc:
+        if (p, wrong) in alpha_cases:
+            alpha_errors.append(str(exc))
+print(returned, alpha_errors)
+ok = (not returned and len(roots_47) == 3
+      and len(alpha_errors) == len(alpha_cases)
+      and all("Psi" in err for err in alpha_errors))
+sys.exit(0 if ok else 1)
 """
 
 
