@@ -80,17 +80,19 @@ def _x_pow(spec, e, p):
     return (c0, c1, c2)
 
 
-def terms_at_multiples(spec, p, k_max):
-    """[U_p, U_2p, ..., U_{k_max*p}] mod p, one ring multiplication each:
-    X^{kp} = (X^p)^k modulo (characteristic cubic, p)."""
-    r3, r4 = _reduction_rows(spec, p)
-    u0, u1, u2 = (x % p for x in spec.initial_terms)
-    step = c = _x_pow(spec, p, p)
-    out = []
-    for _ in range(k_max):
-        out.append((c[0] * u0 + c[1] * u1 + c[2] * u2) % p)
-        c = _polymulmod(c, step, p, r3, r4)
-    return out
+def frobenius_seed(spec, p):
+    """(W_0, W_1, W_2) = (U_0, U_p, U_2p) mod p, from one X^p and one ring
+    square.
+
+    Frobenius is a ring endomorphism of F_p[X]/Psi that fixes F_p, so X^p
+    is a root of Psi there, and W_k = U_{kp} mod p obeys U's own
+    recurrence, W_{k+3} = a1*W_{k+2} + a2*W_{k+1} + a3*W_k, for every
+    prime p (ramified, or dividing a3, alike)."""
+    u0, u1, u2 = spec.initial_terms
+    c = _x_pow(spec, p, p)
+    c2 = _polymulmod(c, c, p, *_reduction_rows(spec, p))
+    return (u0 % p, (c[0] * u0 + c[1] * u1 + c[2] * u2) % p,
+            (c2[0] * u0 + c2[1] * u1 + c2[2] * u2) % p)
 
 
 def term_mod(spec, n, p):
@@ -329,11 +331,10 @@ def _v_values_one_period(spec, p, max_states):
     """V_0 .. V_{t-1}, V_m = U_{p*m} mod p, where t is the state period of
     V; p must not divide a3.
 
-    X^p has characteristic polynomial Psi mod p for every p (the Frobenius
-    permutes the roots of Psi, multiplicities included), so V satisfies
-    the recurrence of U mod p: one stepping pass from (U_0, U_p, U_2p).
+    V obeys the recurrence of U mod p (see `frobenius_seed`): one
+    stepping pass from (V_0, V_1, V_2).
     """
-    s0 = (spec.initial_terms[0] % p, *terms_at_multiples(spec, p, 2))
+    s0 = frobenius_seed(spec, p)
     a1, a2, a3 = (c % p for c in spec.coefficients)
     values = []
     x, y, z = s0

@@ -9,7 +9,9 @@ non-member from a partial factorization (method partial_factor).
 On top of that sits the cheap quadratic-residue obstruction: an odd prime
 p | n with U_n a nonresidue mod p certifies that U_n = u^2 + n*v^2 has
 no solution at all. `count` finds it for every n <= x at once with a
-prime-major sieve; `qr_obstruction` decides one index.
+prime-major sieve, which steps U_p, U_2p, ... mod p by ring products
+over one period and tiles that period's flags over the multiples of p;
+`qr_obstruction` decides one index.
 
 Each verdict names its method: qr_sieve (Obstructed), witness_formula,
 sign (a negative U_n), enumeration, partial_factor, cornacchia, or
@@ -27,10 +29,11 @@ Every Member, Obstructed, witness and partial_factor verdict is
 re-verified by an explicit check that raises CertificateError, so the
 checks also run under -O. `count` re-verifies its obstructions prime by
 prime, on the subsequence U_p, U_2p, ... mod p, which obeys U's own
-recurrence; a block compares its obstructed indices with those flags,
-and at the first that failed the stream yields the rows before it as a
-shorter block, then raises. `membership` re-verifies its one
-obstruction by a fresh term_mod.
+recurrence, seeded from one fresh X^p and stepped over every multiple
+with no period assumed; a block compares its obstructed indices with
+those flags, and at the first that failed the stream yields the rows
+before it as a shorter block, then raises. `membership` re-verifies its
+one obstruction by a fresh term_mod.
 """
 
 import math
@@ -40,7 +43,8 @@ from decimal import Decimal
 from itertools import chain, compress
 from typing import NamedTuple
 
-from .modular import term_mod, terms_at_multiples
+from .modular import (_polymulmod, _reduction_rows, _x_pow,
+                      frobenius_seed, term_mod)
 from .primes import (FactorTimeout, divisors_from_factorization, factorize,
                      is_prime, iter_primes, trial_division)
 from .recurrence import (DEFAULT_TERM_DIGITS, FIVE_FIB_SQ_MINUS_4,
@@ -291,16 +295,33 @@ def obstruction_table(spec, x):
     """obs[n] for 0 <= n <= x: the smallest odd prime p | n with U_n a
     quadratic nonresidue mod p, or 0 where there is none.
 
-    Prime-major: for each odd prime p <= x, U_p, U_2p, ... mod p are
-    stepped one ring multiplication apart, and primes go up, so the first
-    prime recorded at n is the smallest. Agrees with qr_obstruction.
-    An array of machine ints: about 8 bytes per index.
+    Prime-major, primes going up, so the first prime recorded at n is the
+    smallest. At each odd prime p, W_k = U_{kp} mod p is read off c^k,
+    c = X^p modulo (characteristic cubic, p), one ring product apart,
+    until c^k = 1, where W starts over (never where p | a3), or k = x/p.
+    That period's nonresidue flags, from the table of squares mod p when
+    p <= x/p and else by Euler's criterion, are tiled over the multiples
+    of p. Agrees with qr_obstruction. An array of machine ints: about 8
+    bytes per index.
     """
     obs = array("L", [0]) * (x + 1)
     for p in list(iter_primes(x))[1:]:
-        residues = terms_at_multiples(spec, p, x // p)
-        for n, r in zip(range(p, x + 1, p), residues):
-            if not obs[n] and r and legendre(r, p) == -1:
+        k_max = x // p
+        r3, r4 = _reduction_rows(spec, p)
+        u0, u1, u2 = (t % p for t in spec.initial_terms)
+        c = step = _x_pow(spec, p, p)
+        period = [(c[0] * u0 + c[1] * u1 + c[2] * u2) % p]
+        while c != (1, 0, 0) and len(period) < k_max:
+            c = _polymulmod(c, step, p, r3, r4)
+            period.append((c[0] * u0 + c[1] * u1 + c[2] * u2) % p)
+        if p <= k_max:
+            squares = _squares_mod(p)
+            flags = bytes([not squares[r] for r in period])
+        else:
+            flags = bytes([pow(r, p // 2, p) == p - 1 for r in period])
+        reps, extra = divmod(k_max, len(flags))
+        for n in compress(range(p, x + 1, p), flags * reps + flags[:extra]):
+            if not obs[n]:
                 obs[n] = p
     return obs
 
@@ -308,16 +329,13 @@ def obstruction_table(spec, x):
 def frobenius_terms(spec, p, k_max):
     """U_p, U_2p, ..., U_{k_max*p} mod p, one scalar step each.
 
-    Frobenius is a ring endomorphism of F_p[X]/Psi that fixes F_p, so X^p
-    is a root of Psi there, and W_k = U_{kp} mod p obeys U's own
-    recurrence, W_{k+3} = a1*W_{k+2} + a2*W_{k+1} + a3*W_k, for every
-    prime p (ramified, or dividing a3, alike). W_0 = U_0; W_1 and W_2 come
-    from a fresh term_mod each, W_2 only when k_max >= 2."""
+    W_k = U_{kp} mod p obeys U's own recurrence (see `frobenius_seed`),
+    seeded with W_0, W_1, W_2 from one fresh X^p, and only when
+    k_max >= 1. No period is assumed: every multiple is stepped."""
     if k_max < 1:
         return
     a1, a2, a3 = spec.coefficients
-    w0, w1 = spec.u0 % p, term_mod(spec, p, p)
-    w2 = term_mod(spec, 2 * p, p) if k_max >= 2 else 0
+    w0, w1, w2 = frobenius_seed(spec, p)
     for _ in range(k_max):
         yield w1
         w0, w1, w2 = w1, w2, (a1 * w2 + a2 * w1 + a3 * w0) % p
@@ -329,7 +347,8 @@ def verified_obstructions(spec, obs):
 
     An independent re-check of obstruction_table, prime-major too, but on
     another path: the terms come from frobenius_terms, stepped up to the
-    last multiple of p that names p, instead of the sieve's ring products.
+    last multiple of p that names p from its own X^p, instead of the
+    sieve's tiled period of ring products.
     """
     x = len(obs) - 1
     ok = bytearray(x + 1)

@@ -316,6 +316,21 @@ def _count_to_file(capsys, path, *argv):
     return code, summary, err
 
 
+# SHA-256 of the CSV of `count --preset tribonacci --x 30000 --n-exact 0`,
+# recorded before the obstruction sieve tiled W's period
+COUNT_30000_SHA = \
+    "db8b36d14e29d902f7f3b237e4262e4f52d112465d5059ac5c21482055bffca7"
+
+
+def test_count_csv_is_pinned_at_30000(tmp_path, capsys):
+    path = tmp_path / "rows.csv"
+    code, summary, _ = _count_to_file(capsys, path, "--preset", "tribonacci",
+                                      "--x", "30000", "--n-exact", "0",
+                                      "--threads", "1")
+    assert code == 0 and summary["counts"]["obstructed"] == 18759
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == COUNT_30000_SHA
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("n_exact", [0, 40])
 @pytest.mark.parametrize("preset", sorted(PRESETS))

@@ -7,7 +7,7 @@ from decimal import Decimal
 
 import pytest
 
-from ternary_squares import representation
+from ternary_squares import modular, representation
 from ternary_squares.modular import _x_pow, term_mod
 from ternary_squares.primes import factorize, is_prime, iter_primes
 from ternary_squares.representation import (_SQUARE_SIEVE, Member, NonMember,
@@ -322,6 +322,16 @@ def test_monotone_obstructed_density():
 
 NEGATIVE_SPEC = RecurrenceSpec(-2, 1, -1, -5, 3, -1)
 A3_DIVISIBLE_SPEC = RecurrenceSpec(1, 2, 15, 1, 2, 3)   # 3 | a3 and 5 | a3
+A3_THREE_SPEC = RecurrenceSpec(1, 1, 3, 1, 2, 3)
+A3_MINUS_15_SPEC = RecurrenceSpec(2, -1, -15, 1, -2, 4)
+
+
+def _counting(monkeypatch, module, name, calls):
+    """Replace module.name by a wrapper that appends its arguments to
+    `calls`."""
+    inner = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args: calls.append(args) or inner(*args))
 
 
 def _oracle_table(spec, x):
@@ -330,15 +340,29 @@ def _oracle_table(spec, x):
 
 
 @pytest.mark.parametrize("spec", [TRIBONACCI, POW2_PLUS_N, NEGATIVE_SPEC,
-                                  A3_DIVISIBLE_SPEC])
+                                  A3_DIVISIBLE_SPEC, A3_THREE_SPEC,
+                                  A3_MINUS_15_SPEC])
 def test_obstruction_table_matches_per_index_oracle(spec):
-    assert list(obstruction_table(spec, 2000)) == _oracle_table(spec, 2000)
+    # at x = 5000 the sieve tiles the rows of p = 3, 5, 7, 11 and 13 on
+    # tribonacci past their first period (see the test below); at the
+    # primes dividing a3, X^p never returns to 1 and the rows are stepped
+    assert list(obstruction_table(spec, 5000)) == _oracle_table(spec, 5000)
     for x in (1, 2, 3):
         assert list(obstruction_table(spec, x)) == _oracle_table(spec, x)
 
 
-A3_THREE_SPEC = RecurrenceSpec(1, 1, 3, 1, 2, 3)
-A3_MINUS_15_SPEC = RecurrenceSpec(2, -1, -15, 1, -2, 4)
+def test_obstruction_table_steps_one_period(monkeypatch):
+    # on tribonacci X^p returns to 1 at k = 13, 31, 48, 10 and 168 for
+    # p = 3, 5, 7, 11 (ramified) and 13, all below 5000/p
+    x = 5000
+    periods = {p: next(k for k in range(1, x // p + 1)
+                       if _x_pow(TRIBONACCI, k * p, p) == (1, 0, 0))
+               for p in (3, 5, 7, 11, 13)}
+    assert periods == {3: 13, 5: 31, 7: 48, 11: 10, 13: 168}
+    products = []
+    _counting(monkeypatch, representation, "_polymulmod", products)
+    assert 3 in obstruction_table(TRIBONACCI, x)
+    assert 0 < sum(p == 3 for _, _, p, _, _ in products) <= 13
 
 
 @pytest.mark.parametrize("spec", [TRIBONACCI, POW2_PLUS_N, A3_THREE_SPEC,
@@ -361,22 +385,26 @@ def test_obstruction_recheck_matches_term_mod(spec):
 
 
 def test_frobenius_terms_seeds_lazily(monkeypatch):
-    calls = []
-    monkeypatch.setattr(representation, "term_mod",
-                        lambda spec, n, p: calls.append(n) or term_mod(spec,
-                                                                       n, p))
-    assert list(frobenius_terms(TRIBONACCI, 7, 0)) == [] and calls == []
-    assert list(frobenius_terms(TRIBONACCI, 7, 1)) == [term_mod(TRIBONACCI,
-                                                                7, 7)]
-    assert calls == [7]
+    u_7 = term_mod(TRIBONACCI, 7, 7)
+    seeds, powers = [], []
+    _counting(monkeypatch, representation, "frobenius_seed", seeds)
+    _counting(monkeypatch, modular, "_x_pow", powers)
+    assert list(frobenius_terms(TRIBONACCI, 7, 0)) == [] and seeds == []
+    assert list(frobenius_terms(TRIBONACCI, 7, 1)) == [u_7]
+    # one seed, made from one fresh X^p
+    assert [p for _, p in seeds] == [7]
+    assert [(e, p) for _, e, p in powers] == [(7, 7)]
 
 
 @pytest.mark.parametrize("p, n", [(9, 9), (3, 8), (2, 4), (4, 8), (3, 6),
-                                  (3, 21), (1, 5)])
+                                  (3, 21), (1, 5), (3, 42), (3, 45), (3, 60),
+                                  (3, 47)])
 def test_obstruction_recheck_rejects_forged_entries(p, n):
     # 9 is composite (the true entry at 9 is 3), 3 does not divide 8, 2 and
     # 4 are even, U_6 = 7 is a residue mod 3, 3 divides U_21 and 1 is no
-    # prime: only the forged index is left unverified
+    # prime. Past the sieve's first period of 13 at p = 3, U_42 and U_45
+    # are residues mod 3 (the true entries are 0 and 5), 3 divides U_60,
+    # and 3 does not divide 47. Only the forged index is left unverified
     x = 60
     obs = list(obstruction_table(TRIBONACCI, x))
     obs[n] = p
@@ -393,15 +421,14 @@ def test_membership_rejects_forged_obstruction(monkeypatch):
             membership(TRIBONACCI, n, 0)
 
 
-def test_recheck_makes_two_term_mod_calls_per_obstructing_prime(monkeypatch):
+def test_recheck_makes_one_x_pow_per_obstructing_prime(monkeypatch):
     primes = set(obstruction_table(TRIBONACCI, 30000)) - {0}
-    calls = []
-    monkeypatch.setattr(representation, "term_mod",
-                        lambda spec, n, p: calls.append(p) or term_mod(spec,
-                                                                       n, p))
+    seeds, term_mods = [], []
+    _counting(monkeypatch, representation, "frobenius_seed", seeds)
+    _counting(monkeypatch, representation, "term_mod", term_mods)
     report = count_range(TRIBONACCI, 30000, 0)
     assert report.counts["obstructed"] == 18759
-    assert set(calls) == primes and len(calls) <= 2 * len(primes)
+    assert sorted(p for _, p in seeds) == sorted(primes) and term_mods == []
 
 
 def test_stream_covers_every_index_once_in_bounded_blocks(monkeypatch):
