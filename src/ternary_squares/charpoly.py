@@ -15,9 +15,8 @@ root.
 """
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
+from ._record import record
 from .recurrence import RecurrenceSpec, growth_rate, term_iter
 from .sqrtmod import integer_sqrt
 
@@ -38,12 +37,12 @@ def _poly_eval(p, x):
 # factorization over Q
 
 
-@dataclass(frozen=True)
+@record
 class Irreducible:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class LinearTimesQuadratic:
     """(X - a)(X^2 + bX + c) with the quadratic irreducible over Q."""
     a: int
@@ -51,12 +50,12 @@ class LinearTimesQuadratic:
     c: int
 
 
-@dataclass(frozen=True)
+@record
 class ThreeLinear:
     roots: tuple  # three distinct integers
 
 
-@dataclass(frozen=True)
+@record
 class RepeatedRoot:
     roots: tuple  # (root, multiplicity) pairs
 
@@ -165,11 +164,12 @@ def _bisect_root(psi, lo, hi):
     lo and hi are integers or floats, so every point visited is k / 2^e for
     one e, and the sign of psi there is that of the integer
     2^(3e) psi(k / 2^e), the scaled cubic at k. It is never 0, since psi
-    has no rational root.
+    has no rational root. Each end is num / den in lowest terms with den a
+    power of two that divides 2^e, so its k = num * 2^e / den is exact.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
-    e = _BISECT_STEPS + max(lo.denominator, hi.denominator).bit_length() - 1
-    k_lo, k_hi = int(lo * 2**e), int(hi * 2**e)
+    (n_lo, d_lo), (n_hi, d_hi) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    e = _BISECT_STEPS + max(d_lo, d_hi).bit_length() - 1
+    k_lo, k_hi = (n_lo << e) // d_lo, (n_hi << e) // d_hi
     scaled = [c << (e * (3 - i)) for i, c in enumerate(psi)]
     lo_positive = _poly_eval(scaled, k_lo) > 0
     assert lo_positive != (_poly_eval(scaled, k_hi) > 0), \
@@ -227,7 +227,7 @@ def gamma(spec):
 # the three conditions
 
 
-@dataclass(frozen=True)
+@record
 class PolyAnalysis:
     discriminant: int
     factorization: object

@@ -8,7 +8,6 @@ experiments pass by an explicit tolerance carried in the parameters.
 """
 
 import math
-from dataclasses import dataclass, field
 
 from . import modular as md
 from .charpoly import is_degenerate
@@ -25,13 +24,16 @@ class CountBudgetError(Exception):
     """A sieve-based counter was asked to exceed its size budget."""
 
 
-@dataclass
 class ExperimentReport:
-    name: str
-    parameters: dict
-    observations: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
-    passed: bool = True
+    """A named experiment's outcome, filled in as it runs: (label, value)
+    observations, violation dicts, and whether it passed."""
+
+    def __init__(self, name, parameters):
+        self.name = name
+        self.parameters = parameters
+        self.observations = []
+        self.violations = []
+        self.passed = True
 
     def observe(self, label, value):
         self.observations.append((label, value))

@@ -18,10 +18,9 @@ cubic has exactly one root (the set Z), `alpha` is that root in F_p and
 F_p^2, swapped by x -> x^p.
 """
 
-import functools
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .charpoly import discriminant
 from .primes import factorize, is_prime, iter_primes
 from .sqrtmod import legendre
@@ -40,7 +39,8 @@ class ScanBudgetError(Exception):
 
 def _reduction_rows(spec, p):
     """X^3 and X^4 reduced modulo the characteristic cubic, coefficients
-    (c0, c1, c2) for c0 + c1*X + c2*X^2."""
+    (c0, c1, c2) for c0 + c1*X + c2*X^2. Built once per prime and passed
+    to every product and power of the ring mod p."""
     a1, a2, a3 = spec.coefficients
     r3 = (a3 % p, a2 % p, a1 % p)
     r4 = ((a1 * a3) % p, (a1 * a2 + a3) % p, (a1 * a1 + a2) % p)
@@ -57,8 +57,9 @@ def _polymulmod(u, v, p, r3, r4):
             (u0 * v2 + u1 * v1 + u2 * v0 + t3 * r3[2] + t4 * r4[2]) % p)
 
 
-def _x_pow(spec, e, p):
-    """X^e modulo (characteristic cubic, p) as coefficients (c0, c1, c2).
+def _x_pow(e, p, r3, r4):
+    """X^e modulo (characteristic cubic, p) as coefficients (c0, c1, c2),
+    given the reduction rows r3, r4 = `_reduction_rows(spec, p)`.
 
     Left to right over the bits of e, starting from X at the leading bit.
     Each bit squares in place, without a general product: of the six
@@ -67,7 +68,7 @@ def _x_pow(spec, e, p):
     bit then multiplies by X, a shift plus one reduction row (X^3 = r3)."""
     if e == 0:
         return (1 % p, 0, 0)
-    (s0, s1, s2), (q0, q1, q2) = _reduction_rows(spec, p)
+    (s0, s1, s2), (q0, q1, q2) = r3, r4
     c0, c1, c2 = 0, 1, 0
     for bit in bin(e)[3:]:
         t3 = 2 * c1 * c2
@@ -89,8 +90,9 @@ def frobenius_seed(spec, p):
     recurrence, W_{k+3} = a1*W_{k+2} + a2*W_{k+1} + a3*W_k, for every
     prime p (ramified, or dividing a3, alike)."""
     u0, u1, u2 = spec.initial_terms
-    c = _x_pow(spec, p, p)
-    c2 = _polymulmod(c, c, p, *_reduction_rows(spec, p))
+    rows = _reduction_rows(spec, p)
+    c = _x_pow(p, p, *rows)
+    c2 = _polymulmod(c, c, p, *rows)
     return (u0 % p, (c[0] * u0 + c[1] * u1 + c[2] * u2) % p,
             (c2[0] * u0 + c2[1] * u1 + c2[2] * u2) % p)
 
@@ -106,7 +108,7 @@ def term_mod(spec, n, p):
     if n < 0:
         raise ValueError("n must be nonnegative")
     u0, u1, u2 = spec.initial_terms
-    c0, c1, c2 = _x_pow(spec, n, p)
+    c0, c1, c2 = _x_pow(n, p, *_reduction_rows(spec, p))
     return (c0 * u0 + c1 * u1 + c2 * u2) % p
 
 
@@ -136,7 +138,8 @@ def count_roots_mod_p(spec, p):
     not. F_2 cannot hold three distinct roots, so at p = 2 there is one
     exactly when Psi(0) or Psi(1) is even.
     """
-    return _root_count(spec, p, functools.partial(_x_pow, spec, p=p))
+    rows = _reduction_rows(spec, p)
+    return _root_count(spec, p, lambda e: _x_pow(e, p, *rows))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +172,7 @@ def _scalar_order(x, p, fac_p1):
 # prime classification
 
 
-@dataclass(frozen=True)
+@record
 class PrimeProfile:
     p: int
     root_count: object          # 0, 1, 3, or "ramified"
@@ -230,6 +233,10 @@ def classify_prime(spec, p):
     F_{p^3}, r is the least j | p^2 + p + 1 with X^j in F_p, and
     t_p = r * ord(X^r). Ramified and three-root primes descend over
     p(p-1) and p-1 directly.
+
+    At a prime in Z the descent over p + 1 reuses X^p, so X^p is checked
+    first: a wrong X^p raises ArithmeticError rather than give wrong
+    orders.
     """
     if p == 2:
         raise ValueError("p = 2 is excluded from classification")
@@ -240,7 +247,15 @@ def classify_prime(spec, p):
 
     fac_p1 = factorize(p - 1)
     # one memo of X^e, so each descent's last power is not raised again
-    x_pow = functools.cache(functools.partial(_x_pow, spec, p=p))
+    r3, r4 = _reduction_rows(spec, p)
+    powers = {}
+
+    def x_pow(e):
+        c = powers.get(e)
+        if c is None:
+            c = powers[e] = _x_pow(e, p, r3, r4)
+        return c
+
     root_count = _root_count(spec, p, x_pow)
     if root_count == RAMIFIED:
         t_p = _state_period(spec, p, p * (p - 1), {**fac_p1, p: 1}, x_pow)
@@ -263,7 +278,7 @@ def classify_prime(spec, p):
     # h = X^p - X = h0 + h1*X + h2*X^2: of h if h2 = 0, else of
     # h2^2 * (Psi mod h). Only the true alpha has Psi(alpha) = 0.
     a1, a2, a3 = spec.coefficients
-    h0, h1, h2 = x_pow(p)
+    c0, c1, c2 = h0, h1, h2 = x_pow(p)
     h1 -= 1
     if h2 % p:
         h0, h1 = (h0 * h1 + a1 * h0 * h2 - a3 * h2 * h2,
@@ -276,6 +291,14 @@ def classify_prime(spec, p):
     # X^2 = -q1*X - q0 modulo Q = Psi / (X - alpha)
     q1 = (alpha - a1) % p
     q0 = (alpha * alpha - a1 * alpha - a2) % p
+    # X^p is the conjugate -q1 - X modulo Q. Then X^p = -q1 - X + k*Q, and
+    # the alpha step above found the root only if k*Q(alpha) = 2*alpha + q1,
+    # which fixes k: X^p is pinned, and the descent may start at
+    # X^(p+1) = X * X^p, a shift and one row of r3
+    if (c0 - c2 * q0 + q1) % p or (c1 - c2 * q1 + 1) % p:
+        raise ArithmeticError(f"X^p is not the Frobenius of Psi mod {p}")
+    powers[p + 1] = (c2 * r3[0] % p, (c0 + c2 * r3[1]) % p,
+                     (c1 + c2 * r3[2]) % p)
 
     def mod_q_is_scalar(j):
         _, c1, c2 = x_pow(j)

@@ -9,8 +9,9 @@ purely periodic modulo any prime not dividing a3.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import count, islice
+
+from ._record import record
 
 DEFAULT_TERM_DIGITS = 10**6
 
@@ -19,7 +20,7 @@ class TermBudgetError(Exception):
     """Requested term would exceed the configured decimal-digit budget."""
 
 
-@dataclass(frozen=True)
+@record
 class RecurrenceSpec:
     a1: int
     a2: int

@@ -38,11 +38,9 @@ one obstruction by a fresh term_mod.
 
 import math
 from array import array
-from dataclasses import dataclass
-from decimal import Decimal
 from itertools import chain, compress
-from typing import NamedTuple
 
+from ._record import record
 from .modular import (_polymulmod, _reduction_rows, _x_pow,
                       frobenius_seed, term_mod)
 from .primes import (FactorTimeout, divisors_from_factorization, factorize,
@@ -60,23 +58,23 @@ DEFAULT_FACTOR_TIMEOUT_S = 10.0
 # ---------------------------------------------------------------------------
 # statuses
 
-@dataclass(frozen=True, slots=True)
+@record
 class Member:
     u: int
     v: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class NonMember:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Obstructed:
     p: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Unknown:
     pass
 
@@ -287,8 +285,11 @@ def qr_obstruction(spec, n):
 
 def _is_nonresidue(r, p):
     """The obstruction's certificate predicate: U_n = r mod p is a nonzero
-    quadratic nonresidue modulo the odd prime p."""
-    return r != 0 and legendre(r, p) == -1
+    quadratic nonresidue modulo the odd prime p, by Euler's criterion
+    (r = 0 gives 0, not p - 1). `legendre(r, p) == -1` without its
+    reduction and branches; the sieve's rows at p > x/p, the re-check and
+    `qr_obstruction` all test through it."""
+    return pow(r, p // 2, p) == p - 1
 
 
 def obstruction_table(spec, x):
@@ -309,7 +310,7 @@ def obstruction_table(spec, x):
         k_max = x // p
         r3, r4 = _reduction_rows(spec, p)
         u0, u1, u2 = (t % p for t in spec.initial_terms)
-        c = step = _x_pow(spec, p, p)
+        c = step = _x_pow(p, p, r3, r4)
         period = [(c[0] * u0 + c[1] * u1 + c[2] * u2) % p]
         while c != (1, 0, 0) and len(period) < k_max:
             c = _polymulmod(c, step, p, r3, r4)
@@ -318,7 +319,7 @@ def obstruction_table(spec, x):
             squares = _squares_mod(p)
             flags = bytes([not squares[r] for r in period])
         else:
-            flags = bytes([pow(r, p // 2, p) == p - 1 for r in period])
+            flags = bytes([_is_nonresidue(r, p) for r in period])
         reps, extra = divmod(k_max, len(flags))
         for n in compress(range(p, x + 1, p), flags * reps + flags[:extra]):
             if not obs[n]:
@@ -375,14 +376,16 @@ def non_squarefree_count(x):
 # membership classification
 
 def _text(field):
-    """str(field); through Decimal past str's limit (4300 digits)."""
+    """str(field); through Decimal past str's limit (4300 digits), so
+    `decimal` is imported only by a run that writes such a row."""
     try:
         return str(field)
     except ValueError:
+        from decimal import Decimal
         return str(Decimal(field))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MembershipRecord:
     n: int
     status: object
@@ -407,11 +410,12 @@ class MembershipRecord:
         return ((status_name(self.status), self.method, 1),)
 
 
-class SieveBlock(NamedTuple):
+@record
+class SieveBlock:
     """The indices lo, lo + 1, ..., lo + len(primes) - 1, decided by the
     sieve alone: Obstructed(p) (method qr_sieve) where p = primes[i] is
     nonzero, its re-check passed, else Unknown (method not_attempted).
-    A named tuple, not a dataclass: it is cheaper to define at import."""
+    A record like MembershipRecord, but one per block, not per index."""
     lo: int
     primes: object      # a slice of obstruction_table
 
@@ -496,7 +500,7 @@ def membership(spec, n, n_exact, factor_timeout_s=DEFAULT_FACTOR_TIMEOUT_S,
                      lambda k: term(spec, k, term_digits))
 
 
-@dataclass(frozen=True)
+@record
 class CountReport:
     x: int
     n_exact: int

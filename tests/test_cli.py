@@ -446,6 +446,18 @@ def test_cli_import_leaves_process_pool_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_leaves_heavy_stdlib_unloaded():
+    # the records need no dataclasses (and so no inspect), the root
+    # bisection no fractions; decimal waits for a row past 4300 digits
+    heavy = ("dataclasses", "inspect", "fractions", "decimal")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ternary_squares.cli; "
+         f"print([m for m in {heavy!r} if m in sys.modules])"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_constants(capsys):
     code, out, _ = run_cli(capsys, "constants")
     assert code == 0

@@ -96,7 +96,8 @@ def test_x_pow_fused_squaring_matches_general_product():
             exponents = list(range(65)) + [rng.randrange(p**3)
                                            for _ in range(40)]
             for e in exponents:
-                assert _x_pow(spec, e, p) == x_pow_by_products(spec, e, p), \
+                assert _x_pow(e, p, *_reduction_rows(spec, p)) == \
+                    x_pow_by_products(spec, e, p), \
                     (spec, e, p)
 
 
@@ -225,14 +226,36 @@ def test_period_divisor_method_matches_iteration():
 def test_classify_prime_computes_each_power_once(monkeypatch):
     seen = []
 
-    def counted(spec, e, p):
+    def counted(e, p, r3, r4):
         seen.append((e, p))
-        return _x_pow(spec, e, p)
+        return _x_pow(e, p, r3, r4)
 
     monkeypatch.setattr(modular, "_x_pow", counted)
     for p in list(iter_primes(500))[1:]:
         classify_prime(TRIBONACCI, p)
     assert len(seen) == len(set(seen)) > 0
+
+
+def test_classify_prime_builds_rows_once_and_seeds_x_p_plus_1(monkeypatch):
+    # one _reduction_rows per prime; at a prime in Z, X^(p+1) comes from
+    # X^p by a shift, and no power of X is raised twice
+    rows, powers = [], []
+    true_rows, true_x_pow = modular._reduction_rows, modular._x_pow
+    monkeypatch.setattr(modular, "_reduction_rows",
+                        lambda spec, p: rows.append(p) or true_rows(spec, p))
+    monkeypatch.setattr(modular, "_x_pow",
+                        lambda e, p, r3, r4: powers.append((e, p))
+                        or true_x_pow(e, p, r3, r4))
+    in_z = 0
+    for p in list(iter_primes(3000))[1:]:
+        rows.clear()
+        powers.clear()
+        prof = classify_prime(TRIBONACCI, p)
+        assert rows == [p] and len(powers) == len(set(powers)), p
+        if prof.in_Z:
+            in_z += 1
+            assert (p, p) in powers and (p + 1, p) not in powers, p
+    assert in_z > 100
 
 
 def test_classify_prime_powers_stay_in_the_short_halves(monkeypatch):
@@ -241,9 +264,9 @@ def test_classify_prime_powers_stay_in_the_short_halves(monkeypatch):
     # is an order of F_p scalars
     exponents = []
 
-    def counted(spec, e, p):
+    def counted(e, p, r3, r4):
         exponents.append(e)
-        return _x_pow(spec, e, p)
+        return _x_pow(e, p, r3, r4)
 
     monkeypatch.setattr(modular, "_x_pow", counted)
     bounds = {1: lambda p: p + 1, 0: lambda p: p * p + p + 1}
@@ -260,6 +283,7 @@ def test_classify_prime_powers_stay_in_the_short_halves(monkeypatch):
 
 
 _CORRUPT_FROBENIUS = """
+import itertools
 import sys
 from ternary_squares import modular
 from ternary_squares.recurrence import TRIBONACCI
@@ -278,19 +302,37 @@ cases += [(47, (-x % 47, 2, 0)) for x in roots_47]
 # raise in the alpha step
 alpha_cases = [(p, wrong) for p in (7, 13)
                for wrong in ((p - 1, 2, 0), (0, 1, 1), (p - 1, 1, 1))]
-returned, alpha_errors = [], []
-for p, wrong in cases + alpha_cases:
-    modular._x_pow = (lambda spec, e, p, wrong=wrong:
-                      wrong if e == p else true_x_pow(spec, e, p))
+# h = t*(X - alpha) and h = X*(X - alpha) keep the true alpha, so the
+# alpha step passes them; X^p itself must then fail its Frobenius check,
+# as the descent over p + 1 starts at X * X^p
+frobenius_cases = []
+for p in (7, 13):
+    [alpha] = [x for x in range(p) if (x**3 - x * x - x - 1) % p == 0]
+    frobenius_cases += [(p, (-t * alpha % p, (1 + t) % p, 0))
+                        for t in range(1, p)]
+    frobenius_cases.append((p, (0, (1 - alpha) % p, 1)))
+# and nothing but the true X^p returns a profile at 7 and 13
+sweep = [(p, wrong) for p in (7, 13)
+         for wrong in itertools.product(range(p), repeat=3)
+         if wrong != true_x_pow(p, p, *modular._reduction_rows(TRIBONACCI, p))]
+returned, alpha_errors, frobenius_errors = [], [], []
+for p, wrong in dict.fromkeys(cases + alpha_cases + frobenius_cases + sweep):
+    modular._x_pow = (lambda e, p, r3, r4, wrong=wrong:
+                      wrong if e == p else true_x_pow(e, p, r3, r4))
     try:
         returned.append((p, wrong, modular.classify_prime(TRIBONACCI, p)))
     except ArithmeticError as exc:
         if (p, wrong) in alpha_cases:
             alpha_errors.append(str(exc))
-print(returned, alpha_errors)
+        if (p, wrong) in frobenius_cases:
+            frobenius_errors.append(str(exc))
+print(returned, alpha_errors, frobenius_errors)
 ok = (not returned and len(roots_47) == 3
       and len(alpha_errors) == len(alpha_cases)
-      and all("Psi" in err for err in alpha_errors))
+      and all("is not a root of Psi" in err or "not linear" in err
+              for err in alpha_errors)
+      and len(frobenius_errors) == len(frobenius_cases)
+      and all("Frobenius" in err for err in frobenius_errors))
 sys.exit(0 if ok else 1)
 """
 

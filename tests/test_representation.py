@@ -8,7 +8,7 @@ from decimal import Decimal
 import pytest
 
 from ternary_squares import modular, representation
-from ternary_squares.modular import _x_pow, term_mod
+from ternary_squares.modular import _reduction_rows, _x_pow, term_mod
 from ternary_squares.primes import factorize, is_prime, iter_primes
 from ternary_squares.representation import (_SQUARE_SIEVE, Member, NonMember,
                                             CertificateError,
@@ -25,7 +25,7 @@ from ternary_squares.recurrence import (FIVE_FIB_SQ_MINUS_4, POW2_PLUS_N,
                                         SQUARE_POW, TRIBONACCI,
                                         RecurrenceSpec, fibonacci, lucas,
                                         term, term_iter)
-from ternary_squares.sqrtmod import integer_sqrt
+from ternary_squares.sqrtmod import integer_sqrt, legendre
 
 
 def plain_scan(n_big, n):
@@ -356,7 +356,8 @@ def test_obstruction_table_steps_one_period(monkeypatch):
     # p = 3, 5, 7, 11 (ramified) and 13, all below 5000/p
     x = 5000
     periods = {p: next(k for k in range(1, x // p + 1)
-                       if _x_pow(TRIBONACCI, k * p, p) == (1, 0, 0))
+                       if _x_pow(k * p, p, *_reduction_rows(TRIBONACCI, p))
+                       == (1, 0, 0))
                for p in (3, 5, 7, 11, 13)}
     assert periods == {3: 13, 5: 31, 7: 48, 11: 10, 13: 168}
     products = []
@@ -393,7 +394,7 @@ def test_frobenius_terms_seeds_lazily(monkeypatch):
     assert list(frobenius_terms(TRIBONACCI, 7, 1)) == [u_7]
     # one seed, made from one fresh X^p
     assert [p for _, p in seeds] == [7]
-    assert [(e, p) for _, e, p in powers] == [(7, 7)]
+    assert [(e, p) for e, p, _, _ in powers] == [(7, 7)]
 
 
 @pytest.mark.parametrize("p, n", [(9, 9), (3, 8), (2, 4), (4, 8), (3, 6),
@@ -411,6 +412,27 @@ def test_obstruction_recheck_rejects_forged_entries(p, n):
     ok = verified_obstructions(TRIBONACCI, obs)
     assert not ok[n]
     assert all(ok[m] for m in range(x + 1) if obs[m] and m != n)
+
+
+def test_is_nonresidue_is_eulers_criterion():
+    for p in (3, 5, 7, 11, 13, 10007):
+        for r in [*range(-2 * p, 2 * p), 10**30 + 7, -10**30 - 7]:
+            assert representation._is_nonresidue(r, p) == \
+                (legendre(r, p) == -1), (r, p)
+
+
+def test_ring_rows_built_once_per_prime(monkeypatch):
+    # the table and the re-check each build the rows of the ring mod p
+    # once per prime: the table at every odd prime up to x, the re-check
+    # (frobenius_seed) at each prime that names an index
+    x = 3000
+    table_rows, seed_rows = [], []
+    _counting(monkeypatch, representation, "_reduction_rows", table_rows)
+    _counting(monkeypatch, modular, "_reduction_rows", seed_rows)
+    obs = obstruction_table(TRIBONACCI, x)
+    assert [p for _, p in table_rows] == list(iter_primes(x))[1:]
+    verified_obstructions(TRIBONACCI, obs)
+    assert sorted(p for _, p in seed_rows) == sorted(set(obs) - {0})
 
 
 def test_membership_rejects_forged_obstruction(monkeypatch):
@@ -468,7 +490,7 @@ def test_x_pow_matches_exact_terms():
         exact = list(term_iter(spec, 400))
         for _ in range(200):
             n, p = rng.randrange(0, 401), rng.choice(primes)
-            c0, c1, c2 = _x_pow(spec, n, p)
+            c0, c1, c2 = _x_pow(n, p, *_reduction_rows(spec, p))
             assert (c0 * spec.u0 + c1 * spec.u1 + c2 * spec.u2) % p \
                 == exact[n] % p, (spec, n, p)
 
