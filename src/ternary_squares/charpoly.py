@@ -5,8 +5,13 @@ Covers the exact discriminant, factorization over Q, the degeneracy test
 counting theorem needs, the dominant-root modulus, and the numeric solve
 for the optimized exponent constants.
 
-No polynomial arithmetic is needed beyond evaluating the cubic. A rational
-root is an integer dividing a3, and dividing it out is synthetic division.
+No polynomial arithmetic is needed beyond evaluating the cubic. One
+integer root finder, `_scaled_roots`, bisects the scaled cubic
+2^(3e) Psi(k / 2^e) on the pieces where it is monotone. At e = 0 it gives
+the integer roots, which are the rational ones, and dividing one out is
+synthetic division. At an e read off the coefficients it gives every real
+root to far less than an ulp, so each root modulus is rounded to a float
+once, at the end.
 Degeneracy is read off the power sums s_k = r1^k + r2^k + r3^k, which obey
 U's own recurrence: the ratio r_i/r_j has order dividing k exactly when the
 cubic with roots r1^k, r2^k, r3^k, whose coefficients are symmetric in
@@ -24,13 +29,6 @@ from .sqrtmod import integer_sqrt
 def char_poly(spec):
     """Ascending coefficients of X^3 - a1 X^2 - a2 X - a3."""
     return [-spec.a3, -spec.a2, -spec.a1, 1]
-
-
-def _poly_eval(p, x):
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -70,31 +68,59 @@ def discriminant(spec):
     return _disc(*spec.coefficients)
 
 
-def _integer_roots(spec):
-    """Integer roots of the monic cubic, ascending, in O(log|a3|) steps.
+def _scaled_roots(spec, e):
+    """The k with 2^e r in (k - 1, k] for the real roots r of Psi, ascending.
 
-    With s = isqrt(max(a1^2 + 3*a2, 0)), each real critical point
-    (a1 -+ sqrt(a1^2 + 3*a2)) / 3 lies within 1 of k = (a1 -+ s) // 3, so
-    Psi is strictly monotone on each piece that the two k cut out of the
-    Cauchy bound. Both k are tested directly, and integer bisection finds
-    the root, if any, of each piece.
+    Works on the scaled cubic P(k) = 2^(3e) Psi(k / 2^e), whose integer
+    roots are the roots r with 2^e r an integer. With
+    s = isqrt(4^e * max(a1^2 + 3*a2, 0)), each scaled critical point
+    2^e (a1 -+ sqrt(a1^2 + 3*a2)) / 3 lies in (k - 1/3, k + 1) for the cut
+    k = (a1*2^e -+ s) // 3, so P is strictly monotone on each piece that
+    the two cuts leave of the scaled Cauchy bound [-2^e B, 2^e B]. Both
+    cuts are tested directly. A piece whose ends do not straddle 0 holds
+    no root; on the others, integer bisection finds the least k with P(k)
+    on the far side of the sign change.
+
+    At e = 0 every integer root is in the list, and the caller keeps the k
+    with P(k) = 0. Past that, the list is complete once no simple root r
+    lies within 2^(1-e) of a critical point c, for then no root falls
+    between a piece and its cut. Let b = bitlen(B) with B = 1 + max|a_i|.
+    - When a1^2 + 3*a2 > 0, both c lie in (-B, B), where |Psi| < 4 B^3,
+      and |Psi(c1) Psi(c2)| = |disc| / 27 >= 1/27, so each
+      |Psi(c)| > 2^-(3b + 7). Taylor at c gives
+      |Psi(c)| <= |3c - a1| t^2 + |t|^3 < 3B t^2 with t = r - c, which
+      forces |t| > 2^-(2b + 6).
+    - When a1^2 + 3*a2 <= 0, the one cut is at c = a1/3 and
+      27 Psi(a1/3) = -2*a1^3 - 9*a1*a2 - 27*a3 is an integer. If it
+      is 0, a1/3 is an integer root and sits on the cut. Else
+      |Psi(c)| >= 1/27, while Psi' <= 3B within 1 of c, so
+      |t| > 2^-(b + 7).
+    e = 5b + 64 clears both, and, since every root has |r| >= 1/B^2, it
+    puts each k / 2^e within 2^-(3b + 64) of r relatively, far less than
+    an ulp of its float.
     """
-    psi = char_poly(spec)
-    bound = growth_rate(spec)
-    a1, a2 = spec.a1, spec.a2
-    s = math.isqrt(max(a1 * a1 + 3 * a2, 0))
-    k1, k2 = (a1 - s) // 3, (a1 + s) // 3
-    tested = [k1, k2]
+    a1, a2, a3 = spec.coefficients
+    b1, b2, b3 = a1 << e, a2 << 2 * e, a3 << 3 * e
+
+    def scaled(k):
+        return ((k - b1) * k - b2) * k - b3
+
+    bound = growth_rate(spec) << e
+    s = math.isqrt(max(a1 * a1 + 3 * a2, 0) << 2 * e)
+    k1, k2 = (b1 - s) // 3, (b1 + s) // 3
+    found = {k for k in (k1, k2) if scaled(k) == 0}
     for lo, hi, sign in ((-bound, k1 - 1, 1), (k1 + 1, k2 - 1, -1),
                          (k2 + 1, bound, 1)):
-        while lo < hi:      # the least x in [lo, hi] with sign*Psi(x) >= 0
+        if lo > hi or sign * scaled(lo) > 0 or sign * scaled(hi) < 0:
+            continue        # no sign change on this piece
+        while lo < hi:      # the least x in [lo, hi] with sign*P(x) >= 0
             mid = (lo + hi) // 2
-            if sign * _poly_eval(psi, mid) < 0:
+            if sign * scaled(mid) < 0:
                 lo = mid + 1
             else:
                 hi = mid
-        tested.append(lo)
-    return sorted({r for r in tested if _poly_eval(psi, r) == 0})
+        found.add(lo)
+    return sorted(found)
 
 
 def factorize(spec):
@@ -106,12 +132,15 @@ def factorize(spec):
     integers. A repeated root r of a monic integer cubic is an integer;
     it is double when Psi'(r) = 0 and triple when also 3r = a1.
     """
-    a1, a2, _ = spec.coefficients
-    roots = _integer_roots(spec)
+    a1, a2, a3 = spec.coefficients
+    roots = [k for k in _scaled_roots(spec, 0)
+             if ((k - a1) * k - a2) * k == a3]
     if discriminant(spec) == 0:
         mult = {r: 1 + (3 * r * r - 2 * a1 * r - a2 == 0) * (1 + (3 * r == a1))
                 for r in roots}
-        assert sum(mult.values()) == 3, "zero discriminant forces full split"
+        if sum(mult.values()) != 3:
+            raise ArithmeticError(f"zero discriminant but roots {mult} of "
+                                  f"{spec.coefficients} do not split Psi")
         return RepeatedRoot(tuple(sorted(mult.items())))
     if not roots:
         return Irreducible()
@@ -155,67 +184,23 @@ def is_degenerate(spec):
 # root moduli
 
 
-_BISECT_STEPS = 130    # halvings of the bracket, far past a float's precision
-
-
-def _bisect_root(psi, lo, hi):
-    """Bisection for the root of an irreducible cubic psi in (lo, hi).
-
-    lo and hi are integers or floats, so every point visited is k / 2^e for
-    one e, and the sign of psi there is that of the integer
-    2^(3e) psi(k / 2^e), the scaled cubic at k. It is never 0, since psi
-    has no rational root. Each end is num / den in lowest terms with den a
-    power of two that divides 2^e, so its k = num * 2^e / den is exact.
-    """
-    (n_lo, d_lo), (n_hi, d_hi) = lo.as_integer_ratio(), hi.as_integer_ratio()
-    e = _BISECT_STEPS + max(d_lo, d_hi).bit_length() - 1
-    k_lo, k_hi = (n_lo << e) // d_lo, (n_hi << e) // d_hi
-    scaled = [c << (e * (3 - i)) for i, c in enumerate(psi)]
-    lo_positive = _poly_eval(scaled, k_lo) > 0
-    assert lo_positive != (_poly_eval(scaled, k_hi) > 0), \
-        "the ends must bracket a root"
-    for _ in range(_BISECT_STEPS):
-        # both ends start as multiples of 2^_BISECT_STEPS, so mid is exact
-        mid = (k_lo + k_hi) // 2
-        if (_poly_eval(scaled, mid) > 0) == lo_positive:
-            k_lo = mid
-        else:
-            k_hi = mid
-    return (k_lo + k_hi) / 2**(e + 1)
-
-
 def root_moduli(spec):
-    """Moduli of the three complex roots of the characteristic cubic."""
+    """Moduli of the three complex roots of the characteristic cubic.
+
+    A repeated root is an integer. Otherwise the roots are simple and
+    _scaled_roots gives each real root r as k / 2^e. With one real root,
+    the conjugate pair has |z|^2 = a3 / r, so |z| 2^e = sqrt(a3 2^(3e) / k).
+    """
     kind = factorize(spec)
-    if isinstance(kind, ThreeLinear):
-        return sorted(abs(r) * 1.0 for r in kind.roots)
     if isinstance(kind, RepeatedRoot):
         return sorted(abs(r) * 1.0 for r, m in kind.roots for _ in range(m))
-    if isinstance(kind, LinearTimesQuadratic):
-        b, c = kind.b, kind.c
-        dq = b * b - 4 * c
-        if dq > 0:
-            s = math.sqrt(dq)
-            pair = [abs((-b + s) / 2), abs((-b - s) / 2)]
-        else:
-            pair = [math.sqrt(c)] * 2  # conjugate pair, |z|^2 = c
-        return sorted([abs(kind.a) * 1.0] + pair)
-    # irreducible cubic
-    psi = char_poly(spec)
-    bound = growth_rate(spec)
-    if discriminant(spec) < 0:
-        # one real root, one conjugate pair with |z|^2 = a3 / r
-        r = _bisect_root(psi, -bound, bound)
-        pair_sq = spec.a3 / r
-        assert pair_sq > 0
-        return sorted([abs(r)] + [math.sqrt(pair_sq)] * 2)
-    # three distinct real roots, which the critical points separate; an
-    # irreducible cubic has no rational root, so none sits on a cut
-    a1, a2 = spec.a1, spec.a2
-    s = math.sqrt(a1 * a1 + 3 * a2)
-    points = [-bound, (a1 - s) / 3, (a1 + s) / 3, bound]
-    return sorted(abs(_bisect_root(psi, points[i], points[i + 1]))
-                  for i in range(3))
+    e = 5 * growth_rate(spec).bit_length() + 64
+    real = _scaled_roots(spec, e)
+    moduli = [abs(k) / (1 << e) for k in real]
+    if len(real) == 1:
+        pair = math.isqrt((spec.a3 << 3 * e) // real[0]) / (1 << e)
+        moduli += [pair, pair]
+    return sorted(moduli)
 
 
 def gamma(spec):

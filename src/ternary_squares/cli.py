@@ -375,7 +375,8 @@ def main(argv=None):
         cfg = _load_config(args)
         _check_budgets(args)
         return args.fn(args, cfg)
-    except (InputError, ValueError, KeyError, TypeError) as exc:
+    except (InputError, ValueError, KeyError, TypeError,
+            OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (TermBudgetError, ScanBudgetError, ex.CountBudgetError,

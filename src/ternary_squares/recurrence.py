@@ -124,8 +124,9 @@ def validate_presets():
 
 
 def growth_rate(spec):
-    """Cheap upper bound on max |root| of the characteristic polynomial
-    (Cauchy bound), used only for the term-size budget estimate."""
+    """Cauchy bound B = 1 + max|a_i|: every root of the characteristic
+    polynomial has modulus below B. It sizes the term budget estimate and
+    bounds charpoly's root search."""
     return 1 + max(abs(spec.a1), abs(spec.a2), abs(spec.a3))
 
 

@@ -150,8 +150,6 @@ def sqrt_mod(a, m, factors=None):
         x, mod = 0, 1
         for r, pe in zip(combo, moduli):
             # CRT merge of x (mod mod) with r (mod pe)
-            g = math.gcd(mod, pe)
-            assert g == 1
             x = (x + mod * ((r - x) * pow(mod, -1, pe) % pe)) % (mod * pe)
             mod *= pe
         roots.append(x)

@@ -4,9 +4,12 @@ import itertools
 import json
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 
+from ternary_squares import charpoly
 from ternary_squares.charpoly import (Irreducible, LinearTimesQuadratic,
                                       RepeatedRoot, ThreeLinear,
                                       _exponent_gap, char_poly,
@@ -223,6 +226,135 @@ def test_gamma_three_real_irrational_roots():
     assert root_moduli(spec) == pytest.approx(expected, abs=1e-11)
 
 
+def _psi_sign(spec, num, g):
+    """Sign of Psi(num / 2^g), from the integer 2^(3g) Psi(num / 2^g)."""
+    a1, a2, a3 = spec.coefficients
+    v = num**3 - (a1 * num * num << g) - (a2 * num << 2 * g) - (a3 << 3 * g)
+    return (v > 0) - (v < 0)
+
+
+def _brackets_root(spec, m, sign):
+    """Psi(sign * x) changes sign between m - ulp(m)/2 and m + ulp(m)/2."""
+    n, d = m.as_integer_ratio()
+    u, du = math.ulp(m).as_integer_ratio()
+    den = 2 * max(d, du)                # both ends are multiples of 1/den
+    mid, half = n * (den // d), u * (den // du) // 2
+    g = den.bit_length() - 1
+    return (_psi_sign(spec, sign * (mid - half), g)
+            * _psi_sign(spec, sign * (mid + half), g) <= 0)
+
+
+def moduli_error(spec, moduli):
+    """None when the moduli of a cubic with simple roots are right, else why.
+
+    Every real-root modulus must bracket a root of Psi(x) or Psi(-x) within
+    half an ulp, and the three must multiply to |a3| within a few ulps.
+    With one real root r, the other two are the conjugate pair, and r has
+    the sign of a3 = r |z|^2.
+    """
+    num, den = 1, 1
+    for m in moduli:
+        n, d = m.as_integer_ratio()
+        num, den = num * n, den * d
+    a3 = abs(spec.a3)
+    if abs(num - a3 * den) << 50 > a3 * den:
+        return "the moduli do not multiply to |a3|"
+    if discriminant(spec) > 0:
+        if all(_brackets_root(spec, m, 1) or _brackets_root(spec, m, -1)
+               for m in moduli):
+            return None
+        return "a real root is not within half an ulp of its modulus"
+    sign = 1 if spec.a3 > 0 else -1
+    for i, m in enumerate(moduli):
+        pair = moduli[:i] + moduli[i + 1:]
+        if pair[0] == pair[1] and _brackets_root(spec, m, sign):
+            return None
+    return "the real root is not within half an ulp of its modulus"
+
+
+def random_cubics(seed, count, size):
+    rng = random.Random(seed)
+    while count:
+        a1, a2, a3 = (rng.randint(-size, size) for _ in range(3))
+        if a3:
+            count -= 1
+            yield RecurrenceSpec(a1, a2, a3, 0, 0, 1)
+
+
+def test_root_moduli_are_correctly_rounded_on_30_digit_cubics():
+    # the float cut points and 130 fixed halvings this replaced raised on
+    # 58 of these cubics and returned a modulus off by up to 1.5e-8 on 134
+    for spec in random_cubics(1, 300, 10**30):
+        moduli = root_moduli(spec)
+        assert moduli_error(spec, moduli) is None, (spec, moduli)
+
+
+def test_root_moduli_near_a_cut():
+    # a1^2 + 3*a2 < 0, and 27 Psi(1/3) = -2: the real root is within
+    # 1e-31 of the one cut, a1/3
+    spec = RecurrenceSpec(1, -3 * 10**30, 10**30, 0, 0, 1)
+    a1, a2, a3 = spec.coefficients
+    assert a1 * a1 + 3 * a2 < 0 and -2 * a1**3 - 9 * a1 * a2 - 27 * a3 == -2
+    moduli = root_moduli(spec)
+    assert moduli == [0.3333333333333333, 1732050807568877.2,
+                      1732050807568877.2]
+    assert moduli_error(spec, moduli) is None
+    # three real roots, two of them near +-1e-15 on either side of the cut
+    # at the critical point 0, where Psi(0) = -1
+    spec = RecurrenceSpec(-10**30, 0, 1, 0, 0, 1)
+    moduli = root_moduli(spec)
+    assert moduli == [1e-15, 1e-15, 1e30]
+    assert moduli_error(spec, moduli) is None
+
+
+_FOUND_SPEC = {"a1": 744726489994537504424004986909,
+               "a2": -959661318383078421607848799266,
+               "a3": 168119623153026641257349179253,
+               "u0": 0, "u1": 0, "u2": 1}
+
+_MODULI_UNDER_OPTIMIZE = """
+import contextlib, io, json, sys
+from ternary_squares.charpoly import root_moduli
+from ternary_squares.cli import main
+from ternary_squares.recurrence import RecurrenceSpec
+
+assert not __debug__, "run me under python -O"
+found, cubics = json.load(sys.stdin)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["analyze", "--spec", json.dumps(found)])
+print(json.dumps({
+    "code": code,
+    "analyze": json.loads(out.getvalue()),
+    "moduli": [root_moduli(RecurrenceSpec(*c, 0, 0, 1)) for c in cubics],
+}))
+"""
+
+
+def test_root_moduli_are_right_under_optimize():
+    specs = [RecurrenceSpec(_FOUND_SPEC["a1"], _FOUND_SPEC["a2"],
+                            _FOUND_SPEC["a3"], 0, 0, 1)]
+    specs += random_cubics(1, 300, 10**30)
+    stdin = json.dumps([_FOUND_SPEC, [s.coefficients for s in specs]])
+    proc = subprocess.run([sys.executable, "-O", "-c", _MODULI_UNDER_OPTIMIZE],
+                          input=stdin, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["code"] == 2      # a3 != +-1, so condition (ii) fails
+    assert result["analyze"]["factorization"] == {"kind": "irreducible"}
+    assert result["analyze"]["gamma"] == result["moduli"][0][-1]
+    for spec, moduli in zip(specs, result["moduli"]):
+        assert moduli_error(spec, moduli) is None, (spec, moduli)
+
+
+def test_zero_discriminant_without_a_full_split_raises(monkeypatch):
+    # a plain check, not an assert, so it holds under python -O too
+    monkeypatch.setattr(charpoly, "_scaled_roots", lambda spec, e: [])
+    with pytest.raises(ArithmeticError, match="do not split"):
+        factorize(POW2_PLUS_N)
+
+
 def test_conditions_good_presets():
     for spec in (TRIBONACCI, POW2_PLUS_FIB):
         a = check_conditions(spec)
@@ -276,7 +408,7 @@ def test_analyze_grid_pin():
              if a3 != 0]
     assert len(lines) == 6498
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
-        "35d3356df141d1abf0144c6c1c10b4465d16fafb585482a0df7f1bf3951cea79"
+        "0da263b07b4a7665fca71dbc6b008e2df048c8c2661ca40d34cdce64c70801d4"
 
 
 def test_solve_exponents_paper_values():

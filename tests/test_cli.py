@@ -636,3 +636,19 @@ def test_analyze_huge_a3_is_fast(capsys):
     assert time.monotonic() - start < 1
     assert code == 2
     assert json.loads(out)["cond_ii"] is False
+
+
+def test_count_x_past_an_index_is_input_error(capsys):
+    code, out, err = run_cli(capsys, "count", "--preset", "tribonacci",
+                             "--x", str(10**30))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_analyze_gamma_past_a_float_is_input_error(capsys):
+    # the dominant root is near a1 = 10^309, past the largest float
+    spec = json.dumps({"a1": 10**309, "a2": 1, "a3": 1,
+                       "u0": 0, "u1": 0, "u2": 1})
+    code, out, err = run_cli(capsys, "analyze", "--spec", spec)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
