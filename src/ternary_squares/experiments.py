@@ -8,10 +8,12 @@ experiments pass by an explicit tolerance carried in the parameters.
 """
 
 import math
+from itertools import islice
 
 from . import modular as md
 from .charpoly import is_degenerate
-from .modular import DEFAULT_SCAN_STATES, classify_prime, in_Z, z_primes
+from .modular import (DEFAULT_SCAN_STATES, classify_prime, frobenius_terms,
+                      in_Z, z_primes)
 from .primes import factorize, iter_primes
 from .recurrence import DEFAULT_TERM_DIGITS, term_iter
 from .representation import _WITNESS_CLASSES, _witness_formula
@@ -166,7 +168,11 @@ def beukers_zero_count(spec, n_max, term_digits=DEFAULT_TERM_DIGITS):
 def char_sum_sweep(spec, p_max, max_states=DEFAULT_SCAN_STATES):
     """max |sum of (V_{c+dk}/p)| / p over p in Z up to p_max (with the
     period within budget) and d in {1,2,3}, c < d. The remark after the
-    progression lemma says 6 bounds the implied constant."""
+    progression lemma says 6 bounds the implied constant.
+
+    One period of V is the first t_p terms of `frobenius_terms`, t_p from
+    `classify_prime`: at a prime in Z, Frobenius permutes the roots, so V
+    and U have the same period."""
     report = ExperimentReport("char-sum-sweep",
                               {"p_max": p_max, "max_states": max_states,
                                "bound": 6})
@@ -177,7 +183,7 @@ def char_sum_sweep(spec, p_max, max_states=DEFAULT_SCAN_STATES):
         if prof.t_p > max_states:
             skipped += 1
             continue
-        values = md._v_values_one_period(spec, p, max_states)
+        values = list(islice(frobenius_terms(spec, p), prof.t_p))
         chi = [2 * s - 1 for s in _squares_mod(p)]
         chi[0] = 0
         checked += 1

@@ -19,6 +19,7 @@ F_p^2, swapped by x -> x^p.
 """
 
 import math
+from itertools import islice
 
 from ._record import record
 from .charpoly import discriminant
@@ -79,22 +80,6 @@ def _x_pow(e, p, r3, r4):
         if bit == "1":
             c0, c1, c2 = c2 * s0 % p, (c0 + c2 * s1) % p, (c1 + c2 * s2) % p
     return (c0, c1, c2)
-
-
-def frobenius_seed(spec, p):
-    """(W_0, W_1, W_2) = (U_0, U_p, U_2p) mod p, from one X^p and one ring
-    square.
-
-    Frobenius is a ring endomorphism of F_p[X]/Psi that fixes F_p, so X^p
-    is a root of Psi there, and W_k = U_{kp} mod p obeys U's own
-    recurrence, W_{k+3} = a1*W_{k+2} + a2*W_{k+1} + a3*W_k, for every
-    prime p (ramified, or dividing a3, alike)."""
-    u0, u1, u2 = spec.initial_terms
-    rows = _reduction_rows(spec, p)
-    c = _x_pow(p, p, *rows)
-    c2 = _polymulmod(c, c, p, *rows)
-    return (u0 % p, (c[0] * u0 + c[1] * u1 + c[2] * u2) % p,
-            (c2[0] * u0 + c2[1] * u1 + c2[2] * u2) % p)
 
 
 def term_mod(spec, n, p):
@@ -350,24 +335,40 @@ def z_primes(spec, x):
 # ---------------------------------------------------------------------------
 # the reduced sequence V and sums over it
 
-def _v_values_one_period(spec, p, max_states):
-    """V_0 .. V_{t-1}, V_m = U_{p*m} mod p, where t is the state period of
-    V; p must not divide a3.
+def frobenius_terms(spec, p):
+    """W_0, W_1, W_2, ... with W_k = U_{kp} mod p, without end.
 
-    V obeys the recurrence of U mod p (see `frobenius_seed`): one
-    stepping pass from (V_0, V_1, V_2).
-    """
-    s0 = frobenius_seed(spec, p)
-    a1, a2, a3 = (c % p for c in spec.coefficients)
-    values = []
-    x, y, z = s0
-    for _ in range(max_states + 1):
-        values.append(x)
-        x, y, z = y, z, (a1 * z + a2 * y + a3 * x) % p
-        if (x, y, z) == s0:
-            return values
-    raise ScanBudgetError(
-        f"V period for p={p} exceeds the {max_states}-state budget")
+    Frobenius is a ring endomorphism of F_p[X]/Psi that fixes F_p, so X^p
+    is a root of Psi there, and W obeys U's own recurrence,
+    W_{k+3} = a1*W_{k+2} + a2*W_{k+1} + a3*W_k, for every prime p
+    (ramified, or dividing a3, alike). The first next() makes W_1 and W_2
+    from one X^p and one ring square; every later term is one scalar
+    step, and no period is assumed."""
+    u0, u1, u2 = spec.initial_terms
+    a1, a2, a3 = (a % p for a in spec.coefficients)
+    rows = _reduction_rows(spec, p)
+    c = _x_pow(p, p, *rows)
+    c2 = _polymulmod(c, c, p, *rows)
+    w0, w1, w2 = (u0 % p, (c[0] * u0 + c[1] * u1 + c[2] * u2) % p,
+                  (c2[0] * u0 + c2[1] * u1 + c2[2] * u2) % p)
+    while True:
+        yield w0
+        w0, w1, w2 = w1, w2, (a1 * w2 + a2 * w1 + a3 * w0) % p
+
+
+def frobenius_period(spec, p, k_max):
+    """[W_1, ..., W_t], W_k = U_{kp} mod p read off c^k for c = X^p modulo
+    (characteristic cubic, p), one ring product apart. t is the least k
+    with c^k = 1, where W starts over (never where p | a3), or k_max if
+    that comes first; k_max must be positive."""
+    r3, r4 = _reduction_rows(spec, p)
+    u0, u1, u2 = (t % p for t in spec.initial_terms)
+    c = step = _x_pow(p, p, r3, r4)
+    period = [(c[0] * u0 + c[1] * u1 + c[2] * u2) % p]
+    while c != (1, 0, 0) and len(period) < k_max:
+        c = _polymulmod(c, step, p, r3, r4)
+        period.append((c[0] * u0 + c[1] * u1 + c[2] * u2) % p)
+    return period
 
 
 def _progression_word(values, c, d):
@@ -405,17 +406,21 @@ def in_P_fU(spec, p, f_p):
     m_7 - m_1 <= f_p?  Returns (flag, witness indices or None); the
     witness is the one with the smallest m_1.
 
-    Works at every odd p not dividing a3, in Z or not, ramified included:
-    V_m = U_{p*m} mod p is stepped over one period t, and m is scanned in
+    Works at every odd prime p not dividing a3, in Z or not, ramified
+    included; `classify_prime` raises ValueError at any other p. Its
+    period t_p of U mod p gives t = t_p / gcd(t_p, p), a period of
+    V_m = U_{p*m} mod p since p*t is a multiple of t_p. V is read off
+    `frobenius_terms` over one such period, and m is scanned in
     [1, t + min(f_p, 6t)]. Periodicity makes that window exhaustive: a
     run may start in [1, t], and 7 consecutive zeros span at most 6t.
     """
-    if p == 2 or spec.a3 % p == 0:
-        raise ValueError("need odd p not dividing a3")
     if f_p < 1:
         raise ValueError("f_p must be positive")
-    values = _v_values_one_period(spec, p, DEFAULT_SCAN_STATES)
-    t = len(values)
+    t_p = classify_prime(spec, p).t_p
+    t = t_p // math.gcd(t_p, p)
+    if t > DEFAULT_SCAN_STATES:
+        raise ScanBudgetError(f"V period {t} at p={p} exceeds the budget")
+    values = list(islice(frobenius_terms(spec, p), t))
     zeros = [m for m in range(1, t + int(min(f_p, 6 * t)) + 1)
              if values[m % t] == 0]
     for i in range(len(zeros) - 6):

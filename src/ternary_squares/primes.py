@@ -127,7 +127,7 @@ def pollard_brent(n, deadline=None):
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += m
             r *= 2
@@ -135,7 +135,7 @@ def pollard_brent(n, deadline=None):
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
         # rare cycle failure: retry with the next parameter pair

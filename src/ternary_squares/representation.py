@@ -9,9 +9,9 @@ non-member from a partial factorization (method partial_factor).
 On top of that sits the cheap quadratic-residue obstruction: an odd prime
 p | n with U_n a nonresidue mod p certifies that U_n = u^2 + n*v^2 has
 no solution at all. `count` finds it for every n <= x at once with a
-prime-major sieve, which steps U_p, U_2p, ... mod p by ring products
-over one period and tiles that period's flags over the multiples of p;
-`qr_obstruction` decides one index.
+prime-major sieve, which takes one period of U_p, U_2p, ... mod p from
+`modular.frobenius_period` (ring products) and tiles that period's flags
+over the multiples of p; `qr_obstruction` decides one index.
 
 Each verdict names its method: qr_sieve (Obstructed), witness_formula,
 sign (a negative U_n), enumeration, partial_factor, cornacchia, or
@@ -28,21 +28,20 @@ one join and tallies them from the table.
 Every Member, Obstructed, witness and partial_factor verdict is
 re-verified by an explicit check that raises CertificateError, so the
 checks also run under -O. `count` re-verifies its obstructions prime by
-prime, on the subsequence U_p, U_2p, ... mod p, which obeys U's own
-recurrence, seeded from one fresh X^p and stepped over every multiple
-with no period assumed; a block compares its obstructed indices with
-those flags, and at the first that failed the stream yields the rows
-before it as a shorter block, then raises. `membership` re-verifies its
-one obstruction by a fresh term_mod.
+prime, on U_p, U_2p, ... mod p from `modular.frobenius_terms`: seeded
+from one fresh X^p and stepped over every multiple with no period
+assumed. A block compares its obstructed indices with those flags, and
+at the first that failed the stream yields the rows before it as a
+shorter block, then raises. `membership` re-verifies its one
+obstruction by a fresh term_mod.
 """
 
 import math
 from array import array
-from itertools import chain, compress
+from itertools import chain, compress, islice
 
 from ._record import record
-from .modular import (_polymulmod, _reduction_rows, _x_pow,
-                      frobenius_seed, term_mod)
+from .modular import frobenius_period, frobenius_terms, term_mod
 from .primes import (FactorTimeout, divisors_from_factorization, factorize,
                      is_prime, iter_primes, trial_division)
 from .recurrence import (DEFAULT_TERM_DIGITS, FIVE_FIB_SQ_MINUS_4,
@@ -193,8 +192,6 @@ def _represent(n_big, n, factor_timeout_s):
         raise ValueError("N must be nonnegative")
     if n < 1:
         raise ValueError("n must be positive")
-    if n_big == 0:
-        return Member(0, 0), "enumeration"
     if math.isqrt(n_big // n) <= ENUM_LIMIT:
         status, method = _represent_enumerate(n_big, n), "enumeration"
     else:
@@ -297,24 +294,17 @@ def obstruction_table(spec, x):
     quadratic nonresidue mod p, or 0 where there is none.
 
     Prime-major, primes going up, so the first prime recorded at n is the
-    smallest. At each odd prime p, W_k = U_{kp} mod p is read off c^k,
-    c = X^p modulo (characteristic cubic, p), one ring product apart,
-    until c^k = 1, where W starts over (never where p | a3), or k = x/p.
-    That period's nonresidue flags, from the table of squares mod p when
-    p <= x/p and else by Euler's criterion, are tiled over the multiples
-    of p. Agrees with qr_obstruction. An array of machine ints: about 8
-    bytes per index.
+    smallest. At each odd prime p, `frobenius_period` gives
+    W_k = U_{kp} mod p by ring products, k = 1 up to where W starts over
+    or to x/p. That period's nonresidue flags, from the table of squares
+    mod p when p <= x/p and else by Euler's criterion, are tiled over the
+    multiples of p. Agrees with qr_obstruction. An array of machine ints:
+    about 8 bytes per index.
     """
     obs = array("L", [0]) * (x + 1)
     for p in list(iter_primes(x))[1:]:
         k_max = x // p
-        r3, r4 = _reduction_rows(spec, p)
-        u0, u1, u2 = (t % p for t in spec.initial_terms)
-        c = step = _x_pow(p, p, r3, r4)
-        period = [(c[0] * u0 + c[1] * u1 + c[2] * u2) % p]
-        while c != (1, 0, 0) and len(period) < k_max:
-            c = _polymulmod(c, step, p, r3, r4)
-            period.append((c[0] * u0 + c[1] * u1 + c[2] * u2) % p)
+        period = frobenius_period(spec, p, k_max)
         if p <= k_max:
             squares = _squares_mod(p)
             flags = bytes([not squares[r] for r in period])
@@ -327,29 +317,15 @@ def obstruction_table(spec, x):
     return obs
 
 
-def frobenius_terms(spec, p, k_max):
-    """U_p, U_2p, ..., U_{k_max*p} mod p, one scalar step each.
-
-    W_k = U_{kp} mod p obeys U's own recurrence (see `frobenius_seed`),
-    seeded with W_0, W_1, W_2 from one fresh X^p, and only when
-    k_max >= 1. No period is assumed: every multiple is stepped."""
-    if k_max < 1:
-        return
-    a1, a2, a3 = spec.coefficients
-    w0, w1, w2 = frobenius_seed(spec, p)
-    for _ in range(k_max):
-        yield w1
-        w0, w1, w2 = w1, w2, (a1 * w2 + a2 * w1 + a3 * w0) % p
-
-
 def verified_obstructions(spec, obs):
     """bytearray ok with ok[n] = 1 exactly where p = obs[n] is an odd prime
     of a fresh sieve, p | n and U_n mod p is a nonzero nonresidue.
 
     An independent re-check of obstruction_table, prime-major too, but on
-    another path: the terms come from frobenius_terms, stepped up to the
-    last multiple of p that names p from its own X^p, instead of the
-    sieve's tiled period of ring products.
+    another path: the terms come from `frobenius_terms`, scalar steps
+    from its own X^p over every multiple of p up to the last that names
+    p, instead of the sieve's tiled period of ring products. A prime that
+    names no index makes no walker.
     """
     x = len(obs) - 1
     ok = bytearray(x + 1)
@@ -357,7 +333,9 @@ def verified_obstructions(spec, obs):
         end = x - x % p     # down to the last multiple of p that names p
         while end and obs[end] != p:
             end -= p
-        terms = frobenius_terms(spec, p, end // p)
+        if not end:
+            continue
+        terms = islice(frobenius_terms(spec, p), 1, None)
         for n, r in zip(range(p, end + 1, p), terms):
             if obs[n] == p and _is_nonresidue(r, p):
                 ok[n] = 1

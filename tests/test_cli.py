@@ -608,6 +608,28 @@ def test_usage_errors_exit_1(capsys):
     assert exc.value.code == 0
 
 
+@pytest.mark.parametrize("argv, says", [
+    (("count", "--preset", "tribonacci", "--x", "0", "--threads", "1"),
+     "--x must be >= 1"),
+    (("verify", "omega-iz", "--preset", "tribonacci"), "['n']"),
+    (("verify", "counterexample-density", "--spec",
+      '{"a1":1,"a2":1,"a3":1,"u0":0,"u1":0,"u2":1}'), "needs --preset"),
+])
+def test_input_errors_exit_1_with_one_line(capsys, argv, says):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert says in err
+
+
+def test_config_array_is_input_error(tmp_path, capsys):
+    cfg = tmp_path / "array.json"
+    cfg.write_text(json.dumps(["tribonacci"]))
+    code, out, err = run_cli(capsys, "analyze", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err == "error: config file must hold a JSON object\n"
+
+
 def test_budget_validation(capsys):
     code, _, err = run_cli(capsys, "analyze", "--preset", "tribonacci",
                            "--factor-timeout", "-1")

@@ -5,9 +5,12 @@ import tracemalloc
 import pytest
 
 from ternary_squares import experiments as ex
+from ternary_squares import modular
+from ternary_squares.modular import term_mod, z_primes
 from ternary_squares.recurrence import (FIVE_FIB_SQ_MINUS_4, POW2_PLUS_FIB,
                                         POW2_PLUS_N, SQUARE_POW, TRIBONACCI,
                                         RecurrenceSpec)
+from ternary_squares.sqrtmod import legendre
 
 
 def largest_prime_factor(n):
@@ -90,6 +93,16 @@ def test_hard_count_bounds():
     assert ex.shifted_prime_count(x, y, z, 1) <= len(list(iter_primes(x)))
 
 
+def test_counter_input_errors():
+    with pytest.raises(ValueError, match="lam"):
+        ex.shifted_prime_count(50, 2, 4, 0)
+    with pytest.raises(ValueError, match="z <= x"):
+        ex.divisor_interval_count(20, 2, 30)
+    for z3, y2 in ((10, 10), (100, 2)):
+        with pytest.raises(ValueError, match="z3 < y2"):
+            ex.omega_IZ(TRIBONACCI, 91, z3, y2)
+
+
 def test_omega_iz_examples():
     assert ex.omega_IZ(TRIBONACCI, 91, 2, 100) == 2      # 91 = 7 * 13
     assert ex.omega_IZ(TRIBONACCI, 8, 2, 100) == 0
@@ -148,6 +161,40 @@ def test_char_sum_sweep():
     r = ex.char_sum_sweep(TRIBONACCI, 100)
     assert r.passed
     assert dict(r.observations)["max_abs_sum_over_p"] <= 6
+
+
+@pytest.mark.parametrize("spec", [TRIBONACCI, RecurrenceSpec(1, -1, -1, 1, 2, 3)])
+def test_char_sum_sweep_matches_term_mod_oracle(spec, monkeypatch):
+    # every progression sum the sweep takes, against V_m = U_{pm} mod p
+    # from term_mod, with V's period and each progression's minimal
+    # period found by brute force and the sum taken by Legendre symbols
+    def first_period(word):
+        n = len(word)
+        return next(t for t in range(1, n + 1)
+                    if all(word[i] == word[(i + t) % n] for i in range(n)))
+
+    expect = {}
+    for p in z_primes(spec, 60):
+        v = [term_mod(spec, p * m, p) for m in range(2 * p * p)]
+        t_v = next(t for t in range(1, p * p) if v[t:t + 3] == v[:3])
+        for d in (1, 2, 3):
+            for c in range(d):
+                word = [v[(c + d * k) % t_v]
+                        for k in range(1, t_v // math.gcd(d, t_v) + 1)]
+                expect[p, c, d] = sum(legendre(w, p)
+                                      for w in word[:first_period(word)])
+    sums = {}
+    inner = modular._progression_char_sum
+
+    def recorded(values, c, d, chi):
+        sums[len(chi), c, d] = inner(values, c, d, chi)
+        return sums[len(chi), c, d]
+
+    monkeypatch.setattr(modular, "_progression_char_sum", recorded)
+    r = ex.char_sum_sweep(spec, 60)
+    assert sums == expect
+    assert dict(r.observations)["max_abs_sum_over_p"] == \
+        max(abs(s) / p for (p, _, _), s in expect.items())
 
 
 def test_counterexample_densities():

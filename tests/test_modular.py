@@ -2,6 +2,7 @@ import math
 import random
 import subprocess
 import sys
+from itertools import islice
 
 import pytest
 
@@ -11,8 +12,8 @@ from ternary_squares.modular import (DEFAULT_SCAN_STATES, RAMIFIED,
                                      PrimeProfile, ScanBudgetError,
                                      _polymulmod,
                                      _progression_char_sum, _progression_word,
-                                     _reduction_rows, _v_values_one_period,
-                                     _x_pow, classify_prime, count_roots_mod_p,
+                                     _reduction_rows, _x_pow, classify_prime,
+                                     count_roots_mod_p, frobenius_terms,
                                      in_P_fU, in_Z, term_mod, z_primes)
 from ternary_squares.primes import iter_primes
 from ternary_squares.recurrence import (FIVE_FIB_SQ_MINUS_4, POW2_PLUS_FIB,
@@ -36,8 +37,9 @@ def period_by_iteration(spec, p, max_states=DEFAULT_SCAN_STATES):
 
 
 def v_period(spec, p):
-    """One period V_0 .. V_{t-1} of V_m = U_{p*m} mod p."""
-    return _v_values_one_period(spec, p, DEFAULT_SCAN_STATES)
+    """One period V_0 .. V_{t-1} of V_m = U_{p*m} mod p at a prime p in Z,
+    where t_p is V's period."""
+    return list(islice(frobenius_terms(spec, p), classify_prime(spec, p).t_p))
 
 
 def chi_table(p):
@@ -73,6 +75,13 @@ def test_term_mod_examples():
     assert term_mod(TRIBONACCI, 10**9, 7) == term_mod(TRIBONACCI, 10**9 % 48, 7)
     assert term_mod(TRIBONACCI, 0, 5) == 0
     assert term_mod(POW2_PLUS_FIB, 0, 7) == 1
+
+
+def test_term_mod_input_errors():
+    with pytest.raises(ValueError, match="modulus"):
+        term_mod(TRIBONACCI, 5, 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        term_mod(TRIBONACCI, -1, 7)
 
 
 def x_pow_by_products(spec, e, p):
@@ -587,7 +596,7 @@ def test_progression_tables_match_word_oracle():
     for spec in specs:
         for p in z_primes(spec, 300):
             prof = classify_prime(spec, p)
-            values = _v_values_one_period(spec, p, DEFAULT_SCAN_STATES)
+            values = v_period(spec, p)
             chi = chi_table(p)
             euler = [legendre(a, p) for a in range(p)]
             t_v = len(values)
@@ -679,13 +688,24 @@ def test_in_P_fU_bad_inputs():
         in_P_fU(POW2_PLUS_FIB, 2, 5)
     with pytest.raises(ValueError):
         in_P_fU(TRIBONACCI, 7, 0)
+    with pytest.raises(ValueError, match="not prime"):
+        in_P_fU(TRIBONACCI, 9, 5)
 
 
 def test_scan_budget_errors():
     with pytest.raises(ScanBudgetError):
         period_by_iteration(TRIBONACCI, 97, max_states=10)
+
+
+def test_in_P_fU_scan_budget(monkeypatch):
+    # V's period at 13 is t_13 = 168: a budget below it raises, one at it
+    # does not
+    assert classify_prime(TRIBONACCI, 13).t_p == 168
+    monkeypatch.setattr(modular, "DEFAULT_SCAN_STATES", 167)
     with pytest.raises(ScanBudgetError):
-        _v_values_one_period(TRIBONACCI, 13, 10)    # t(13) = 168
+        in_P_fU(TRIBONACCI, 13, 5)
+    monkeypatch.setattr(modular, "DEFAULT_SCAN_STATES", 168)
+    assert in_P_fU(TRIBONACCI, 13, 5) == (False, None)
 
 
 def test_lemma5_divisibilities_small_sweep():

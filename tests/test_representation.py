@@ -4,11 +4,13 @@ import subprocess
 import sys
 import tracemalloc
 from decimal import Decimal
+from itertools import islice
 
 import pytest
 
 from ternary_squares import modular, representation
-from ternary_squares.modular import _reduction_rows, _x_pow, term_mod
+from ternary_squares.modular import (_reduction_rows, _x_pow,
+                                     frobenius_terms, term_mod)
 from ternary_squares.primes import factorize, is_prime, iter_primes
 from ternary_squares.representation import (_SQUARE_SIEVE, Member, NonMember,
                                             CertificateError,
@@ -16,7 +18,6 @@ from ternary_squares.representation import (_SQUARE_SIEVE, Member, NonMember,
                                             SieveBlock, Unknown, _pool_plan,
                                             _represent, _represent_enumerate,
                                             classify_range, count_range,
-                                            frobenius_terms,
                                             membership, non_squarefree_count,
                                             obstruction_table, qr_obstruction,
                                             represent, status_name,
@@ -55,6 +56,8 @@ def test_integer_sqrt():
 def test_represent_examples():
     assert represent(233, 13) == Member(5, 4)    # F_13 = 233
     assert represent(0, 5) == Member(0, 0)
+    # N = 0 needs no branch of its own: the scan's first v = 0 finds it
+    assert _represent(0, 5, 1.0) == (Member(0, 0), "enumeration")
     assert represent(13, 7) == NonMember()
     assert represent(4, 5) == Member(2, 0)
 
@@ -231,6 +234,13 @@ def test_membership_validation():
         membership(RecurrenceSpec(1, 1, 1, 0, 0, 0), 5, 10)
 
 
+def test_classify_range_validation():
+    with pytest.raises(ValueError, match="x must be"):
+        classify_range(TRIBONACCI, 0, 0)
+    with pytest.raises(ValueError, match="all-zero"):
+        classify_range(RecurrenceSpec(1, 1, 1, 0, 0, 0), 10, 0)
+
+
 def expand(items):
     """The records of a classify_range stream, each SieveBlock expanded
     index by index: the oracle view of the columnar tier."""
@@ -361,7 +371,7 @@ def test_obstruction_table_steps_one_period(monkeypatch):
                for p in (3, 5, 7, 11, 13)}
     assert periods == {3: 13, 5: 31, 7: 48, 11: 10, 13: 168}
     products = []
-    _counting(monkeypatch, representation, "_polymulmod", products)
+    _counting(monkeypatch, modular, "_polymulmod", products)
     assert 3 in obstruction_table(TRIBONACCI, x)
     assert 0 < sum(p == 3 for _, _, p, _, _ in products) <= 13
 
@@ -377,24 +387,25 @@ def test_obstruction_recheck_matches_term_mod(spec):
     assert any(obs[n] and spec.a3 % obs[n] == 0 for n in range(x + 1)) \
         or abs(spec.a3) < 3
     for p in set(obs) - {0}:
-        terms = list(frobenius_terms(spec, p, x // p))
+        terms = list(islice(frobenius_terms(spec, p), x // p + 1))
         assert terms == [term_mod(spec, n, p)
-                         for n in range(p, x + 1, p)], (spec, p)
+                         for n in range(0, x + 1, p)], (spec, p)
     ok = verified_obstructions(spec, obs)
     assert [n for n in range(x + 1) if ok[n]] == \
         [n for n in range(x + 1) if obs[n]]
 
 
 def test_frobenius_terms_seeds_lazily(monkeypatch):
-    u_7 = term_mod(TRIBONACCI, 7, 7)
-    seeds, powers = [], []
-    _counting(monkeypatch, representation, "frobenius_seed", seeds)
+    u_7, u_14 = term_mod(TRIBONACCI, 7, 7), term_mod(TRIBONACCI, 14, 7)
+    powers = []
     _counting(monkeypatch, modular, "_x_pow", powers)
-    assert list(frobenius_terms(TRIBONACCI, 7, 0)) == [] and seeds == []
-    assert list(frobenius_terms(TRIBONACCI, 7, 1)) == [u_7]
-    # one seed, made from one fresh X^p
-    assert [p for _, p in seeds] == [7]
+    walker = frobenius_terms(TRIBONACCI, 7)
+    assert powers == []
+    assert next(walker) == TRIBONACCI.u0 % 7
+    # the first term makes the seed from one fresh X^p, the rest step
     assert [(e, p) for e, p, _, _ in powers] == [(7, 7)]
+    assert [next(walker), next(walker)] == [u_7, u_14]
+    assert len(powers) == 1
 
 
 @pytest.mark.parametrize("p, n", [(9, 9), (3, 8), (2, 4), (4, 8), (3, 6),
@@ -423,16 +434,17 @@ def test_is_nonresidue_is_eulers_criterion():
 
 def test_ring_rows_built_once_per_prime(monkeypatch):
     # the table and the re-check each build the rows of the ring mod p
-    # once per prime: the table at every odd prime up to x, the re-check
-    # (frobenius_seed) at each prime that names an index
+    # once per prime: the table (frobenius_period) at every odd prime up
+    # to x, the re-check (frobenius_terms) at each prime that names an
+    # index
     x = 3000
-    table_rows, seed_rows = [], []
-    _counting(monkeypatch, representation, "_reduction_rows", table_rows)
-    _counting(monkeypatch, modular, "_reduction_rows", seed_rows)
+    rows = []
+    _counting(monkeypatch, modular, "_reduction_rows", rows)
     obs = obstruction_table(TRIBONACCI, x)
-    assert [p for _, p in table_rows] == list(iter_primes(x))[1:]
+    assert [p for _, p in rows] == list(iter_primes(x))[1:]
+    rows.clear()
     verified_obstructions(TRIBONACCI, obs)
-    assert sorted(p for _, p in seed_rows) == sorted(set(obs) - {0})
+    assert sorted(p for _, p in rows) == sorted(set(obs) - {0})
 
 
 def test_membership_rejects_forged_obstruction(monkeypatch):
@@ -444,13 +456,18 @@ def test_membership_rejects_forged_obstruction(monkeypatch):
 
 
 def test_recheck_makes_one_x_pow_per_obstructing_prime(monkeypatch):
-    primes = set(obstruction_table(TRIBONACCI, 30000)) - {0}
-    seeds, term_mods = [], []
-    _counting(monkeypatch, representation, "frobenius_seed", seeds)
+    # one X^p per odd prime for the table, and one more per prime that
+    # names an index for the re-check; no other power and no term_mod
+    x = 30000
+    primes = set(obstruction_table(TRIBONACCI, x)) - {0}
+    powers, term_mods = [], []
+    _counting(monkeypatch, modular, "_x_pow", powers)
     _counting(monkeypatch, representation, "term_mod", term_mods)
-    report = count_range(TRIBONACCI, 30000, 0)
+    report = count_range(TRIBONACCI, x, 0)
     assert report.counts["obstructed"] == 18759
-    assert sorted(p for _, p in seeds) == sorted(primes) and term_mods == []
+    assert all(e == p for e, p, _, _ in powers)
+    assert sorted(p for _, p, _, _ in powers) == \
+        sorted([*list(iter_primes(x))[1:], *primes]) and term_mods == []
 
 
 def test_stream_covers_every_index_once_in_bounded_blocks(monkeypatch):
