@@ -225,10 +225,10 @@ def classify_prime(spec, p):
     """
     if p == 2:
         raise ValueError("p = 2 is excluded from classification")
-    if spec.a3 % p == 0:
-        raise ValueError(f"p = {p} divides a3; the sequence mod p is not purely periodic")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if spec.a3 % p == 0:
+        raise ValueError(f"p = {p} divides a3; the sequence mod p is not purely periodic")
 
     fac_p1 = factorize(p - 1)
     # one memo of X^e, so each descent's last power is not raised again

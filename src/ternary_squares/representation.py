@@ -1,11 +1,11 @@
 """Exact decision of N = u^2 + n*v^2 and membership classification.
 
-Two decision tiers: bounded enumeration over v, square-sieved on long
-ranges, and a Cornacchia tier (factor N, enumerate square divisors
-g^2 | N, take every square root of -n modulo N/g^2, Euclid descent) for
-inputs the scan cannot reach. The Cornacchia tier first looks for an odd
-prime q with (-n/q) = -1 dividing N to an odd power, which certifies a
-non-member from a partial factorization (method partial_factor).
+One exact solver, Cornacchia's: factor N, run over the square divisors
+g^2 | N, take every square root of -n modulo N/g^2 and walk its Euclid
+descent, and keep the solution with the smallest v. It first looks for
+an odd prime q with (-n/q) = -1 dividing N to an odd power, which
+certifies a non-member from a partial factorization (method
+partial_factor).
 On top of that sits the cheap quadratic-residue obstruction: an odd prime
 p | n with U_n a nonresidue mod p certifies that U_n = u^2 + n*v^2 has
 no solution at all. `count` finds it for every n <= x at once with a
@@ -14,7 +14,7 @@ prime-major sieve, which takes one period of U_p, U_2p, ... mod p from
 over the multiples of p; `qr_obstruction` decides one index.
 
 Each verdict names its method: qr_sieve (Obstructed), witness_formula,
-sign (a negative U_n), enumeration, partial_factor, cornacchia, or
+sign (a negative U_n), partial_factor, cornacchia, or
 not_attempted (Unknown past n_exact, where no exact tier ran; an Unknown
 from cornacchia is a factorization timeout).
 
@@ -49,8 +49,6 @@ from .recurrence import (DEFAULT_TERM_DIGITS, FIVE_FIB_SQ_MINUS_4,
                          term, term_walker)
 from .sqrtmod import _squares_mod, integer_sqrt, legendre, sqrt_mod
 
-# the largest sqrt(N/n) that _represent enumerates; read at each call
-ENUM_LIMIT = 10**6
 DEFAULT_FACTOR_TIMEOUT_S = 10.0
 
 
@@ -98,78 +96,20 @@ def status_name(status):
 # ---------------------------------------------------------------------------
 # the representation solver
 
-# Moduli of the square sieve over v, pairwise coprime (2^6, 3^2 * 7,
-# 5 * 13 and the other primes up to 47), each with its table of squares.
-_SQUARE_SIEVE = tuple(
-    (q, _squares_mod(q))
-    for q in (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47))
-_FIRST_SEGMENT = 2 * _SQUARE_SIEVE[0][0]    # no modulus pays below this
-_MAX_SEGMENT = 1 << 16
-
-
-def _represent_enumerate(n_big, n):
-    """Member(u, v) with the smallest v, else NonMember(): isqrt on every
-    v <= sqrt(N/n) that the square sieve keeps, in increasing v."""
-    for candidates in _square_sieve(n_big, n, math.isqrt(n_big // n)):
-        for v in candidates:
-            rest = n_big - n * v * v
-            u = math.isqrt(rest)
-            if u * u == rest:
-                return Member(u, v)
-    return NonMember()
-
-
-def _square_sieve(n_big, n, vmax):
-    """The v in [0, vmax] at which N - n*v^2 is a square modulo every
-    modulus in use, as one iterable per segment, in increasing v.
-
-    Segments double in length up to _MAX_SEGMENT. Each modulus q strikes
-    with one row, its good residues of v repeated over the segment and
-    ANDed in as an integer: a few C-level passes per segment. Setting q up
-    costs about q operations and strikes about half of the candidates, so
-    q joins once a segment expects more than 2q candidates after the
-    moduli already in use; the first segment is the plain range.
-    """
-    in_use = []         # (q, good residues of v mod q), a prefix of the sieve
-    kept = 1.0          # expected share of v that survive the moduli in use
-    lo, size = 0, _FIRST_SEGMENT
-    while lo <= vmax:
-        hi = min(lo + size, vmax + 1)
-        width = hi - lo
-        while len(in_use) < len(_SQUARE_SIEVE):
-            q, squares = _SQUARE_SIEVE[len(in_use)]
-            if width * kept <= 2 * q:
-                break
-            a, b = n_big % q, n % q
-            good = bytes([squares[(a - b * r * r) % q] for r in range(q)])
-            in_use.append((q, good))
-            kept *= sum(good) / q
-        if not kept:        # no v is a square modulo some q
-            return
-        if in_use:
-            mask = -1
-            for q, good in in_use:
-                shift = lo % q
-                row = (good[shift:] + good[:shift]) * (width // q + 1)
-                mask &= int.from_bytes(row[:width], "little")
-            yield compress(range(lo, hi), mask.to_bytes(width, "little"))
-        else:
-            yield range(lo, hi)
-        lo, size = hi, min(2 * size, _MAX_SEGMENT)
-
-
 def _cornacchia_primitive(m, n, m_factors):
-    """A primitive solution (x, y) of x^2 + n*y^2 = m, or None.
+    """The solutions (x, y) of x^2 + n*y^2 = m that the descent finds, m >= 1.
 
     Every primitive solution has y invertible mod m and x/y a square root
     of -n, so walking the Euclidean remainder chain of (m, r) for every
-    root r and square-testing (m - x^2)/n finds one whenever it exists.
-    Candidates are only returned after the equation re-verifies exactly.
+    root r and square-testing (m - x^2)/n finds each of them. Candidates
+    are only yielded after the equation re-verifies exactly.
     """
     if m == 1:
-        return (1, 0)
+        yield (1, 0)
+        return
     if m == n:
-        return (0, 1)
+        yield (0, 1)
+        return
     lim = math.isqrt(m)
     for r in sqrt_mod(-n % m, m, m_factors):
         a, b = m, r
@@ -180,9 +120,8 @@ def _cornacchia_primitive(m, n, m_factors):
             if rem % n == 0:
                 y, exact = integer_sqrt(rem // n)
                 if exact:
-                    return (b, y)
+                    yield (b, y)
             a, b = b, a % b
-    return None
 
 
 def _represent(n_big, n, factor_timeout_s):
@@ -192,10 +131,9 @@ def _represent(n_big, n, factor_timeout_s):
         raise ValueError("N must be nonnegative")
     if n < 1:
         raise ValueError("n must be positive")
-    if math.isqrt(n_big // n) <= ENUM_LIMIT:
-        status, method = _represent_enumerate(n_big, n), "enumeration"
-    else:
-        status, method = _represent_cornacchia(n_big, n, factor_timeout_s)
+    if n_big == 0:
+        return Member(0, 0), "cornacchia"
+    status, method = _represent_cornacchia(n_big, n, factor_timeout_s)
     if isinstance(status, Member):
         _certify(status.u**2 + n * status.v**2 == n_big,
                  f"{method} representation", n)
@@ -220,7 +158,8 @@ def _represent_cornacchia(n_big, n, factor_timeout_s):
     """(status, method): NonMember by an odd-exponent prime q with
     (-n/q) = -1, looked for among the primes below 10^4 before any
     Pollard-Brent step and again in the full factorization (method
-    partial_factor), else the Cornacchia descent."""
+    partial_factor), else the Cornacchia descent: the Member with the
+    smallest v, or NonMember."""
     factors, rest = trial_division(n_big)
     q = _nonmember_prime(factors, n)
     if q is None and rest > 1:
@@ -234,16 +173,18 @@ def _represent_cornacchia(n_big, n, factor_timeout_s):
                  and legendre(-n, q) == -1, f"non-member certificate at q={q}",
                  n)
         return NonMember(), "partial_factor"
-    # imprimitive solutions are g * (primitive solution of N/g^2)
+    # every solution is g * (primitive solution of N/g^2), g = gcd(u, v)
     square_part = {p: e // 2 for p, e in factors.items() if e >= 2}
+    found = []
     for g in divisors_from_factorization(square_part):
-        m = n_big // (g * g)
         m_factors = {p: e - 2 * _val(g, p) for p, e in factors.items()
                      if e - 2 * _val(g, p) > 0}
-        found = _cornacchia_primitive(m, n, m_factors)
-        if found is not None:
-            return Member(g * found[0], g * found[1]), "cornacchia"
-    return NonMember(), "cornacchia"
+        found += [(g * y, g * x) for x, y in
+                  _cornacchia_primitive(n_big // (g * g), n, m_factors)]
+    if not found:
+        return NonMember(), "cornacchia"
+    v, u = min(found)
+    return Member(u, v), "cornacchia"
 
 
 def _val(g, p):
@@ -255,8 +196,8 @@ def _val(g, p):
 
 
 def represent(n_big, n, factor_timeout_s=DEFAULT_FACTOR_TIMEOUT_S):
-    """Decide N = u^2 + n*v^2: Member(u, v), NonMember(), or Unknown()
-    (the latter only on factorization timeout in the Cornacchia tier)."""
+    """Decide N = u^2 + n*v^2: Member(u, v) with the smallest v >= 0,
+    NonMember(), or Unknown() (only on a factorization timeout)."""
     status, _ = _represent(n_big, n, factor_timeout_s)
     return status
 

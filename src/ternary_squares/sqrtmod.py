@@ -3,8 +3,8 @@ test on integers, and the table of squares modulo q.
 
 Tonelli-Shanks for odd primes, Hensel lifting to prime powers, the 2-adic
 case analysis for powers of two, and a CRT combine that enumerates every
-root modulo a composite. The composite enumeration is what the Cornacchia
-tier of the representation solver feeds on.
+root modulo a composite. The composite enumeration is what the
+representation solver's Cornacchia descent feeds on.
 """
 
 import math

@@ -331,6 +331,26 @@ def test_count_csv_is_pinned_at_30000(tmp_path, capsys):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == COUNT_30000_SHA
 
 
+# SHA-256 of the CSV of `count --preset tribonacci --x 142 --n-exact 142`,
+# recorded while a v-enumeration still decided every N with
+# sqrt(N/n) <= 10^6; the one Cornacchia solver writes the same witnesses
+COUNT_142_EXACT_SHA = \
+    "a84d045c0d7d5192d0c6d8acdc2c27a45196ebb65e7f9408bf36bd07787b71a4"
+
+
+def test_count_exact_tier_csv_is_pinned_at_142(tmp_path, capsys):
+    path = tmp_path / "rows.csv"
+    code, summary, _ = _count_to_file(capsys, path, "--preset", "tribonacci",
+                                      "--x", "142", "--n-exact", "142",
+                                      "--threads", "1")
+    assert code == 0
+    assert summary["counts"] == {"member": 16, "non_member": 59,
+                                 "obstructed": 67, "unknown": 0}
+    assert summary["method_counts"] == {"cornacchia": 21, "qr_sieve": 67,
+                                        "partial_factor": 54}
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == COUNT_142_EXACT_SHA
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("n_exact", [0, 40])
 @pytest.mark.parametrize("preset", sorted(PRESETS))

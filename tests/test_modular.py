@@ -690,6 +690,11 @@ def test_in_P_fU_bad_inputs():
         in_P_fU(TRIBONACCI, 7, 0)
     with pytest.raises(ValueError, match="not prime"):
         in_P_fU(TRIBONACCI, 9, 5)
+    # primality is tested before a3 % p, so p = 0 is no ZeroDivisionError
+    # and p = 1 is not refused as a divisor of a3
+    for p in (0, 1):
+        with pytest.raises(ValueError, match="is not prime"):
+            in_P_fU(TRIBONACCI, p, 5)
 
 
 def test_scan_budget_errors():

@@ -31,7 +31,7 @@ def _samples():
         check_conditions(TRIBONACCI), classify_prime(TRIBONACCI, 7),
         PrimeProfile(3, 0, False, t_p=13),
         Member(2, 1), NonMember(), Obstructed(3), Unknown(),
-        MembershipRecord(9, Member(2, 1), "enumeration"),
+        MembershipRecord(9, Member(2, 1), "cornacchia"),
         MembershipRecord(8, Obstructed(3), "qr_sieve"), block,
         count_range(TRIBONACCI, 100, 20),
     ]
@@ -126,7 +126,7 @@ except ValueError:
 class Forged:
     # what a worker process would send for a forged record
     def __reduce__(self):
-        return MembershipRecord, (6, Obstructed(3), "enumeration")
+        return MembershipRecord, (6, Obstructed(3), "cornacchia")
 
 
 try:

@@ -12,12 +12,12 @@ from ternary_squares import modular, representation
 from ternary_squares.modular import (_reduction_rows, _x_pow,
                                      frobenius_terms, term_mod)
 from ternary_squares.primes import factorize, is_prime, iter_primes
-from ternary_squares.representation import (_SQUARE_SIEVE, Member, NonMember,
+from ternary_squares.representation import (Member, NonMember,
                                             CertificateError,
                                             MembershipRecord, Obstructed,
                                             SieveBlock, Unknown, _pool_plan,
-                                            _represent, _represent_enumerate,
-                                            classify_range, count_range,
+                                            _represent, classify_range,
+                                            count_range,
                                             membership, non_squarefree_count,
                                             obstruction_table, qr_obstruction,
                                             represent, status_name,
@@ -30,7 +30,8 @@ from ternary_squares.sqrtmod import integer_sqrt, legendre
 
 
 def plain_scan(n_big, n):
-    """Member(u, v) at the smallest v <= sqrt(N/n), trying every v."""
+    """Member(u, v) at the smallest v <= sqrt(N/n), trying every v: the
+    brute-force oracle of `represent`."""
     for v in range(math.isqrt(n_big // n) + 1):
         rest = n_big - n * v * v
         r = math.isqrt(rest)
@@ -56,8 +57,7 @@ def test_integer_sqrt():
 def test_represent_examples():
     assert represent(233, 13) == Member(5, 4)    # F_13 = 233
     assert represent(0, 5) == Member(0, 0)
-    # N = 0 needs no branch of its own: the scan's first v = 0 finds it
-    assert _represent(0, 5, 1.0) == (Member(0, 0), "enumeration")
+    assert _represent(0, 5, 1.0) == (Member(0, 0), "cornacchia")
     assert represent(13, 7) == NonMember()
     assert represent(4, 5) == Member(2, 0)
 
@@ -65,10 +65,7 @@ def test_represent_examples():
 def test_represent_enumeration_oracle():
     for n_big in range(0, 1200):
         for n in range(1, 25):
-            got = represent(n_big, n)
-            assert isinstance(got, Member) == brute_representable(n_big, n)
-            if isinstance(got, Member):
-                assert got.u**2 + n * got.v**2 == n_big
+            assert represent(n_big, n) == plain_scan(n_big, n), (n_big, n)
 
 
 def _near(n, vmax, rng):
@@ -76,9 +73,11 @@ def _near(n, vmax, rng):
     return rng.randrange(n * vmax * vmax, n * (vmax + 1) ** 2)
 
 
-def test_square_sieve_matches_plain_scan():
+def test_represent_witness_matches_plain_scan():
+    # the smallest-v witness, whichever square divisor and root of -n the
+    # descent reaches it through
     rng = random.Random(11)
-    moduli = [q for q, _ in _SQUARE_SIEVE]
+    moduli = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47)
     every_modulus = math.prod(moduli)
     cases = []
     for _ in range(400):                 # random (N, n), short and long
@@ -93,37 +92,41 @@ def test_square_sieve_matches_plain_scan():
     for n in (1, 2, 7, 64, 65, every_modulus):
         cases.append((rng.randrange(10**6, 10**7) ** 2, n))   # square N
         cases.append((n * 4321**2, n))                         # N = n*v^2
-    for n_big, n in cases:
-        assert _represent_enumerate(n_big, n) == plain_scan(n_big, n), \
-            (n_big, n)
-
-
-def test_square_sieve_across_segments():
-    # the smallest v on either side of each segment start up to 130944
-    # (segments of 128, 256, ..., 2^16); vmax > 2 * 10^5 spans full ones
-    n, start, size = 1000003, 0, 128
-    while start < 131000:
-        for v in (start - 1, start):
-            if v >= 0:
-                n_big = 1 + n * v * v
-                assert _represent_enumerate(n_big, n) == \
-                    plain_scan(n_big, n) == Member(1, v)
-        start, size = start + size, min(2 * size, 1 << 16)
     p = next(k for k in range(200003, 10**6, 4) if is_prime(k))
     q = next(k for k in range(p + 4, 10**6, 4) if is_prime(k))
-    assert _represent_enumerate(p * q, 1) == NonMember()  # both 3 mod 4
-    n, u, v = 3, 12345, 212345
-    assert _represent_enumerate(u * u + n * v * v, n) == \
-        plain_scan(u * u + n * v * v, n)
+    cases += [(p * q, 1), (12345**2 + 3 * 212345**2, 3)]  # p, q = 3 mod 4
+    for n_big, n in cases:
+        assert represent(n_big, n) == plain_scan(n_big, n), (n_big, n)
 
 
-@pytest.fixture
-def cornacchia_only(monkeypatch):
-    """Every N > 0 skips the enumeration and goes to the Cornacchia tier."""
-    monkeypatch.setattr(representation, "ENUM_LIMIT", 0)
+def _two_squares(p):
+    """(a, b) with a^2 + b^2 = p, by trying every a."""
+    return next((a, math.isqrt(p - a * a)) for a in range(math.isqrt(p) + 1)
+                if math.isqrt(p - a * a) ** 2 == p - a * a)
 
 
-def test_cornacchia_tier_differential(cornacchia_only):
+def test_represent_takes_the_smallest_v_past_a_scan():
+    # N = p*q with p = a^2 + b^2 and q = c^2 + d^2 is u^2 + v^2 exactly at
+    # (ac + bd, |ad - bc|), (|ac - bd|, ad + bc) and their swaps; with
+    # sqrt(N) near 10^7 four different v are on offer
+    p, q = 10000121, 10000141
+    assert is_prime(p) and is_prime(q) and p % 4 == q % 4 == 1
+    (a, b), (c, d) = _two_squares(p), _two_squares(q)
+    pairs = {(a * c + b * d, abs(a * d - b * c)),
+             (abs(a * c - b * d), a * d + b * c)}
+    witnesses = pairs | {(v, u) for u, v in pairs}
+    assert len({v for _, v in witnesses}) == 4
+    assert all(u * u + v * v == p * q for u, v in witnesses)
+    u, v = min(witnesses, key=lambda w: w[1])
+    assert _represent(p * q, 1, None) == (Member(u, v), "cornacchia")
+    # a Member row of `count --spec (1,1,1,3,3,3) --x 143 --n-exact 143`
+    # whose U_66 has more than one representation
+    spec = RecurrenceSpec(1, 1, 1, 3, 3, 3)
+    got = represent(term(spec, 66), 66)
+    assert got.v == 65498033 and got.u**2 + 66 * got.v**2 == term(spec, 66)
+
+
+def test_cornacchia_tier_differential():
     rng = random.Random(31)
     for _ in range(500):
         n_big = rng.randrange(1, 10**6)
@@ -134,7 +137,7 @@ def test_cornacchia_tier_differential(cornacchia_only):
             assert got.u**2 + n * got.v**2 == n_big
 
 
-def test_cornacchia_edge_shapes(cornacchia_only):
+def test_cornacchia_edge_shapes():
     # pure square, n*y^2, square divisors, prime powers dividing n
     assert isinstance(represent(16, 3), Member)         # 4^2
     assert isinstance(represent(63, 7), Member)         # 7*9
@@ -153,13 +156,13 @@ def test_fibonacci_prime_representations():
         assert got.u**2 + p * got.v**2 == f_p
 
 
-def test_represent_unknown_on_factor_timeout(cornacchia_only):
+def test_represent_unknown_on_factor_timeout():
     hard = (2**89 - 1) * (2**107 - 1)   # 59-digit semiprime
     got = represent(hard, 3, factor_timeout_s=0.05)
     assert got == Unknown()
 
 
-def test_partial_factor_certifies_before_factoring(cornacchia_only):
+def test_partial_factor_certifies_before_factoring():
     # 7 | N with (-1/7) = -1 decides N before the 59-digit cofactor is
     # split, so the timeout that leaves the semiprime Unknown never fires
     hard = 7 * (2**89 - 1) * (2**107 - 1)
@@ -204,7 +207,7 @@ def test_obstruction_certifies_nonmember():
 
 def test_membership_examples():
     rec = membership(TRIBONACCI, 5, 120)
-    assert rec.status == Member(2, 0) and rec.method == "enumeration"
+    assert rec.status == Member(2, 0) and rec.method == "cornacchia"
     rec = membership(TRIBONACCI, 7, 120)
     assert rec.status == Obstructed(7) and rec.method == "qr_sieve"
     rec = membership(POW2_PLUS_N, 8, 120)
@@ -556,11 +559,10 @@ cut_block = raises_certificate_error(
                                                        (9, 4), (13, 4),
                                                        (17, 1)]
 wrong_method = raises_certificate_error(
-    lambda: rep.MembershipRecord(1, rep.Obstructed(3), "enumeration"))
-rep._represent_enumerate = lambda n_big, n: rep.Member(1, 1)
+    lambda: rep.MembershipRecord(1, rep.Obstructed(3), "cornacchia"))
+rep._cornacchia_primitive = lambda m, n, m_factors: [(1, 1)]
 wrong_member = raises_certificate_error(lambda: rep.represent(233, 13))
 rep._nonmember_prime = lambda factors, n: 3
-rep.ENUM_LIMIT = 0
 wrong_prime = raises_certificate_error(lambda: rep.represent(233, 13))
 sys.exit(0 if wrong_witness and wrong_obstruction and composite_obstruction
          and after_record and cut_block and wrong_method and wrong_member
