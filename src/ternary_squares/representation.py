@@ -2,10 +2,15 @@
 
 One exact solver, Cornacchia's: factor N, run over the square divisors
 g^2 | N, take every square root of -n modulo N/g^2 and walk its Euclid
-descent, and keep the solution with the smallest v. It first looks for
-an odd prime q with (-n/q) = -1 dividing N to an odd power, which
-certifies a non-member from a partial factorization (method
-partial_factor).
+descent, and keep the solution with the smallest v. Three certificates
+of a non-member come first, the first two with no factoring at all:
+- local (certificate m): N mod m outside the image of u^2 + n*v^2 mod m,
+  at m = 64 and at m = q^(e+1) for each odd q^e || n;
+- partial_factor (certificate D = q^e): an odd prime q with
+  (-n/q) = -1 dividing N to an odd power e, among the primes below 10^4
+  and again in the full factorization;
+- jacobi (certificate D): the cofactor D left by the primes below 10^4
+  has gcd(D, 2n) = 1 and Jacobi (-n/D) = -1, so some such q divides D.
 On top of that sits the cheap quadratic-residue obstruction: an odd prime
 p | n with U_n a nonresidue mod p certifies that U_n = u^2 + n*v^2 has
 no solution at all. `count` finds it for every n <= x at once with a
@@ -14,7 +19,7 @@ prime-major sieve, which takes one period of U_p, U_2p, ... mod p from
 over the multiples of p; `qr_obstruction` decides one index.
 
 Each verdict names its method: qr_sieve (Obstructed), witness_formula,
-sign (a negative U_n), partial_factor, cornacchia, or
+sign (a negative U_n), local, partial_factor, jacobi, cornacchia, or
 not_attempted (Unknown past n_exact, where no exact tier ran; an Unknown
 from cornacchia is a factorization timeout).
 
@@ -25,15 +30,15 @@ sieve alone decides (obstructed, or not_attempted), read straight off
 the sieve's table with no per-index object; it writes its CSV rows with
 one join and tallies them from the table.
 
-Every Member, Obstructed, witness and partial_factor verdict is
-re-verified by an explicit check that raises CertificateError, so the
-checks also run under -O. `count` re-verifies its obstructions prime by
-prime, on U_p, U_2p, ... mod p from `modular.frobenius_terms`: seeded
-from one fresh X^p and stepped over every multiple with no period
-assumed. A block compares its obstructed indices with those flags, and
-at the first that failed the stream yields the rows before it as a
-shorter block, then raises. `membership` re-verifies its one
-obstruction by a fresh term_mod.
+Every Member, Obstructed, witness, local, partial_factor and jacobi
+verdict is re-verified by an explicit check that raises
+CertificateError, so the checks also run under -O. `count` re-verifies
+its obstructions prime by prime, on U_p, U_2p, ... mod p from
+`modular.frobenius_terms`: seeded from one fresh X^p and stepped over
+every multiple with no period assumed. A block compares its obstructed
+indices with those flags, and at the first that failed the stream
+yields the rows before it as a shorter block, then raises. `membership`
+re-verifies its one obstruction by a fresh term_mod.
 """
 
 import math
@@ -47,7 +52,8 @@ from .primes import (FactorTimeout, divisors_from_factorization, factorize,
 from .recurrence import (DEFAULT_TERM_DIGITS, FIVE_FIB_SQ_MINUS_4,
                          POW2_PLUS_N, SQUARE_POW, TermBudgetError, lucas,
                          term, term_walker)
-from .sqrtmod import _squares_mod, integer_sqrt, legendre, sqrt_mod
+from .sqrtmod import (_squares_mod, integer_sqrt, jacobi, legendre,
+                      sqrt_mod)
 
 DEFAULT_FACTOR_TIMEOUT_S = 10.0
 
@@ -154,24 +160,116 @@ def _nonmember_prime(factors, n):
     return None
 
 
+def _is_jacobi_certificate(n_big, n, d):
+    """The jacobi and partial_factor certificates' predicate: d | N with
+    gcd(d, N/d) = gcd(d, 2n) = 1 and Jacobi (-n/d) = -1.
+
+    The symbol is the product of (-n/q)^e over q^e || d, so some prime q
+    has an odd e and (-n/q) = -1, and q^e || N as well: _nonmember_prime's
+    argument with no primality test."""
+    return (d > 1 and n_big % d == 0 and math.gcd(d, n_big // d) == 1
+            and math.gcd(d, 2 * n) == 1 and jacobi(-n, d) == -1)
+
+
+_SQUARES_64 = [r for r, s in enumerate(_squares_mod(64)) if s]
+_SQUARES_64_MASK = sum(1 << r for r in _SQUARES_64)
+_IMAGE_64 = [None] * 64     # the masks of _image_mod_64, filled on demand
+
+
+def _image_mod_64(n):
+    """The image of u^2 + n*v^2 mod 64 as a 64-bit mask, bit a set when
+    some u, v give a: the mask of the squares rotated by n*t for each
+    square t. It depends on n mod 64 only."""
+    c = n % 64
+    if _IMAGE_64[c] is None:
+        mask = 0
+        for k in {c * t % 64 for t in _SQUARES_64}:
+            mask |= _SQUARES_64_MASK << k | _SQUARES_64_MASK >> (64 - k)
+        _IMAGE_64[c] = mask & (1 << 64) - 1
+    return _IMAGE_64[c]
+
+
+def _local_moduli(n):
+    """(m, q, e) for the local test: (64, 2, 0), then (q^(e+1), q, e) for
+    each odd q^e || n in increasing q. The q are the primes of n below
+    10^8 (all of them while n < 10^8)."""
+    yield 64, 2, 0
+    for q, e in trial_division(n)[0].items():
+        if q > 2:
+            yield q ** (e + 1), q, e
+
+
+def _outside_local_image(n_big, n, q, e):
+    """N is outside the image of u^2 + n*v^2 mod 64 (q = 2), or mod
+    q^(e+1) for an odd prime q with q^e || n, e >= 1.
+
+    In the odd case, with k = v_q(N) and N' = N/q^k: outside exactly
+    when k < e and (k is odd or (N'/q) = -1), or k = e, e is odd and
+    (N' * n/q^e / q) = -1. Both terms are read off N mod q^(e+1)."""
+    if q == 2:
+        return not _image_mod_64(n) >> (n_big & 63) & 1
+    r = n_big % q ** (e + 1)
+    if not r:
+        return False
+    k = 0
+    while r % q == 0:
+        r //= q
+        k += 1
+    if k < e:
+        return k % 2 == 1 or legendre(r, q) == -1
+    return e % 2 == 1 and legendre(r * (n // q**e), q) == -1
+
+
+def _local_modulus(n_big, n):
+    """The first m of _local_moduli(n) with N mod m outside the image of
+    u^2 + n*v^2 mod m, else None. Any representation reduces mod m, so
+    such an m certifies a non-member."""
+    return next((m for m, q, e in _local_moduli(n)
+                 if _outside_local_image(n_big, n, q, e)), None)
+
+
+def _is_local_certificate(n_big, n, m):
+    """The local certificate's predicate: m is one of _local_moduli(n),
+    and N mod m is outside the image of u^2 + n*v^2 mod m."""
+    return any(m == mod and _outside_local_image(n_big, n, q, e)
+               for mod, q, e in _local_moduli(n))
+
+
 def _represent_cornacchia(n_big, n, factor_timeout_s):
-    """(status, method): NonMember by an odd-exponent prime q with
-    (-n/q) = -1, looked for among the primes below 10^4 before any
-    Pollard-Brent step and again in the full factorization (method
-    partial_factor), else the Cornacchia descent: the Member with the
-    smallest v, or NonMember."""
+    """(status, method), by the first of:
+    - local: N outside the image of u^2 + n*v^2 mod 64 or mod q^(e+1)
+      for an odd q^e || n (certificate m), before any factoring;
+    - partial_factor: a prime q with (-n/q) = -1 dividing N to an odd
+      power, among the primes below 10^4 (certificate D = q^e);
+    - jacobi: the cofactor D left by those primes has gcd(D, 2n) = 1 and
+      (-n/D) = -1 (certificate D), before any Pollard-Brent step;
+    - partial_factor again, in the full factorization;
+    - the Cornacchia descent: the Member with the smallest v, or
+      NonMember.
+    Every certificate is re-checked before it is returned."""
+    m = _local_modulus(n_big, n)
+    if m is not None:
+        _certify(_is_local_certificate(n_big, n, m),
+                 f"local certificate at m={m}", n)
+        return NonMember(), "local"
     factors, rest = trial_division(n_big)
     q = _nonmember_prime(factors, n)
     if q is None and rest > 1:
+        # rest has no prime below 10^4 and N/rest no other prime, so
+        # gcd(rest, N/rest) = 1
+        if math.gcd(rest, 2 * n) == 1 and jacobi(-n, rest) == -1:
+            _certify(_is_jacobi_certificate(n_big, n, rest),
+                     "jacobi certificate", n)
+            return NonMember(), "jacobi"
         try:
             factors.update(factorize(rest, timeout_s=factor_timeout_s))
         except FactorTimeout:
             return Unknown(), "cornacchia"
         q = _nonmember_prime(factors, n)
     if q is not None:
-        _certify(q > 2 and _val(n_big, q) % 2 == 1 and is_prime(q)
-                 and legendre(-n, q) == -1, f"non-member certificate at q={q}",
-                 n)
+        d = q ** _val(n_big, q)
+        _certify(_is_jacobi_certificate(n_big, n, d),
+                 "partial_factor certificate", n)
         return NonMember(), "partial_factor"
     # every solution is g * (primitive solution of N/g^2), g = gcd(u, v)
     square_part = {p: e // 2 for p, e in factors.items() if e >= 2}

@@ -1,5 +1,6 @@
 """Square roots modulo primes, prime powers and composites, the square
-test on integers, and the table of squares modulo q.
+test on integers, the Legendre and Jacobi symbols, and the table of
+squares modulo q.
 
 Tonelli-Shanks for odd primes, Hensel lifting to prime powers, the 2-adic
 case analysis for powers of two, and a CRT combine that enumerates every
@@ -28,6 +29,25 @@ def legendre(a, p):
         return 0
     s = pow(a, (p - 1) // 2, p)
     return 1 if s == 1 else -1
+
+
+def jacobi(a, m):
+    """Jacobi symbol (a/m) in {-1, 0, 1} for an odd m >= 1, by quadratic
+    reciprocity with no factoring; each run of factors 2 of a is stripped
+    in one shift, its sign from m mod 8."""
+    if m < 1 or m % 2 == 0:
+        raise ValueError("the Jacobi symbol needs an odd positive modulus")
+    a %= m
+    t = 1
+    while a:
+        s = (a & -a).bit_length() - 1
+        a >>= s
+        if s & 1 and m & 7 in (3, 5):
+            t = -t
+        if a & m & 3 == 3:
+            t = -t
+        a, m = m % a, a
+    return t if m == 1 else 0
 
 
 def _squares_mod(q):

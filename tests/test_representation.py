@@ -162,16 +162,113 @@ def test_represent_unknown_on_factor_timeout():
     assert got == Unknown()
 
 
-def test_partial_factor_certifies_before_factoring():
-    # 7 | N with (-1/7) = -1 decides N before the 59-digit cofactor is
-    # split, so the timeout that leaves the semiprime Unknown never fires
-    hard = 7 * (2**89 - 1) * (2**107 - 1)
+_M89, _M107, _M127 = 2**89 - 1, 2**107 - 1, 2**127 - 1    # primes
+
+
+def test_local_certifies_before_factoring():
+    # N = 7 mod 8 is no x^2 + y^2 mod 64, so the 59-digit cofactor that
+    # times out in test_represent_unknown_on_factor_timeout is never split
+    hard = 7 * _M89 * _M107
     assert represent(hard, 1, factor_timeout_s=0.05) == NonMember()
+    assert _represent(hard, 1, 0.05) == (NonMember(), "local")
+    # 3 || N and 3^2 || n: 3 | u^2 + n*v^2 forces 3 | u, so 9 | N
+    assert representation._local_modulus(3 * _M89 * _M107, 18) == 27
+    assert _represent(3 * _M89 * _M107, 18, 0.05) == (NonMember(), "local")
+
+
+def test_partial_factor_certifies_before_factoring():
+    # 21*N = 1 mod 4 passes the local test; 3 | N with (-1/3) = -1
+    # decides it before the semiprime is split
+    hard = 21 * _M89 * _M107
+    assert representation._local_modulus(hard, 1) is None
     assert _represent(hard, 1, 0.05) == (NonMember(), "partial_factor")
     # a certificate prime above 10^4, found in the full factorization
     assert _represent(1000003 * 1000039, 1, None) \
         == (NonMember(), "partial_factor")
     assert _represent(233 * 1000003**2, 13, None)[1] == "cornacchia"
+
+
+def test_jacobi_certifies_the_unfactored_cofactor():
+    # 2^6 | N hides the cofactor from the test mod 64; (-1/D) = -1 for
+    # D = M89*M107*M127 needs no factor of D
+    hard = 2**6 * _M89 * _M107 * _M127
+    assert representation._local_modulus(hard, 1) is None
+    assert _represent(hard, 1, 0.05) == (NonMember(), "jacobi")
+    assert _represent(_M89 * _M107, 1, 0.05) == (Unknown(), "cornacchia")
+
+
+def test_jacobi_certifies_a_cofactor_past_the_str_limit():
+    # D = 10^4400 + 7 = 3 mod 4 has no prime below 10^4; the verdict and
+    # its re-check never write D as a decimal string
+    d = 10**4400 + 7
+    assert math.gcd(d, math.prod(iter_primes(10**4))) == 1
+    assert _represent(2**6 * d, 1, 0.01) == (NonMember(), "jacobi")
+
+
+@pytest.mark.parametrize("n, method", [(236, "local"), (195, "jacobi")])
+def test_tribonacci_unknowns_certified_without_factoring(n, method):
+    # both timed out in the full factorization at the default 10 s budget
+    assert qr_obstruction(TRIBONACCI, n) is None
+    assert _represent(term(TRIBONACCI, n), n, 0.01) == (NonMember(), method)
+
+
+def test_image_mod_64_matches_every_u_and_v():
+    for n in range(64):
+        image = {(u * u + n * v * v) % 64 for u in range(64)
+                 for v in range(64)}
+        mask = sum(1 << a for a in image)
+        assert representation._image_mod_64(n) == mask, n
+        assert representation._image_mod_64(n + 64 * 12345) == mask, n
+
+
+def test_odd_local_image_matches_brute_force():
+    checked = 0
+    for n in range(1, 200):
+        for q, e in factorize(n).items():
+            m = q ** (e + 1)
+            if q == 2 or m > 400:
+                continue
+            image = {(u * u + n * v * v) % m for u in range(m)
+                     for v in range(q)}   # n*v^2 mod m depends on v mod q
+            for r in range(m):
+                for n_big in (r, r + m * 10**30):
+                    assert representation._outside_local_image(
+                        n_big, n, q, e) == (r not in image), (n, q, r)
+            checked += 1
+    assert checked == 184
+
+
+# perfbench/workloads.py's EXACT_WINDOWS: the exact tier's benchmark inputs
+_EXACT_WINDOWS = [
+    (TRIBONACCI, 142),
+    (RecurrenceSpec(1, 1, 1, 0, 0, 3), 140),
+    (RecurrenceSpec(1, 1, 1, 1, 1, 3), 119),
+    (RecurrenceSpec(1, 1, 1, 3, 3, 3), 143),
+    (RecurrenceSpec(1, 1, 1, 3, 2, 1), 149),
+    (RecurrenceSpec(1, 1, 1, 0, 3, 1), 124),
+]
+
+
+def test_local_and_jacobi_agree_with_the_full_factorization(monkeypatch):
+    decided = []
+    for spec, x in _EXACT_WINDOWS:
+        obs = obstruction_table(spec, x)
+        terms = islice(term_iter(spec, x), 1, None)
+        for n, u_n in zip(range(1, x + 1), terms):
+            if not obs[n] and u_n > 0:
+                method = _represent(u_n, n, None)[1]
+                if method in ("local", "jacobi"):
+                    decided.append((u_n, n, method))
+    assert len(decided) == 205
+    assert sum(method == "jacobi" for *_, method in decided) == 5
+    # the solver with neither pre-check: every N factored in full first
+    monkeypatch.setattr(representation, "_local_modulus",
+                        lambda n_big, n: None)
+    monkeypatch.setattr(representation, "trial_division",
+                        lambda m: (factorize(m), 1))
+    for u_n, n, _ in decided:
+        assert _represent(u_n, n, None) in [(NonMember(), "partial_factor"),
+                                            (NonMember(), "cornacchia")], n
 
 
 def test_csv_text_writes_witnesses_past_the_str_limit():
@@ -560,13 +657,30 @@ cut_block = raises_certificate_error(
                                                        (17, 1)]
 wrong_method = raises_certificate_error(
     lambda: rep.MembershipRecord(1, rep.Obstructed(3), "cornacchia"))
+local_modulus, nonmember_prime = rep._local_modulus, rep._nonmember_prime
 rep._cornacchia_primitive = lambda m, n, m_factors: [(1, 1)]
 wrong_member = raises_certificate_error(lambda: rep.represent(233, 13))
 rep._nonmember_prime = lambda factors, n: 3
 wrong_prime = raises_certificate_error(lambda: rep.represent(233, 13))
+rep._nonmember_prime = nonmember_prime
+# 233 = 5^2 + 13*4^2 is in every local image; 7 = 7 mod 8 is outside
+# the image of u^2 + v^2 mod 64, but 9 is no modulus of n = 1
+wrong_m = []
+for n_big, n, m in ((233, 13, 64), (233, 13, 9), (233, 13, 169), (7, 1, 9)):
+    rep._local_modulus = lambda n_big, n, m=m: m
+    wrong_m.append(raises_certificate_error(
+        lambda: rep.represent(n_big, n)))
+rep._local_modulus = local_modulus
+# 50 = 1^2 + 7^2: D = 11, one past the divisor 10, does not divide N
+rep.trial_division = lambda m: ({}, 11)
+d_off_by_one = raises_certificate_error(lambda: rep.represent(50, 1))
+# 45 = 6^2 + 3^2: D = 3 divides N/D = 15
+rep.trial_division = lambda m: ({5: 1}, 3)
+d_shares_a_prime = raises_certificate_error(lambda: rep.represent(45, 1))
 sys.exit(0 if wrong_witness and wrong_obstruction and composite_obstruction
          and after_record and cut_block and wrong_method and wrong_member
-         and wrong_prime else 1)
+         and wrong_prime and all(wrong_m) and d_off_by_one
+         and d_shares_a_prime else 1)
 """
 
 

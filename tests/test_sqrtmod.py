@@ -1,7 +1,9 @@
 import random
 
+import pytest
+
 from ternary_squares.primes import factorize, iter_primes
-from ternary_squares.sqrtmod import (_squares_mod, legendre, sqrt_mod,
+from ternary_squares.sqrtmod import (_squares_mod, jacobi, legendre, sqrt_mod,
                                      sqrt_mod_prime_power, tonelli_shanks)
 
 
@@ -15,6 +17,28 @@ def test_legendre_against_square_table():
         for a in range(p):
             expected = 0 if a == 0 else (1 if a in squares else -1)
             assert legendre(a, p) == expected
+
+
+def test_jacobi_is_the_product_of_legendre_symbols():
+    for m in range(1, 600, 2):
+        factors = factorize(m)
+        for a in range(-70, 2 * m + 70, 1 + m // 100):
+            expected = 1
+            for p, e in factors.items():
+                expected *= legendre(a, p) ** e
+            assert jacobi(a, m) == expected, (a, m)
+    rng = random.Random(7)
+    p, q = 2**89 - 1, 2**107 - 1
+    for _ in range(50):
+        a = rng.randrange(-p * q, p * q)
+        assert jacobi(a, p * q) == legendre(a, p) * legendre(a, q)
+        assert jacobi(a << 61, p) == legendre(a << 61, p)
+
+
+def test_jacobi_refuses_even_or_nonpositive_moduli():
+    for m in (0, 2, 10, -3):
+        with pytest.raises(ValueError):
+            jacobi(1, m)
 
 
 def test_squares_mod_against_brute():
