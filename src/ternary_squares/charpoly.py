@@ -9,9 +9,10 @@ No polynomial arithmetic is needed beyond evaluating the cubic. One
 integer root finder, `_scaled_roots`, bisects the scaled cubic
 2^(3e) Psi(k / 2^e) on the pieces where it is monotone. At e = 0 it gives
 the integer roots, which are the rational ones, and dividing one out is
-synthetic division. At an e read off the coefficients it gives every real
-root to far less than an ulp, so each root modulus is rounded to a float
-once, at the end.
+synthetic division. At an e read off the coefficients it brackets every
+real root between two multiples of 2^-e, and each root modulus is
+rounded to a float once, at the end, from a bracket narrow enough that
+both its ends round alike.
 Degeneracy is read off the power sums s_k = r1^k + r2^k + r3^k, which obey
 U's own recurrence: the ratio r_i/r_j has order dividing k exactly when the
 cubic with roots r1^k, r2^k, r3^k, whose coefficients are symmetric in
@@ -95,9 +96,7 @@ def _scaled_roots(spec, e):
       is 0, a1/3 is an integer root and sits on the cut. Else
       |Psi(c)| >= 1/27, while Psi' <= 3B within 1 of c, so
       |t| > 2^-(b + 7).
-    e = 5b + 64 clears both, and, since every root has |r| >= 1/B^2, it
-    puts each k / 2^e within 2^-(3b + 64) of r relatively, far less than
-    an ulp of its float.
+    So any e >= 2b + 7 clears both.
     """
     a1, a2, a3 = spec.coefficients
     b1, b2, b3 = a1 << e, a2 << 2 * e, a3 << 3 * e
@@ -185,22 +184,40 @@ def is_degenerate(spec):
 
 
 def root_moduli(spec):
-    """Moduli of the three complex roots of the characteristic cubic.
+    """Moduli of the three complex roots of the characteristic cubic, each
+    rounded correctly to a float.
 
-    A repeated root is an integer. Otherwise the roots are simple and
-    _scaled_roots gives each real root r as k / 2^e. With one real root,
-    the conjugate pair has |z|^2 = a3 / r, so |z| 2^e = sqrt(a3 2^(3e) / k).
+    A repeated root is an integer. Otherwise each modulus gets integers
+    lo <= hi with 2^e times it in [lo, hi]: for a real root r, 2^e r in
+    [k - 1, k] from _scaled_roots (just k when r is an integer); with one
+    real root, for the pair, the square roots of a3 2^(3e) / (2^e r) at
+    the ends of that, as |z|^2 = a3 / r. Rounding is monotone, so when
+    lo / 2^e and hi / 2^e round to one float (int division rounds
+    correctly), the modulus does too; else e grows by 64. This ends: a
+    bracket with two ends holds an irrational modulus, which is no
+    midpoint of two floats. The first e, 2b + 64 with b = bitlen(B), is
+    past _scaled_roots' 2b + 7, and |r| > 1/B^2 makes each bracket
+    2^-64 wide relatively.
     """
     kind = factorize(spec)
     if isinstance(kind, RepeatedRoot):
         return sorted(abs(r) * 1.0 for r, m in kind.roots for _ in range(m))
-    e = 5 * growth_rate(spec).bit_length() + 64
-    real = _scaled_roots(spec, e)
-    moduli = [abs(k) / (1 << e) for k in real]
-    if len(real) == 1:
-        pair = math.isqrt((spec.a3 << 3 * e) // real[0]) / (1 << e)
-        moduli += [pair, pair]
-    return sorted(moduli)
+    a1, a2, a3 = spec.coefficients
+    e = 2 * growth_rate(spec).bit_length() + 64
+    while True:
+        brackets = []
+        for k in _scaled_roots(spec, e):
+            r = k >> e
+            exact = k == r << e and ((r - a1) * r - a2) * r == a3
+            brackets.append(sorted((abs(k), abs(k - 1 + exact))))
+        if len(brackets) == 1:      # the pair
+            (lo, hi), num = brackets[0], abs(a3) << 3 * e
+            brackets += [(math.isqrt(num // hi),
+                          math.isqrt((num - 1) // lo) + 1)] * 2
+        moduli = [(lo / (1 << e), hi / (1 << e)) for lo, hi in brackets]
+        if all(lo == hi for lo, hi in moduli):
+            return sorted(lo for lo, _ in moduli)
+        e += 64
 
 
 def gamma(spec):

@@ -188,10 +188,3 @@ def factorize(n, timeout_s=None):
         stack.append(m // d)
     return factors
 
-
-def divisors_from_factorization(factors):
-    """All positive divisors, ascending, from a {prime: exponent} map."""
-    divs = [1]
-    for p, e in factors.items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)

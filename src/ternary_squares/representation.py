@@ -2,15 +2,16 @@
 
 One exact solver, Cornacchia's: factor N, run over the square divisors
 g^2 | N, take every square root of -n modulo N/g^2 and walk its Euclid
-descent, and keep the solution with the smallest v. Three certificates
-of a non-member come first, the first two with no factoring at all:
+descent, and keep the solution with the smallest v. Certificates of a
+non-member come first:
 - local (certificate m): N mod m outside the image of u^2 + n*v^2 mod m,
-  at m = 64 and at m = q^(e+1) for each odd q^e || n;
-- partial_factor (certificate D = q^e): an odd prime q with
-  (-n/q) = -1 dividing N to an odd power e, among the primes below 10^4
-  and again in the full factorization;
-- jacobi (certificate D): the cofactor D left by the primes below 10^4
-  has gcd(D, 2n) = 1 and Jacobi (-n/D) = -1, so some such q divides D.
+  at m = 64 and at m = q^(e+1) for each odd q^e || n, before any
+  factoring;
+- partial_factor and jacobi (certificate D): one Jacobi search for a
+  unitary divisor D of N with gcd(D, 2n) = 1 and Jacobi (-n/D) = -1,
+  over q^e for the primes q below 10^4 (partial_factor), then the
+  cofactor they leave (jacobi, before any Pollard-Brent step), then q^e
+  over the full factorization (partial_factor).
 On top of that sits the cheap quadratic-residue obstruction: an odd prime
 p | n with U_n a nonresidue mod p certifies that U_n = u^2 + n*v^2 has
 no solution at all. `count` finds it for every n <= x at once with a
@@ -43,17 +44,16 @@ re-verifies its one obstruction by a fresh term_mod.
 
 import math
 from array import array
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, product
 
 from ._record import record
 from .modular import frobenius_period, frobenius_terms, term_mod
-from .primes import (FactorTimeout, divisors_from_factorization, factorize,
-                     is_prime, iter_primes, trial_division)
+from .primes import (FactorTimeout, factorize, is_prime, iter_primes,
+                     trial_division)
 from .recurrence import (DEFAULT_TERM_DIGITS, FIVE_FIB_SQ_MINUS_4,
                          POW2_PLUS_N, SQUARE_POW, TermBudgetError, lucas,
                          term, term_walker)
-from .sqrtmod import (_squares_mod, integer_sqrt, jacobi, legendre,
-                      sqrt_mod)
+from .sqrtmod import _squares_mod, integer_sqrt, jacobi, legendre, sqrt_mod
 
 DEFAULT_FACTOR_TIMEOUT_S = 10.0
 
@@ -130,47 +130,6 @@ def _cornacchia_primitive(m, n, m_factors):
             a, b = b, a % b
 
 
-def _represent(n_big, n, factor_timeout_s):
-    """(status, method) for N = u^2 + n*v^2 over nonnegative integers;
-    a Member is re-verified against N before it is returned."""
-    if n_big < 0:
-        raise ValueError("N must be nonnegative")
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n_big == 0:
-        return Member(0, 0), "cornacchia"
-    status, method = _represent_cornacchia(n_big, n, factor_timeout_s)
-    if isinstance(status, Member):
-        _certify(status.u**2 + n * status.v**2 == n_big,
-                 f"{method} representation", n)
-    return status, method
-
-
-def _nonmember_prime(factors, n):
-    """The smallest odd prime q of `factors` with an odd exponent and
-    (-n/q) = -1, else None.
-
-    Such a q certifies that N is not u^2 + n*v^2: q | u^2 + n*v^2 with
-    -n a nonresidue mod q forces q | u and q | v, so (u/q, v/q) represents
-    N/q^2, and descending this way shows that q divides N to an even
-    power."""
-    for q in sorted(factors):
-        if q > 2 and factors[q] % 2 and legendre(-n, q) == -1:
-            return q
-    return None
-
-
-def _is_jacobi_certificate(n_big, n, d):
-    """The jacobi and partial_factor certificates' predicate: d | N with
-    gcd(d, N/d) = gcd(d, 2n) = 1 and Jacobi (-n/d) = -1.
-
-    The symbol is the product of (-n/q)^e over q^e || d, so some prime q
-    has an odd e and (-n/q) = -1, and q^e || N as well: _nonmember_prime's
-    argument with no primality test."""
-    return (d > 1 and n_big % d == 0 and math.gcd(d, n_big // d) == 1
-            and math.gcd(d, 2 * n) == 1 and jacobi(-n, d) == -1)
-
-
 _SQUARES_64 = [r for r, s in enumerate(_squares_mod(64)) if s]
 _SQUARES_64_MASK = sum(1 << r for r in _SQUARES_64)
 _IMAGE_64 = [None] * 64     # the masks of _image_mod_64, filled on demand
@@ -235,62 +194,78 @@ def _is_local_certificate(n_big, n, m):
                for mod, q, e in _local_moduli(n))
 
 
-def _represent_cornacchia(n_big, n, factor_timeout_s):
-    """(status, method), by the first of:
-    - local: N outside the image of u^2 + n*v^2 mod 64 or mod q^(e+1)
-      for an odd q^e || n (certificate m), before any factoring;
-    - partial_factor: a prime q with (-n/q) = -1 dividing N to an odd
-      power, among the primes below 10^4 (certificate D = q^e);
-    - jacobi: the cofactor D left by those primes has gcd(D, 2n) = 1 and
-      (-n/D) = -1 (certificate D), before any Pollard-Brent step;
-    - partial_factor again, in the full factorization;
-    - the Cornacchia descent: the Member with the smallest v, or
-      NonMember.
-    Every certificate is re-checked before it is returned."""
+def _jacobi_divisor(divisors, n):
+    """The first D of `divisors` with gcd(D, 2n) = 1 and Jacobi
+    (-n/D) = -1, else None: for a D with D | N and gcd(D, N/D) = 1, the
+    certificate of _is_jacobi_certificate."""
+    return next((d for d in divisors
+                 if math.gcd(d, 2 * n) == 1 and jacobi(-n, d) == -1), None)
+
+
+def _is_jacobi_certificate(n_big, n, d):
+    """The jacobi and partial_factor certificates' predicate: d | N with
+    gcd(d, N/d) = gcd(d, 2n) = 1 and Jacobi (-n/d) = -1.
+
+    The symbol is the product of (-n/q)^e over q^e || d, so some prime q
+    has an odd e and (-n/q) = -1, and q^e || N as well. Then N is not
+    u^2 + n*v^2: q | u^2 + n*v^2 with -n a nonresidue mod q forces q | u
+    and q | v, so (u/q, v/q) represents N/q^2, and descending this way
+    shows that q divides N to an even power. No primality test is
+    needed."""
+    return (d > 1 and n_big % d == 0 and math.gcd(d, n_big // d) == 1
+            and math.gcd(d, 2 * n) == 1 and jacobi(-n, d) == -1)
+
+
+def _represent(n_big, n, factor_timeout_s):
+    """(status, method) for N = u^2 + n*v^2 over nonnegative integers:
+    the local test, one Jacobi search over the small q^e, the cofactor
+    and the full factorization's q^e (see the module docstring), then the
+    Cornacchia descent's Member with the smallest v, or NonMember, or
+    Unknown if factoring timed out. Every certificate and every Member
+    is re-checked before it is returned."""
+    if n_big < 0:
+        raise ValueError("N must be nonnegative")
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n_big == 0:
+        return Member(0, 0), "cornacchia"
     m = _local_modulus(n_big, n)
     if m is not None:
         _certify(_is_local_certificate(n_big, n, m),
                  f"local certificate at m={m}", n)
         return NonMember(), "local"
     factors, rest = trial_division(n_big)
-    q = _nonmember_prime(factors, n)
-    if q is None and rest > 1:
+    method = "partial_factor"
+    d = _jacobi_divisor((q**e for q, e in sorted(factors.items())), n)
+    if d is None and rest > 1:
         # rest has no prime below 10^4 and N/rest no other prime, so
         # gcd(rest, N/rest) = 1
-        if math.gcd(rest, 2 * n) == 1 and jacobi(-n, rest) == -1:
-            _certify(_is_jacobi_certificate(n_big, n, rest),
-                     "jacobi certificate", n)
-            return NonMember(), "jacobi"
+        method, d = "jacobi", _jacobi_divisor([rest], n)
+    if d is None and rest > 1:
         try:
             factors.update(factorize(rest, timeout_s=factor_timeout_s))
         except FactorTimeout:
             return Unknown(), "cornacchia"
-        q = _nonmember_prime(factors, n)
-    if q is not None:
-        d = q ** _val(n_big, q)
+        method = "partial_factor"
+        d = _jacobi_divisor((q**e for q, e in sorted(factors.items())), n)
+    if d is not None:
         _certify(_is_jacobi_certificate(n_big, n, d),
-                 "partial_factor certificate", n)
-        return NonMember(), "partial_factor"
-    # every solution is g * (primitive solution of N/g^2), g = gcd(u, v)
-    square_part = {p: e // 2 for p, e in factors.items() if e >= 2}
+                 f"{method} certificate", n)
+        return NonMember(), method
+    # every solution is g * (primitive solution of N/g^2), g = gcd(u, v),
+    # and g runs over the exponent vectors h with 2h <= e
     found = []
-    for g in divisors_from_factorization(square_part):
-        m_factors = {p: e - 2 * _val(g, p) for p, e in factors.items()
-                     if e - 2 * _val(g, p) > 0}
+    for halves in product(*(range(e // 2 + 1) for e in factors.values())):
+        g = math.prod(q**h for q, h in zip(factors, halves))
+        m_factors = {q: e - 2 * h for (q, e), h in zip(factors.items(), halves)
+                     if e > 2 * h}
         found += [(g * y, g * x) for x, y in
                   _cornacchia_primitive(n_big // (g * g), n, m_factors)]
     if not found:
         return NonMember(), "cornacchia"
     v, u = min(found)
+    _certify(u * u + n * v * v == n_big, "cornacchia representation", n)
     return Member(u, v), "cornacchia"
-
-
-def _val(g, p):
-    e = 0
-    while g % p == 0:
-        g //= p
-        e += 1
-    return e
 
 
 def represent(n_big, n, factor_timeout_s=DEFAULT_FACTOR_TIMEOUT_S):
@@ -337,10 +312,12 @@ def obstruction_table(spec, x):
     W_k = U_{kp} mod p by ring products, k = 1 up to where W starts over
     or to x/p. That period's nonresidue flags, from the table of squares
     mod p when p <= x/p and else by Euler's criterion, are tiled over the
-    multiples of p. Agrees with qr_obstruction. An array of machine ints:
-    about 8 bytes per index.
+    multiples of p. Agrees with qr_obstruction. An array("I"), 4 bytes
+    an index, so x must be below 2^32.
     """
-    obs = array("L", [0]) * (x + 1)
+    if x >= 1 << 32:
+        raise ValueError("x must be below 2^32")
+    obs = array("I", [0]) * (x + 1)
     for p in list(iter_primes(x))[1:]:
         k_max = x // p
         period = frobenius_period(spec, p, k_max)

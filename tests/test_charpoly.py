@@ -307,6 +307,31 @@ def test_root_moduli_near_a_cut():
     assert moduli_error(spec, moduli) is None
 
 
+def test_root_moduli_refine_a_bracket_around_a_midpoint(monkeypatch):
+    # Psi(m) = 2^-159 and Psi'(m) = -2^53 at m = 1 + 2^-53, the midpoint
+    # of the floats 1 and 1 + 2^-52, so a root lies about 2^-212 above m.
+    # The first bracket, 2^-172 wide, holds m, and its ends round apart
+    spec = RecurrenceSpec(3, 2**53 - 3, -2**53, 0, 0, 1)
+    precisions = []
+    scaled_roots = charpoly._scaled_roots
+    monkeypatch.setattr(charpoly, "_scaled_roots", lambda spec, e: (
+        precisions.append(e) or scaled_roots(spec, e)))
+    moduli = root_moduli(spec)
+    assert precisions == [0, 172, 236]
+    assert moduli[0] == 1 + 2**-52
+    assert moduli_error(spec, moduli) is None
+
+
+def test_root_moduli_of_integer_midpoints_are_exact():
+    # 2^53 + 1 is the midpoint of two floats, as an integer root and as
+    # the modulus of a complex pair; both round to even, 2^53, in one pass
+    m = 2**53 + 1
+    assert root_moduli(spec_from_roots(m, 1, -1)) == [1.0, 1.0, 2.0**53]
+    # (X - 2)(X^2 + m^2)
+    assert root_moduli(RecurrenceSpec(2, -m * m, 2 * m * m, 0, 0, 1)) \
+        == [2.0, 2.0**53, 2.0**53]
+
+
 _FOUND_SPEC = {"a1": 744726489994537504424004986909,
                "a2": -959661318383078421607848799266,
                "a3": 168119623153026641257349179253,

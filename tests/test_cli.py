@@ -201,8 +201,8 @@ def test_count_budget_exit_3_keeps_rows_before_failing_index(
 # (count arguments, CSV lines, CSV SHA-256, budget message), pinned from
 # runs that computed each exact term from U_0 afresh. The budget first
 # binds at a witness index past --n-exact (pow2-plus-n with --n-exact 0,
-# five-fib-sq-minus-4), after a pooled exact tier (--threads 2), and by
-# the growth estimate before any digit count (U_n = n).
+# five-fib-sq-minus-4), after a pooled exact tier (--threads 2), and
+# inside it, where the Cauchy bound overshoots but gamma = 1 (U_n = n).
 _BUDGET_RUNS = [
     ("--preset pow2-plus-n --x 200 --n-exact 0 --term-digits 20 --threads 1",
      68, "8f5f28fc859fdbf187bb9cd45d23d63403b19e37a1c135c27072d6cbaae84671",
@@ -217,10 +217,11 @@ _BUDGET_RUNS = [
      "--threads 1",
      73, "878a0f5689761a039fcc1f318bfee3bfea170beda0fa9a9800e2769011f421b6",
      "term 72 has more than the 30-digit budget"),
-    ('--spec {"a1":3,"a2":-3,"a3":1,"u0":0,"u1":1,"u2":2} --x 40 '
-     "--n-exact 40 --term-digits 3 --threads 2",
-     20, "1ba2193c30146b3c55fb3d26899d3483d7dafa1199ae69304df064541ca2b659",
-     "term 20 would have roughly 12 digits, over the 3-digit budget"),
+    # U_n = n: rows n,member,sqrt(n),0 at squares and n,member,0,1 else
+    ('--spec {"a1":3,"a2":-3,"a3":1,"u0":0,"u1":1,"u2":2} --x 1000 '
+     "--n-exact 1000 --term-digits 3 --threads 2",
+     1000, "b88bc5d1d9e184570bdc3ffb6b3d7a45a0cc3b420f4c2929b20a589587d60208",
+     "term 1000 has more than the 3-digit budget"),
 ]
 
 
@@ -637,6 +638,8 @@ def test_usage_errors_exit_1(capsys):
     (("verify", "omega-iz", "--preset", "tribonacci"), "['n']"),
     (("verify", "counterexample-density", "--spec",
       '{"a1":1,"a2":1,"a3":1,"u0":0,"u1":0,"u2":1}'), "needs --preset"),
+    (("count", "--preset", "tribonacci", "--x", str(2**32), "--threads", "1"),
+     "x must be below 2^32"),
 ])
 def test_input_errors_exit_1_with_one_line(capsys, argv, says):
     code, out, err = run_cli(capsys, *argv)

@@ -5,8 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from ternary_squares import primes
-from ternary_squares.primes import (_BRENT_BLOCK, FactorTimeout,
-                                    divisors_from_factorization, factorize,
+from ternary_squares.primes import (_BRENT_BLOCK, FactorTimeout, factorize,
                                     is_prime, iter_primes, pollard_brent,
                                     trial_division)
 
@@ -160,7 +159,3 @@ def test_trial_division_splits_off_small_primes():
         assert factors == {p: e for p, e in factorize(n).items()
                            if p in factors}
 
-
-def test_divisors_from_factorization():
-    assert divisors_from_factorization({2: 2, 3: 1}) == [1, 2, 3, 4, 6, 12]
-    assert divisors_from_factorization({}) == [1]

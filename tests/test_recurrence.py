@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -73,6 +74,9 @@ def test_budget_error():
         term(TRIBONACCI, 10**9)
     with pytest.raises(TermBudgetError):
         list(term_iter(TRIBONACCI, 50, budget_digits=1))
+    # gamma is past the floats here, so the Cauchy estimate 3*400 stands
+    with pytest.raises(TermBudgetError, match="^term 3 would have roughly 1.2e"):
+        term(RecurrenceSpec(10**400, 0, 1, 0, 1, 2), 3, 100)
 
 
 NINES = RecurrenceSpec(10, 1, -10, 0, 9, 99)          # U_n = 10^n - 1
@@ -110,13 +114,24 @@ def test_term_walker_matches_term(spec):
 
 
 def test_term_walker_refuses_at_the_growth_estimate():
-    # U_n = n; the estimate refuses n = 20 at 3 digits, as term does
+    # U_n = n: the Cauchy bound 8 puts term 20 over 4 * 3 digits, but
+    # gamma = 1, so only the exact check refuses, at n = 1000, as term does
     spec = RecurrenceSpec(3, -3, 1, 0, 1, 2)
     term_at = term_walker(spec, 3)
-    assert term_at(19) == 19
-    for refuse in (lambda: term(spec, 20, 3), lambda: term_at(20)):
-        with pytest.raises(TermBudgetError, match="^term 20 would have"):
+    assert term_at(20) == 20 and term_at(999) == 999
+    assert term(spec, 999, 3) == 999
+    for refuse in (lambda: term(spec, 1000, 3), lambda: term_at(1000)):
+        with pytest.raises(TermBudgetError,
+                           match="^term 1000 has more than the 3-digit"):
             refuse()
+    # tribonacci's gamma = 1.839...: term 10^9 has about 2.6e8 digits
+    term_at = term_walker(TRIBONACCI)
+    for refuse in (lambda: term(TRIBONACCI, 10**9), lambda: term_at(10**9)):
+        start = time.perf_counter()
+        with pytest.raises(TermBudgetError,
+                           match="^term 1000000000 would have roughly 2.65e"):
+            refuse()
+        assert time.perf_counter() - start < 0.1
 
 
 def test_budget_band_is_decided_exactly():

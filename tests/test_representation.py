@@ -205,6 +205,39 @@ def test_jacobi_certifies_a_cofactor_past_the_str_limit():
     assert _represent(2**6 * d, 1, 0.01) == (NonMember(), "jacobi")
 
 
+def legendre_rule(factors, n):
+    """q^e for the smallest odd prime q of `factors` with an odd exponent
+    e and Legendre (-n/q) = -1, else None: the certificate rule that the
+    Jacobi search replaced, as its oracle."""
+    for q in sorted(factors):
+        if q > 2 and factors[q] % 2 and legendre(-n, q) == -1:
+            return q ** factors[q]
+    return None
+
+
+def test_jacobi_divisor_picks_what_the_legendre_rule_picked():
+    rng = random.Random(24)
+    small = list(iter_primes(300))
+    kinds, picked = set(), set()
+    for _ in range(4000):
+        factors = {q: rng.randint(1, 4)
+                   for q in rng.sample(small, rng.randint(1, 6))}
+        n = rng.randint(1, 10**6)
+        if rng.random() < 0.3:
+            n *= rng.choice(list(factors))      # some q | n
+        want = legendre_rule(factors, n)
+        assert representation._jacobi_divisor(
+            (q**e for q, e in sorted(factors.items())), n) == want
+        picked.add(want is not None)
+        for q, e in factors.items():
+            kinds.add("q = 2" if q == 2 else "q | n" if n % q == 0
+                        else "even e" if e % 2 == 0
+                        else "residue" if legendre(-n, q) == 1
+                        else "candidate")
+    assert picked == {True, False}
+    assert kinds == {"q = 2", "q | n", "even e", "residue", "candidate"}
+
+
 @pytest.mark.parametrize("n, method", [(236, "local"), (195, "jacobi")])
 def test_tribonacci_unknowns_certified_without_factoring(n, method):
     # both timed out in the full factorization at the default 10 s budget
@@ -398,8 +431,8 @@ def test_worker_partition_is_invisible():
 
 def test_count_range_memory_is_flat_in_x():
     # records stream through summarize one at a time, so the traced peak
-    # grows only by the sieve's table (8 bytes an index) and its lists per
-    # prime: about 0.5 MB from x = 10^4 to 4*10^4, where keeping every
+    # grows only by the sieve's table (4 bytes an index) and its lists per
+    # prime: about 0.3 MB from x = 10^4 to 4*10^4, where keeping every
     # record grew it by 6.7 MB
     peaks = []
     for x in (10**4, 4 * 10**4):
@@ -459,6 +492,13 @@ def test_obstruction_table_matches_per_index_oracle(spec):
     assert list(obstruction_table(spec, 5000)) == _oracle_table(spec, 5000)
     for x in (1, 2, 3):
         assert list(obstruction_table(spec, x)) == _oracle_table(spec, x)
+
+
+def test_obstruction_table_is_four_bytes_an_index():
+    obs = obstruction_table(TRIBONACCI, 1000)
+    assert obs.typecode == "I" and obs.itemsize == 4
+    with pytest.raises(ValueError, match="x must be below 2\\^32"):
+        obstruction_table(TRIBONACCI, 2**32)
 
 
 def test_obstruction_table_steps_one_period(monkeypatch):
@@ -657,12 +697,13 @@ cut_block = raises_certificate_error(
                                                        (17, 1)]
 wrong_method = raises_certificate_error(
     lambda: rep.MembershipRecord(1, rep.Obstructed(3), "cornacchia"))
-local_modulus, nonmember_prime = rep._local_modulus, rep._nonmember_prime
+local_modulus, jacobi_divisor = rep._local_modulus, rep._jacobi_divisor
 rep._cornacchia_primitive = lambda m, n, m_factors: [(1, 1)]
 wrong_member = raises_certificate_error(lambda: rep.represent(233, 13))
-rep._nonmember_prime = lambda factors, n: 3
+# a partial_factor certificate D = 3 that does not divide N = 233
+rep._jacobi_divisor = lambda divisors, n: 3
 wrong_prime = raises_certificate_error(lambda: rep.represent(233, 13))
-rep._nonmember_prime = nonmember_prime
+rep._jacobi_divisor = jacobi_divisor
 # 233 = 5^2 + 13*4^2 is in every local image; 7 = 7 mod 8 is outside
 # the image of u^2 + v^2 mod 64, but 9 is no modulus of n = 1
 wrong_m = []
