@@ -183,6 +183,15 @@ def is_degenerate(spec):
 # root moduli
 
 
+def _to_float(n, e):
+    """n / 2^e rounded to the nearest float; past the largest float, IEEE
+    round-to-nearest gives infinity, where int division raises."""
+    try:
+        return n / (1 << e)
+    except OverflowError:
+        return math.inf
+
+
 def root_moduli(spec):
     """Moduli of the three complex roots of the characteristic cubic, each
     rounded correctly to a float.
@@ -197,11 +206,13 @@ def root_moduli(spec):
     bracket with two ends holds an irrational modulus, which is no
     midpoint of two floats. The first e, 2b + 64 with b = bitlen(B), is
     past _scaled_roots' 2b + 7, and |r| > 1/B^2 makes each bracket
-    2^-64 wide relatively.
+    2^-64 wide relatively. A modulus past the largest float is
+    `math.inf`, as IEEE rounding to nearest has it.
     """
     kind = factorize(spec)
     if isinstance(kind, RepeatedRoot):
-        return sorted(abs(r) * 1.0 for r, m in kind.roots for _ in range(m))
+        return sorted(_to_float(abs(r), 0) for r, m in kind.roots
+                      for _ in range(m))
     a1, a2, a3 = spec.coefficients
     e = 2 * growth_rate(spec).bit_length() + 64
     while True:
@@ -214,7 +225,7 @@ def root_moduli(spec):
             (lo, hi), num = brackets[0], abs(a3) << 3 * e
             brackets += [(math.isqrt(num // hi),
                           math.isqrt((num - 1) // lo) + 1)] * 2
-        moduli = [(lo / (1 << e), hi / (1 << e)) for lo, hi in brackets]
+        moduli = [(_to_float(lo, e), _to_float(hi, e)) for lo, hi in brackets]
         if all(lo == hi for lo, hi in moduli):
             return sorted(lo for lo, _ in moduli)
         e += 64

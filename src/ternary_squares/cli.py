@@ -16,9 +16,8 @@ from operator import attrgetter
 
 from . import experiments as ex
 from .charpoly import check_conditions, solve_exponents
-from .modular import (DEFAULT_SCAN_STATES, PrimeProfile, ScanBudgetError,
-                      classify_prime, count_roots_mod_p)
-from .primes import FactorTimeout, iter_primes
+from .modular import DEFAULT_SCAN_STATES, ScanBudgetError, classify_primes
+from .primes import FactorTimeout
 from .recurrence import (DEFAULT_TERM_DIGITS, PRESETS, TermBudgetError,
                          spec_from_json)
 from .representation import (DEFAULT_FACTOR_TIMEOUT_S, CertificateError,
@@ -188,12 +187,8 @@ def cmd_primes(args, cfg):
     columns = attrgetter(*PRIMES_COLUMNS)
     n_primes = n_z = 0
     try:
-        for p in iter_primes(args.max):
+        for prof in classify_primes(spec, args.max):
             n_primes += 1
-            if p == 2 or spec.a3 % p == 0:
-                prof = PrimeProfile(p, count_roots_mod_p(spec, p), False)
-            else:
-                prof = classify_prime(spec, p)
             n_z += prof.in_Z
             writer.writerow(["" if v is None else v for v in columns(prof)])
     finally:

@@ -12,8 +12,7 @@ from itertools import islice
 
 from . import modular as md
 from .charpoly import is_degenerate
-from .modular import (DEFAULT_SCAN_STATES, classify_prime, frobenius_terms,
-                      in_Z, z_primes)
+from .modular import DEFAULT_SCAN_STATES, frobenius_terms, in_Z, z_primes
 from .primes import factorize, iter_primes
 from .recurrence import DEFAULT_TERM_DIGITS, term_iter
 from .representation import _WITNESS_CLASSES, _witness_formula
@@ -86,11 +85,12 @@ def lemma5_sweep(spec, p_min, p_max):
     t_p = k_p, the chain o1*o2 | 2*t_p | 8*o1*o2 | 8*(p-1)*(p+1)."""
     report = ExperimentReport("lemma5-sweep", {"p_min": p_min, "p_max": p_max})
     checked = equal_tk = 0
+    profile = md._prime_profiler(spec, p_max)
     for p in z_primes(spec, p_max):
         if p < p_min:
             continue
         try:
-            prof = classify_prime(spec, p)
+            prof = profile(p)
         except (ValueError, ArithmeticError) as exc:
             report.violations.append({"p": p, "kind": "profile", "error": str(exc)})
             continue
@@ -124,10 +124,11 @@ def multiplier_sweep(spec, p_min, p_max):
                               {"p_min": p_min, "p_max": p_max})
     checked = 0
     largest = 0
+    profile = md._prime_profiler(spec, p_max)
     for p in z_primes(spec, p_max):
         if p < p_min:
             continue
-        prof = classify_prime(spec, p)
+        prof = profile(p)
         checked += 1
         largest = max(largest, prof.mult_order)
         if prof.mult_order > 6:
@@ -171,15 +172,16 @@ def char_sum_sweep(spec, p_max, max_states=DEFAULT_SCAN_STATES):
     progression lemma says 6 bounds the implied constant.
 
     One period of V is the first t_p terms of `frobenius_terms`, t_p from
-    `classify_prime`: at a prime in Z, Frobenius permutes the roots, so V
-    and U have the same period."""
+    the prime's profile: at a prime in Z, Frobenius permutes the roots,
+    so V and U have the same period."""
     report = ExperimentReport("char-sum-sweep",
                               {"p_max": p_max, "max_states": max_states,
                                "bound": 6})
     worst = 0.0
     checked = skipped = 0
+    profile = md._prime_profiler(spec, p_max)
     for p in z_primes(spec, p_max):
-        prof = classify_prime(spec, p)
+        prof = profile(p)
         if prof.t_p > max_states:
             skipped += 1
             continue

@@ -10,7 +10,10 @@ U_{k+j} = c0*U_j + c1*U_{j+1} + c2*U_{j+2} (mod p) for every j. Root
 orders are read off X^e as well: at a prime in Z the ring is
 F_p x F_p[X]/Q by the CRT, Q = Psi / (X - alpha), with X = (alpha, beta),
 and each order splits at p - 1 into a descent on X^e with e | p + 1 and
-an order of F_p scalars (see `classify_prime`).
+an order of F_p scalars (see `classify_prime`). Every X^p an order is
+read off is checked first: by the root it yields in Z, else against
+X * X^(p-1). `classify_primes` profiles all primes up to x in one pass,
+p - 1, p + 1 and p^2 + p + 1 factored off `primes.factor_table`.
 
 Terminology used throughout: for a prime p at which the characteristic
 cubic has exactly one root (the set Z), `alpha` is that root in F_p and
@@ -23,7 +26,7 @@ from itertools import islice
 
 from ._record import record
 from .charpoly import discriminant
-from .primes import factorize, is_prime, iter_primes
+from .primes import factor_table, factorize, is_prime, iter_primes
 from .sqrtmod import legendre
 
 DEFAULT_SCAN_STATES = 10**8
@@ -64,19 +67,22 @@ def _x_pow(e, p, r3, r4):
 
     Left to right over the bits of e, starting from X at the leading bit.
     Each bit squares in place, without a general product: of the six
-    products of the square, the X^3 and X^4 coefficients t3 = 2*c1*c2
-    and t4 = c2^2 fold back through the reduction rows r3 and r4. A set
-    bit then multiplies by X, a shift plus one reduction row (X^3 = r3)."""
+    products of the square, the X^3 and X^4 coefficients 2*c1*c2 and
+    c2^2 fold back through the reduction rows r3 and r4, the factor 2
+    taken into a doubled r3 once. A set bit then multiplies by X, a shift
+    plus one reduction row (X^3 = r3)."""
     if e == 0:
         return (1 % p, 0, 0)
     (s0, s1, s2), (q0, q1, q2) = r3, r4
+    d0, d1, d2 = 2 * s0, 2 * s1, 2 * s2
     c0, c1, c2 = 0, 1, 0
     for bit in bin(e)[3:]:
-        t3 = 2 * c1 * c2
+        t3 = c1 * c2
         t4 = c2 * c2
-        c0, c1, c2 = ((c0 * c0 + t3 * s0 + t4 * q0) % p,
-                      (2 * c0 * c1 + t3 * s1 + t4 * q1) % p,
-                      (2 * c0 * c2 + c1 * c1 + t3 * s2 + t4 * q2) % p)
+        d = c0 + c0
+        c0, c1, c2 = ((c0 * c0 + t3 * d0 + t4 * q0) % p,
+                      (d * c1 + t3 * d1 + t4 * q1) % p,
+                      (d * c2 + c1 * c1 + t3 * d2 + t4 * q2) % p)
         if bit == "1":
             c0, c1, c2 = c2 * s0 % p, (c0 + c2 * s1) % p, (c1 + c2 * s2) % p
     return (c0, c1, c2)
@@ -100,9 +106,9 @@ def term_mod(spec, n, p):
 # ---------------------------------------------------------------------------
 # root counting mod p
 
-def _root_count(spec, p, x_pow):
-    """`count_roots_mod_p`, given x_pow(e) = X^e modulo (Psi, p)."""
-    d = discriminant(spec)
+def _root_count(spec, p, d, x_pow):
+    """`count_roots_mod_p`, given the discriminant d of the cubic and
+    x_pow(e) = X^e modulo (Psi, p)."""
     if d % p == 0:
         return RAMIFIED
     if p == 2:
@@ -124,7 +130,8 @@ def count_roots_mod_p(spec, p):
     exactly when Psi(0) or Psi(1) is even.
     """
     rows = _reduction_rows(spec, p)
-    return _root_count(spec, p, lambda e: _x_pow(e, p, *rows))
+    return _root_count(spec, p, discriminant(spec),
+                       lambda e: _x_pow(e, p, *rows))
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +219,29 @@ def classify_prime(spec, p):
     At a prime in Z, F_p[X]/Psi = F_p x F_p[X]/Q by the CRT, with
     Q = Psi / (X - alpha) and X = (alpha, beta). Since beta^((p-1)j) = 1
     exactly when beta^j is in F_p, r is the least j | p + 1 with X^j mod Q
-    a constant, and r is the order of beta/gamma. Then alpha^r and
+    a constant, and r is the order of beta/gamma. Its first step needs
+    no power: beta^((p+1)/2) squares to beta^(p+1) = beta*gamma, the
+    constant term q0 of Q, so it is in F_p exactly when q0 is a square
+    mod p. Then alpha^r and
     beta^r = gamma^r are F_p scalars, and every other order is an order
     in F_p^*, taken by builtin `pow`. At a no-root prime the ring is
     F_{p^3}, r is the least j | p^2 + p + 1 with X^j in F_p, and
     t_p = r * ord(X^r). Ramified and three-root primes descend over
     p(p-1) and p-1 directly.
 
-    At a prime in Z the descent over p + 1 reuses X^p, so X^p is checked
-    first: a wrong X^p raises ArithmeticError rather than give wrong
-    orders.
+    X^p is checked before any order is read off it, and a wrong X^p
+    raises ArithmeticError rather than give wrong orders. At a prime in Z
+    the descent over p + 1 starts at X * X^p, and X^p is pinned by the
+    root alpha it yields. Where (d/p) = 1, X^p must equal X * X^(p-1)
+    for a second, independent power X^(p-1). At three roots that power
+    is the period's multiple. At no root, where X^(p-1) != 1 makes the
+    ring F_{p^3}, the multiple X^(p^2+p+1) = X * X^p * X^(p^2) is the
+    norm of X and must be a3: the Frobenius sigma(y) = y^p fixes F_p, so
+    X^(p^2) = sigma(X^p) takes one ring square of X^p, and the norm two
+    more products, in place of a power of 2*log2(p) bits.
+
+    `classify_primes` gives the same profiles for all primes up to x
+    from one pass.
     """
     if p == 2:
         raise ValueError("p = 2 is excluded from classification")
@@ -229,8 +249,39 @@ def classify_prime(spec, p):
         raise ValueError(f"{p} is not prime")
     if spec.a3 % p == 0:
         raise ValueError(f"p = {p} divides a3; the sequence mod p is not purely periodic")
+    return _prime_profile(spec, p, discriminant(spec), factorize)
 
-    fac_p1 = factorize(p - 1)
+
+def classify_primes(spec, x):
+    """Yield the profile of every prime p <= x, increasing, from one pass:
+    one prime sieve, one discriminant and one `factor_table(x)` for p - 1,
+    p + 1 and p^2 + p + 1. At an odd p not dividing a3 it is
+    `classify_prime(spec, p)`; at p = 2 and at p | a3, where the sequence
+    mod p need not be purely periodic, it holds the root count only."""
+    profile = _prime_profiler(spec, x)
+    for p in iter_primes(x):
+        yield profile(p)
+
+
+def _prime_profiler(spec, x):
+    """p -> its `classify_primes` profile, for primes p <= x, all read off
+    one discriminant and one factor table."""
+    d = discriminant(spec)
+    factor = factor_table(x)
+    return lambda p: _prime_profile(spec, p, d, factor)
+
+
+def _times_x(c, p, r3):
+    """X * (c0 + c1*X + c2*X^2): a shift and one reduction row."""
+    c0, c1, c2 = c
+    return (c2 * r3[0] % p, (c0 + c2 * r3[1]) % p, (c1 + c2 * r3[2]) % p)
+
+
+def _prime_profile(spec, p, d, factor):
+    """The profile of prime p (see `classify_prime`), given the
+    discriminant d of the cubic and factor(n), the factorization of n for
+    n = p - 1, p + 1 and p^2 + p + 1. At p = 2 and at p | a3 the profile
+    holds the root count only."""
     # one memo of X^e, so each descent's last power is not raised again
     r3, r4 = _reduction_rows(spec, p)
     powers = {}
@@ -241,10 +292,15 @@ def classify_prime(spec, p):
             c = powers[e] = _x_pow(e, p, r3, r4)
         return c
 
-    root_count = _root_count(spec, p, x_pow)
+    root_count = _root_count(spec, p, d, x_pow)
+    if p == 2 or spec.a3 % p == 0:
+        return PrimeProfile(p, root_count, False)
+    fac_p1 = factor(p - 1)
     if root_count == RAMIFIED:
         t_p = _state_period(spec, p, p * (p - 1), {**fac_p1, p: 1}, x_pow)
         return PrimeProfile(p=p, root_count=RAMIFIED, in_Z=False, t_p=t_p)
+    if root_count != 1 and x_pow(p) != _times_x(x_pow(p - 1), p, r3):
+        raise ArithmeticError(f"X^p is not X * X^(p-1) mod {p}")
     if root_count == 3:
         return PrimeProfile(p=p, root_count=3, in_Z=False,
                             t_p=_state_period(spec, p, p - 1, fac_p1, x_pow))
@@ -253,9 +309,21 @@ def classify_prime(spec, p):
         # F_{p^3}: X^((p-1)j) = 1 exactly when X^j is in F_p
         t_p = 1
         if u0 or u1 or u2:
+            # the multiple X^(p^2+p+1) = X * X^p * X^(p^2) is the norm of
+            # X, the product a3 of the roots, where for X^p = c
+            # X^(p^2) = sigma(c) = c0 + c1*c + c2*c^2
+            c = x_pow(p)
+            cc = _polymulmod(c, c, p, r3, r4)
+            c_p2 = ((c[0] + c[1] * c[0] + c[2] * cc[0]) % p,
+                    (c[1] * c[1] + c[2] * cc[1]) % p,
+                    (c[1] * c[2] + c[2] * cc[2]) % p)
             m2 = p * p + p + 1
+            norm = powers[m2] = _times_x(_polymulmod(c, c_p2, p, r3, r4),
+                                         p, r3)
+            if norm != (spec.a3 % p, 0, 0):
+                raise ArithmeticError(f"the norm of X is not a3 mod {p}")
             r = _element_order(lambda j: x_pow(j)[1:] == (0, 0), m2,
-                               factorize(m2))
+                               factor(m2))
             t_p = r * _scalar_order(x_pow(r)[0], p, fac_p1)
         return PrimeProfile(p=p, root_count=0, in_Z=False, t_p=t_p)
 
@@ -263,7 +331,7 @@ def classify_prime(spec, p):
     # h = X^p - X = h0 + h1*X + h2*X^2: of h if h2 = 0, else of
     # h2^2 * (Psi mod h). Only the true alpha has Psi(alpha) = 0.
     a1, a2, a3 = spec.coefficients
-    c0, c1, c2 = h0, h1, h2 = x_pow(p)
+    c0, c1, c2 = h0, h1, h2 = c = x_pow(p)
     h1 -= 1
     if h2 % p:
         h0, h1 = (h0 * h1 + a1 * h0 * h2 - a3 * h2 * h2,
@@ -282,16 +350,21 @@ def classify_prime(spec, p):
     # X^(p+1) = X * X^p, a shift and one row of r3
     if (c0 - c2 * q0 + q1) % p or (c1 - c2 * q1 + 1) % p:
         raise ArithmeticError(f"X^p is not the Frobenius of Psi mod {p}")
-    powers[p + 1] = (c2 * r3[0] % p, (c0 + c2 * r3[1]) % p,
-                     (c1 + c2 * r3[2]) % p)
+    powers[p + 1] = _times_x(c, p, r3)
 
     def mod_q_is_scalar(j):
+        # beta^((p+1)/2) squares to beta^(p+1) = beta*gamma = q0, so it
+        # is in F_p exactly when q0 is a square mod p
+        if 2 * j == p + 1:
+            return legendre(q0, p) == 1
         _, c1, c2 = x_pow(j)
         return (c1 - c2 * q1) % p == 0
 
-    r = _element_order(mod_q_is_scalar, p + 1, factorize(p + 1))
+    r = _element_order(mod_q_is_scalar, p + 1, factor(p + 1))
     c0, c1, c2 = x_pow(r)
-    a = (c0 + (c1 + c2 * alpha) * alpha) % p        # alpha^r
+    if (c1 - c2 * q1) % p:
+        raise ArithmeticError(f"X^{r} is not a constant modulo Q at p = {p}")
+    a =(c0 + (c1 + c2 * alpha) * alpha) % p        # alpha^r
     b = (c0 - c2 * q0) % p                          # beta^r = gamma^r
     ord_alpha = _scalar_order(alpha, p, fac_p1)
     ord_beta = r * _scalar_order(b, p, fac_p1)

@@ -9,7 +9,8 @@ import bisect
 import math
 import random
 import time
-from itertools import compress, count
+from array import array
+from itertools import compress, count, filterfalse
 
 # psi_t, the least strong pseudoprime to each of the first t prime bases
 # (OEIS A014233; Jaeschke 1993, Sorenson and Webster 2017): the first t
@@ -163,6 +164,85 @@ def trial_division(n):
         factors[n] = factors.get(n, 0) + 1
         n = 1
     return factors, n
+
+
+def factor_table(x):
+    """A function that factors n into {prime: exponent} as `factorize`
+    does, for n <= x + 1 and for n = p^2 + p + 1 with p <= x prime, read
+    off two sieves instead of trial division; any other n raises
+    ValueError.
+
+    - n <= x + 1: the factors 2 come off the low bits, and the odd part
+      walks down a smallest-prime-factor table over the odd numbers, one
+      `array("I")` with 0 at the primes.
+    - n = p^2 + p + 1: its prime factors q <= p are 3 (once, when
+      p = 1 mod 3) and primes q = 1 (mod 3) at which p is a root of
+      t^2 + t + 1, a primitive cube root of unity. A sieve over t at those
+      roots records each q at every prime t; it is built at the first such
+      n, so p - 1 and p + 1 alone never pay for it. What is left of n is 1
+      or a prime, as n < (p + 1)^2.
+    """
+    x = max(x, 0)
+    size = (x + 2) // 2         # index i stands for 2i + 1 <= x + 1
+    spf = array("I", bytes(4 * size))
+    for q in reversed(list(iter_primes(math.isqrt(x + 1)))[1:]):
+        start = q * q >> 1
+        spf[start::q] = array("I", [q]) * len(range(start, size, q))
+    cyclotomic = None
+
+    def odd_primes(indices):
+        return filterfalse(spf.__getitem__, indices)
+
+    def small_primes_of_cyclotomic():
+        found = {}      # prime t -> [q, ...], increasing
+        for i in odd_primes(range(1, size)):
+            q = 2 * i + 1
+            if q % 3 == 2:
+                continue
+            roots = [1]
+            if q > 3:
+                g = 2
+                while (w := pow(g, (q - 1) // 3, q)) == 1:
+                    g += 1
+                roots = [w, q - 1 - w]
+            for r in roots:
+                # the odd t = r (mod q) are 2q apart, their indices q
+                first = (r if r & 1 else r + q) >> 1
+                for j in odd_primes(range(first, size, q)):
+                    found.setdefault(2 * j + 1, []).append(q)
+        return found
+
+    def factor(n):
+        nonlocal cyclotomic
+        if n < 1:
+            raise ValueError("factor_table expects n >= 1")
+        if n <= x + 1:
+            k = (n & -n).bit_length() - 1
+            factors = {2: k} if k else {}
+            n >>= k
+            while n > 1:
+                q = spf[n >> 1] or n
+                factors[q] = factors.get(q, 0) + 1
+                n //= q
+            return factors
+        p = math.isqrt(n)
+        p_is_prime = p == 2 or p % 2 and p > 1 and not spf[p >> 1]
+        if n != p * p + p + 1 or p > x or not p_is_prime:
+            raise ValueError(f"{n} is neither <= {x + 1} nor p^2 + p + 1 "
+                             f"for a prime p <= {x}")
+        if cyclotomic is None:
+            cyclotomic = small_primes_of_cyclotomic()
+        factors = {}
+        for q in cyclotomic.get(p, ()):
+            factors[q] = 0
+            while n % q == 0:
+                factors[q] += 1
+                n //= q
+        if n > 1:
+            factors[n] = 1
+        return factors
+
+    return factor
 
 
 def factorize(n, timeout_s=None):

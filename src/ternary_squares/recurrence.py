@@ -133,15 +133,15 @@ def growth_rate(spec):
 def _check_budget(spec, n, budget_digits):
     # digits of U_n grow like n*log10(gamma), gamma the largest root
     # modulus; refuse past 4 times the budget. The Cauchy bound B > gamma
-    # is the cheap first test, and gamma (unless past the floats) decides
-    # what fails it, so U_n = n (gamma = 1) meets _terms' exact check
+    # is the cheap first test, and gamma (unless past the floats, where
+    # it is infinite) decides what fails it, so U_n = n (gamma = 1) meets
+    # _terms' exact check
     est = n * math.log10(growth_rate(spec))
     if est > 4 * budget_digits:
         from .charpoly import gamma
-        try:
-            est = n * math.log10(gamma(spec))
-        except OverflowError:
-            pass
+        g = gamma(spec)
+        if g < math.inf:
+            est = n * math.log10(g)
     if est > 4 * budget_digits:
         raise TermBudgetError(
             f"term {n} would have roughly {est:.3g} digits, over the "

@@ -332,6 +332,21 @@ def test_root_moduli_of_integer_midpoints_are_exact():
         == [2.0, 2.0**53, 2.0**53]
 
 
+def test_root_moduli_past_the_largest_float_round_to_infinity():
+    # 2^1024 - 2^970 is the midpoint of the largest float and 2^1024:
+    # below it a modulus rounds to the largest float, from it on (ties to
+    # even) to infinity, as IEEE round-to-nearest has it
+    top = 2**1024 - 2**970
+    for r, expect in ((top - 1, sys.float_info.max), (top, math.inf)):
+        # (X - r)(X^2 + 1), and (X - r)(X - 2)^2 with a repeated root
+        assert root_moduli(RecurrenceSpec(r, -1, r, 0, 0, 1)) \
+            == [1.0, 1.0, expect]
+        assert root_moduli(spec_from_roots(r, 2, 2)) == [2.0, 2.0, expect]
+    moduli = root_moduli(RecurrenceSpec(10**400, 0, 1, 0, 0, 1))
+    assert moduli[:2] == [1e-200, 1e-200] and moduli[2] == math.inf
+    assert gamma(RecurrenceSpec(10**309, 1, 1, 0, 0, 1)) == math.inf
+
+
 _FOUND_SPEC = {"a1": 744726489994537504424004986909,
                "a2": -959661318383078421607848799266,
                "a3": 168119623153026641257349179253,

@@ -100,6 +100,12 @@ PRIMES_2000_SHA = {
 }
 
 
+# stdout SHA-256 of `primes --preset tribonacci --max 20000`, the size the
+# benchmark runs: 2262 profiles, every root-count branch
+PRIMES_20000_TRIBONACCI_SHA = \
+    "c4828df33b7165cdee7e886c95f374aea67d5f7abaa75ba814aad02cf6d1b3a6"
+
+
 def test_primes_csv_is_pinned_for_every_preset(capsys):
     assert set(PRIMES_2000_SHA) == set(PRESETS)
     for name, sha in PRIMES_2000_SHA.items():
@@ -107,6 +113,15 @@ def test_primes_csv_is_pinned_for_every_preset(capsys):
                                "--max", "2000")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha, name
+
+
+def test_primes_csv_is_pinned_at_20000(capsys):
+    code, out, err = run_cli(capsys, "primes", "--preset", "tribonacci",
+                             "--max", "20000")
+    assert code == 0
+    assert err == "#Z(20000)/pi(20000) = 1134/2262 = 0.5013\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        PRIMES_20000_TRIBONACCI_SHA
 
 
 def test_primes_pow2_plus_fib_z_set(capsys):
@@ -693,10 +708,13 @@ def test_count_x_past_an_index_is_input_error(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_analyze_gamma_past_a_float_is_input_error(capsys):
-    # the dominant root is near a1 = 10^309, past the largest float
-    spec = json.dumps({"a1": 10**309, "a2": 1, "a3": 1,
-                       "u0": 0, "u1": 0, "u2": 1})
-    code, out, err = run_cli(capsys, "analyze", "--spec", spec)
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+def test_analyze_gamma_past_a_float_reports_conditions(capsys):
+    # the dominant root is near a1, past the largest float: gamma rounds
+    # to infinity, and the conditions decide the exit code
+    for a1, a2 in ((10**309, 1), (10**400, 0)):
+        spec = json.dumps({"a1": a1, "a2": a2, "a3": 1,
+                           "u0": 0, "u1": 0, "u2": 1})
+        code, out, err = run_cli(capsys, "analyze", "--spec", spec)
+        report = json.loads(out)
+        assert report["gamma"] == float("inf") and err == "", a1
+        assert code == (0 if report["satisfies_all"] else 2), a1

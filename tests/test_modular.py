@@ -13,12 +13,13 @@ from ternary_squares.modular import (DEFAULT_SCAN_STATES, RAMIFIED,
                                      _polymulmod,
                                      _progression_char_sum, _progression_word,
                                      _reduction_rows, _x_pow, classify_prime,
-                                     count_roots_mod_p, frobenius_terms,
+                                     classify_primes, count_roots_mod_p,
+                                     frobenius_terms,
                                      in_P_fU, in_Z, term_mod, z_primes)
 from ternary_squares.primes import iter_primes
 from ternary_squares.recurrence import (FIVE_FIB_SQ_MINUS_4, POW2_PLUS_FIB,
-                                        TRIBONACCI, RecurrenceSpec, term,
-                                        term_iter)
+                                        PRESETS, TRIBONACCI, RecurrenceSpec,
+                                        term, term_iter)
 from ternary_squares.sqrtmod import _squares_mod, legendre
 
 GOOD_PRESETS = (TRIBONACCI, POW2_PLUS_FIB)
@@ -291,6 +292,34 @@ def test_classify_prime_powers_stay_in_the_short_halves(monkeypatch):
     assert reached == {0, 1}
 
 
+def per_prime_profile(spec, p):
+    """The profile of `classify_primes` at p, one prime at a time."""
+    if p == 2 or spec.a3 % p == 0:
+        return PrimeProfile(p, count_roots_mod_p(spec, p), False)
+    return classify_prime(spec, p)
+
+
+def test_classify_primes_matches_the_per_prime_path():
+    rng = random.Random(25)
+    specs = list(PRESETS.values()) + [RecurrenceSpec(1, 1, 30, 1, 2, 3)] + [
+        RecurrenceSpec(rng.randint(-5, 5), rng.randint(-5, 5),
+                       rng.choice([-6, -3, -2, -1, 1, 2, 3, 5, 6]),
+                       rng.randint(-3, 3), rng.randint(-3, 3),
+                       rng.randint(-3, 3))
+        for _ in range(20)]
+    branches = set()
+    for spec in specs:
+        for x in (1, 2, 3, 4, 1000, 2003):
+            profiles = list(classify_primes(spec, x))
+            assert [prof.p for prof in profiles] == list(iter_primes(x))
+            for prof in profiles:
+                assert prof == per_prime_profile(spec, prof.p), (spec, prof.p)
+                branches.add((prof.root_count, prof.t_p is not None))
+    # every root count, with a full profile and with the root count only
+    assert branches == {(rc, full) for rc in (0, 1, 3, RAMIFIED)
+                        for full in (False, True)}
+
+
 _CORRUPT_FROBENIUS = """
 import itertools
 import sys
@@ -324,8 +353,13 @@ for p in (7, 13):
 sweep = [(p, wrong) for p in (7, 13)
          for wrong in itertools.product(range(p), repeat=3)
          if wrong != true_x_pow(p, p, *modular._reduction_rows(TRIBONACCI, p))]
-returned, alpha_errors, frobenius_errors = [], [], []
-for p, wrong in dict.fromkeys(cases + alpha_cases + frobenius_cases + sweep):
+# at the no-root prime 5 every wrong X^p must fail against X * X^(p-1),
+# where an unchecked X^p gave 123 of the 124 a profile
+no_root = [(5, wrong) for wrong in itertools.product(range(5), repeat=3)
+           if wrong != true_x_pow(5, 5, *modular._reduction_rows(TRIBONACCI, 5))]
+returned, alpha_errors, frobenius_errors, no_root_errors = [], [], [], []
+for p, wrong in dict.fromkeys(cases + alpha_cases + frobenius_cases + sweep
+                              + no_root):
     modular._x_pow = (lambda e, p, r3, r4, wrong=wrong:
                       wrong if e == p else true_x_pow(e, p, r3, r4))
     try:
@@ -335,8 +369,46 @@ for p, wrong in dict.fromkeys(cases + alpha_cases + frobenius_cases + sweep):
             alpha_errors.append(str(exc))
         if (p, wrong) in frobenius_cases:
             frobenius_errors.append(str(exc))
+        if p == 5:
+            no_root_errors.append(str(exc))
+# at 43 and 61, in Z, ord(beta/gamma) = (p+1)/2 is read off a Legendre
+# symbol, and X^((p+1)/2) is raised only after the descent: a wrong one
+# that is no constant modulo Q must raise, not give wrong orders
+half_errors = []
+for p in (43, 61):
+    for wrong in ((0, 1, 0), (1, 1, 1)):
+        modular._x_pow = (lambda e, q, r3, r4, wrong=wrong:
+                          wrong if 2 * e == q + 1 else true_x_pow(e, q, r3, r4))
+        try:
+            returned.append((p, wrong, modular.classify_prime(TRIBONACCI, p)))
+        except ArithmeticError as exc:
+            half_errors.append(str(exc))
+# a wrong X^(p-1) = y != 1 with X^p = X * y to match passes the cross
+# check at 5; the norm X * X^p * X^(p^2) = a3 must then stop every pair
+# that would give a wrong profile (2 of the 123 name another conjugate)
+modular._x_pow = true_x_pow
+rows_5 = modular._reduction_rows(TRIBONACCI, 5)
+true_5 = modular.classify_prime(TRIBONACCI, 5)
+norm_errors = []
+for y in itertools.product(range(5), repeat=3):
+    if y in (true_x_pow(4, 5, *rows_5), (1, 0, 0)):
+        continue
+    x_y = modular._times_x(y, 5, rows_5[0])
+    modular._x_pow = (lambda e, q, r3, r4, y=y, x_y=x_y: y if e == 4
+                      else x_y if e == 5 else true_x_pow(e, q, r3, r4))
+    try:
+        if modular.classify_prime(TRIBONACCI, 5) != true_5:
+            returned.append((5, y))
+    except ArithmeticError as exc:
+        norm_errors.append(str(exc))
 print(returned, alpha_errors, frobenius_errors)
-ok = (not returned and len(roots_47) == 3
+ok = (not returned and len(roots_47) == 3 and len(no_root) == 124
+      and len(norm_errors) == 121
+      and all("norm of X" in err for err in norm_errors)
+      and len(half_errors) == 4
+      and all("not a constant modulo Q" in err for err in half_errors)
+      and len(no_root_errors) == len(no_root)
+      and all("X * X^(p-1)" in err for err in no_root_errors)
       and len(alpha_errors) == len(alpha_cases)
       and all("is not a root of Psi" in err or "not linear" in err
               for err in alpha_errors)

@@ -5,8 +5,9 @@ from types import SimpleNamespace
 import pytest
 
 from ternary_squares import primes
-from ternary_squares.primes import (_BRENT_BLOCK, FactorTimeout, factorize,
-                                    is_prime, iter_primes, pollard_brent,
+from ternary_squares.primes import (_BRENT_BLOCK, FactorTimeout,
+                                    factor_table, factorize, is_prime,
+                                    iter_primes, pollard_brent,
                                     trial_division)
 
 
@@ -159,3 +160,29 @@ def test_trial_division_splits_off_small_primes():
         assert factors == {p: e for p, e in factorize(n).items()
                            if p in factors}
 
+
+
+def test_factor_table_matches_factorize():
+    # a table that misses a prime gives a non-minimal order that the order
+    # descent cannot see, so every entry the profiles read is compared.
+    # 19997 is prime, so p + 1 = x + 1 is read at the table's end
+    x = 19997
+    factor = factor_table(x)
+    for p in iter_primes(x):
+        for n in (p - 1, p + 1, p * p + p + 1):
+            if n:
+                assert factor(n) == factorize(n), (p, n)
+    assert all(factor(n) == factorize(n) for n in range(1, x + 2))
+    for small_x in range(-3, 8):
+        factor = factor_table(small_x)
+        for p in iter_primes(small_x):
+            assert factor(p * p + p + 1) == factorize(p * p + p + 1)
+
+
+def test_factor_table_refuses_numbers_it_does_not_hold():
+    factor = factor_table(100)
+    for n in (0, -5, 102, 103, 10**2 + 10 + 1, 99**2 + 99 + 1,
+              101**2 + 101 + 1, 10**6):
+        with pytest.raises(ValueError):
+            factor(n)
+    assert factor(101) == {101: 1} and factor(97**2 + 97 + 1) == {3: 1, 3169: 1}
