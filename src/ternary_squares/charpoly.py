@@ -27,11 +27,6 @@ from .recurrence import RecurrenceSpec, growth_rate, term_iter
 from .sqrtmod import integer_sqrt
 
 
-def char_poly(spec):
-    """Ascending coefficients of X^3 - a1 X^2 - a2 X - a3."""
-    return [-spec.a3, -spec.a2, -spec.a1, 1]
-
-
 # ---------------------------------------------------------------------------
 # factorization over Q
 

@@ -12,7 +12,7 @@ from itertools import islice
 
 from . import modular as md
 from .charpoly import is_degenerate
-from .modular import DEFAULT_SCAN_STATES, frobenius_terms, in_Z, z_primes
+from .modular import DEFAULT_SCAN_STATES, frobenius_terms, z_primes
 from .primes import factorize, iter_primes
 from .recurrence import DEFAULT_TERM_DIGITS, term_iter
 from .representation import _WITNESS_CLASSES, _witness_formula
@@ -259,8 +259,9 @@ def omega_IZ(spec, n, z3, y2, factor_timeout_s=None):
     Raises FactorTimeout if factoring n takes over factor_timeout_s."""
     if not z3 < y2:
         raise ValueError("need z3 < y2")
+    is_z = md._z_predicate(spec, False)     # a few primes: no table
     return sum(1 for p in factorize(n, timeout_s=factor_timeout_s)
-               if z3 < p < y2 and in_Z(spec, p))
+               if z3 < p < y2 and is_z(p))
 
 
 # ---------------------------------------------------------------------------

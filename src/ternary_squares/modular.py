@@ -106,15 +106,46 @@ def term_mod(spec, n, p):
 # ---------------------------------------------------------------------------
 # root counting mod p
 
-def _root_count(spec, p, d, x_pow):
-    """`count_roots_mod_p`, given the discriminant d of the cubic and
-    x_pow(e) = X^e modulo (Psi, p)."""
+# 4|d| past this many classes: (d/p) is one power per prime, no table
+_CHARACTER_CLASSES = 1 << 16
+
+
+def _discriminant_character(d, tabulate=True):
+    """p -> the Legendre symbol (d/p) of the discriminant d, at odd primes.
+
+    By quadratic reciprocity (d/p) depends only on p mod 4|d| (Ireland
+    and Rosen, Section 5.2): p = p' mod 4|d| gives (d/p) = (d/p') for odd
+    primes p, p' not dividing d, and a class that shares an odd prime q
+    with d holds no other odd prime than q. So the symbol is computed
+    once per class and kept in a bytearray of 4|d| bytes, the value
+    plus 2, 0 for a class not yet met. With tabulate false, at d = 0 and
+    past _CHARACTER_CLASSES classes it is the plain symbol, one modular
+    power per prime and no table: a sweep then meets too few primes per
+    class for a table to pay for its memory."""
+    m = 4 * abs(d)
+    if not tabulate or not 0 < m <= _CHARACTER_CLASSES:
+        return lambda p: legendre(d, p)
+    values = bytearray(m)
+
+    def chi(p):
+        r = p % m
+        v = values[r]
+        if not v:
+            v = values[r] = legendre(d, p) + 2
+        return v - 2
+    return chi
+
+
+def _root_count(spec, p, d, chi, x_pow):
+    """`count_roots_mod_p`, given the discriminant d of the cubic, its
+    character chi = `_discriminant_character(d)` and x_pow(e) = X^e
+    modulo (Psi, p)."""
     if d % p == 0:
         return RAMIFIED
     if p == 2:
         a1, a2, a3 = spec.coefficients
         return int(a3 % 2 == 0 or (1 - a1 - a2 - a3) % 2 == 0)
-    if legendre(d, p) == -1:
+    if chi(p) == -1:
         return 1
     return 3 if x_pow(p) == (0, 1, 0) else 0
 
@@ -127,10 +158,14 @@ def count_roots_mod_p(spec, p):
     of irreducible factors of Psi mod p, so there is one root exactly when
     (d/p) = -1. Otherwise r is 1 or 3: three roots when X^p = X, none when
     not. F_2 cannot hold three distinct roots, so at p = 2 there is one
-    exactly when Psi(0) or Psi(1) is even.
+    exactly when Psi(0) or Psi(1) is even. By reciprocity (d/p) depends
+    only on p mod 4|d|, so the sweeps compute it once per class into a
+    table (`_discriminant_character`), which falls back to the plain
+    symbol past 2^16 classes; a single prime builds no table.
     """
     rows = _reduction_rows(spec, p)
-    return _root_count(spec, p, discriminant(spec),
+    d = discriminant(spec)
+    return _root_count(spec, p, d, _discriminant_character(d, False),
                        lambda e: _x_pow(e, p, *rows))
 
 
@@ -249,7 +284,9 @@ def classify_prime(spec, p):
         raise ValueError(f"{p} is not prime")
     if spec.a3 % p == 0:
         raise ValueError(f"p = {p} divides a3; the sequence mod p is not purely periodic")
-    return _prime_profile(spec, p, discriminant(spec), factorize)
+    d = discriminant(spec)
+    return _prime_profile(spec, p, d, _discriminant_character(d, False),
+                          factorize)
 
 
 def classify_primes(spec, x):
@@ -265,10 +302,11 @@ def classify_primes(spec, x):
 
 def _prime_profiler(spec, x):
     """p -> its `classify_primes` profile, for primes p <= x, all read off
-    one discriminant and one factor table."""
+    one discriminant, its character and one factor table."""
     d = discriminant(spec)
+    chi = _discriminant_character(d)
     factor = factor_table(x)
-    return lambda p: _prime_profile(spec, p, d, factor)
+    return lambda p: _prime_profile(spec, p, d, chi, factor)
 
 
 def _times_x(c, p, r3):
@@ -277,11 +315,11 @@ def _times_x(c, p, r3):
     return (c2 * r3[0] % p, (c0 + c2 * r3[1]) % p, (c1 + c2 * r3[2]) % p)
 
 
-def _prime_profile(spec, p, d, factor):
+def _prime_profile(spec, p, d, chi, factor):
     """The profile of prime p (see `classify_prime`), given the
-    discriminant d of the cubic and factor(n), the factorization of n for
-    n = p - 1, p + 1 and p^2 + p + 1. At p = 2 and at p | a3 the profile
-    holds the root count only."""
+    discriminant d of the cubic, its character chi and factor(n), the
+    factorization of n for n = p - 1, p + 1 and p^2 + p + 1. At p = 2 and
+    at p | a3 the profile holds the root count only."""
     # one memo of X^e, so each descent's last power is not raised again
     r3, r4 = _reduction_rows(spec, p)
     powers = {}
@@ -292,7 +330,7 @@ def _prime_profile(spec, p, d, factor):
             c = powers[e] = _x_pow(e, p, r3, r4)
         return c
 
-    root_count = _root_count(spec, p, d, x_pow)
+    root_count = _root_count(spec, p, d, chi, x_pow)
     if p == 2 or spec.a3 % p == 0:
         return PrimeProfile(p, root_count, False)
     fac_p1 = factor(p - 1)
@@ -382,19 +420,27 @@ def _prime_profile(spec, p, d, factor):
                         mult_order=k_p // n0)
 
 
-def _z_predicate(spec):
-    """`in_Z(spec, .)` as a predicate of p, the discriminant computed once."""
+def _z_predicate(spec, tabulate=True):
+    """`in_Z(spec, .)` as a predicate of p, the discriminant computed once.
+    By reciprocity (d/p) depends only on p mod 4|d|, so it is computed
+    once per class and kept in a table (`_discriminant_character`); with
+    tabulate false, or past 2^16 classes, it is the plain symbol at each
+    p, with no table."""
     d = discriminant(spec)
+    chi = _discriminant_character(d, tabulate)
     a3 = spec.a3
     return lambda p: (p != 2 and d % p != 0 and a3 % p != 0
-                      and legendre(d, p) == -1)
+                      and chi(p) == -1)
 
 
 def in_Z(spec, p):
     """Membership of p in Z: odd, unramified, coprime to a3, exactly one
-    root mod p. Decided by one Legendre symbol of the discriminant
-    (Frobenius parity), which agrees with the root count."""
-    return _z_predicate(spec)(p)
+    root mod p. Decided by one Legendre symbol (d/p) of the discriminant
+    (Frobenius parity), which agrees with the root count. By reciprocity
+    (d/p) depends only on p mod 4|d|, which the sweeps use to compute it
+    once per class (`_z_predicate`, falling back to the plain symbol past
+    2^16 classes); a single prime takes the plain symbol, no table."""
+    return _z_predicate(spec, False)(p)
 
 
 def z_primes(spec, x):

@@ -25,7 +25,7 @@ _MR_EXTRA_ROUNDS = 64
 _MR_SEED = 0x5EED
 # Pollard-Brent steps between two gcds, and between two deadline checks
 _BRENT_BLOCK = 128
-# numbers sieved at once by iter_primes
+# odd numbers sieved at once by iter_primes
 _SEGMENT = 1 << 20
 
 
@@ -34,25 +34,33 @@ class FactorTimeout(Exception):
 
 
 def iter_primes(limit):
-    """Yield the primes <= limit in increasing order: a segmented sieve
-    of Eratosthenes from 2, its base primes from iter_primes(isqrt(limit)).
+    """Yield the primes <= limit in increasing order: 2, then a segmented
+    sieve of Eratosthenes over the odd numbers from 3, its base primes
+    from iter_primes(isqrt(limit)). Flag i of a segment starting at the
+    odd number low stands for low + 2i, so an odd prime p strikes every
+    p-th flag from its first odd multiple >= max(p^2, low).
 
     Memory stays O(sqrt(limit) + _SEGMENT) regardless of limit.
     """
     if limit < 2:
         return
-    base = list(iter_primes(math.isqrt(limit)))
-    low = 2
+    yield 2
+    base = list(iter_primes(math.isqrt(limit)))[1:]
+    low = 3
     while low <= limit:
-        high = min(low + _SEGMENT - 1, limit)
-        flags = bytearray([1]) * (high - low + 1)
+        high = min(low + 2 * (_SEGMENT - 1), limit)
+        size = (high - low) // 2 + 1
+        flags = bytearray([1]) * size
         for p in base:
             if p * p > high:
                 break
             start = max(p * p, (low + p - 1) // p * p)
-            flags[start - low::p] = bytes((high - start) // p + 1)
-        yield from compress(range(low, high + 1), flags)
-        low = high + 1
+            if start % 2 == 0:
+                start += p
+            i = (start - low) // 2
+            flags[i::p] = bytes(len(range(i, size, p)))
+        yield from compress(range(low, high + 1, 2), flags)
+        low += 2 * _SEGMENT
 
 
 def _miller_rabin_witness(a, d, s, n):

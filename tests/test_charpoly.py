@@ -12,7 +12,7 @@ import pytest
 from ternary_squares import charpoly
 from ternary_squares.charpoly import (Irreducible, LinearTimesQuadratic,
                                       RepeatedRoot, ThreeLinear,
-                                      _exponent_gap, char_poly,
+                                      _exponent_gap,
                                       check_conditions,
                                       discriminant, factorize, gamma,
                                       is_degenerate, root_moduli,
@@ -21,6 +21,11 @@ from ternary_squares.recurrence import (FIBONACCI, FIVE_FIB_SQ_MINUS_4,
                                         POW2_PLUS_FIB, POW2_PLUS_N,
                                         SQUARE_POW, TRIBONACCI,
                                         RecurrenceSpec)
+
+
+def char_poly(spec):
+    """Ascending coefficients of X^3 - a1 X^2 - a2 X - a3."""
+    return [-spec.a3, -spec.a2, -spec.a1, 1]
 
 
 def spec_from_roots(r1, r2, r3, u=(0, 0, 1)):

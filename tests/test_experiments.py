@@ -6,6 +6,7 @@ import pytest
 
 from ternary_squares import experiments as ex
 from ternary_squares import modular
+from ternary_squares.charpoly import discriminant
 from ternary_squares.modular import term_mod, z_primes
 from ternary_squares.recurrence import (FIVE_FIB_SQ_MINUS_4, POW2_PLUS_FIB,
                                         POW2_PLUS_N, SQUARE_POW, TRIBONACCI,
@@ -136,6 +137,19 @@ def test_beukers_rejects_bad_specs():
         ex.beukers_zero_count(RecurrenceSpec(1, 1, 1, 0, 0, 0), 100)
     with pytest.raises(ValueError):
         ex.beukers_zero_count(POW2_PLUS_N, 100)          # repeated root
+
+
+def test_z_density_reads_one_symbol_per_class(monkeypatch):
+    # (d/p) depends only on p mod 4|d| = 176 for d = -44, so at most
+    # phi(176) = 80 symbols of the discriminant; the power at every prime
+    # took 9590, one per prime other than 2 and 11
+    d = discriminant(TRIBONACCI)
+    calls = []
+    monkeypatch.setattr(modular, "legendre",
+                        lambda a, p: calls.append(a == d) or legendre(a, p))
+    r = ex.z_density(TRIBONACCI, 10**5)
+    assert dict(r.observations)["prime_count"] == 9592
+    assert sum(calls) <= 80
 
 
 def test_z_density_small_and_medium():

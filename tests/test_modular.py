@@ -183,6 +183,72 @@ def test_in_Z_matches_root_count():
             assert in_Z(spec, p) == expected, (spec, p)
 
 
+# one d per residue mod 4 and sign, d = 0, and |d| = 2^14 and 2^14 + 1,
+# the last with a table, the first past it; the cubics' discriminants are
+# 0 or 1 mod 4, but the character takes any d
+CHARACTER_DS = (-44, 44, -23, 229, 5, -3, 6, -6, 7, -7, -1, 1, 2, -2, 0,
+                2**14, -2**14, 2**14 + 1, -(2**14 + 1))
+# a1 = 10^40 + 1: |d| past the table size
+HUGE_D_SPEC = RecurrenceSpec(10**40 + 1, 1, 1, 0, 0, 1)
+
+
+def test_discriminant_character_is_the_legendre_symbol():
+    assert modular._CHARACTER_CLASSES == 4 * 2**14
+    odd_primes = list(iter_primes(2 * 10**4))[1:]
+    for d in CHARACTER_DS + (discriminant(HUGE_D_SPEC),):
+        chi = modular._discriminant_character(d)
+        plain = modular._discriminant_character(d, False)
+        expected = [legendre(d, p) for p in odd_primes]
+        # twice: the second pass reads every class off the table
+        for _ in range(2):
+            assert [chi(p) for p in odd_primes] == expected, d
+        assert [plain(p) for p in odd_primes] == expected, d
+
+
+def test_discriminant_character_computes_once_per_class(monkeypatch):
+    calls = []
+    monkeypatch.setattr(modular, "legendre",
+                        lambda a, p: calls.append(p) or legendre(a, p))
+    odd_primes = list(iter_primes(2 * 10**4))[1:]
+    for d in CHARACTER_DS:
+        m = 4 * abs(d)
+        calls.clear()
+        chi = modular._discriminant_character(d)
+        for p in odd_primes:
+            chi(p)
+        if 0 < m <= modular._CHARACTER_CLASSES:
+            assert len(calls) == len({p % m for p in odd_primes}), d
+        else:       # d = 0 and |d| past the table: the plain symbol
+            assert calls == odd_primes, d
+
+
+def test_huge_discriminant_z_sweep_matches_root_count():
+    d = discriminant(HUGE_D_SPEC)
+    assert 4 * abs(d) > modular._CHARACTER_CLASSES
+    expected = [p for p in iter_primes(3000)
+                if p != 2 and count_roots_mod_p(HUGE_D_SPEC, p) == 1]
+    assert list(z_primes(HUGE_D_SPEC, 3000)) == expected
+    assert [in_Z(HUGE_D_SPEC, p) for p in iter_primes(3000)] == \
+        [p in expected for p in iter_primes(3000)]
+
+
+def test_single_prime_entry_points_build_no_table(monkeypatch):
+    true_character = modular._discriminant_character
+    tabulated = []
+
+    def spy(d, tabulate=True):
+        tabulated.append(tabulate)
+        return true_character(d, tabulate)
+    monkeypatch.setattr(modular, "_discriminant_character", spy)
+    in_Z(TRIBONACCI, 13)
+    count_roots_mod_p(TRIBONACCI, 47)
+    classify_prime(TRIBONACCI, 13)
+    assert tabulated == [False, False, False]
+    list(z_primes(TRIBONACCI, 100))
+    list(classify_primes(TRIBONACCI, 100))
+    assert tabulated[3:] == [True, True]
+
+
 def test_z_primes_examples():
     assert list(z_primes(TRIBONACCI, 13)) == [7, 13]
     assert list(z_primes(TRIBONACCI, 6)) == []

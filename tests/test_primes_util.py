@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 from types import SimpleNamespace
@@ -24,12 +25,39 @@ def test_sieve_matches_trial_division():
         assert list(iter_primes(limit)) == trial_division_primes(limit), limit
 
 
+def naive_sieve(limit):
+    """Eratosthenes over every number up to limit, in one piece."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = bytes(min(2, limit + 1))
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    return [n for n in range(limit + 1) if flags[n]]
+
+
+def test_sieve_matches_naive_sieve_at_every_small_limit():
+    for limit in range(201):
+        assert list(iter_primes(limit)) == naive_sieve(limit), limit
+
+
+def test_sieve_matches_naive_sieve_across_segment_boundaries():
+    # a segment holds _SEGMENT = 2^20 odd numbers, so the first ends at
+    # 2^21 + 1 and 3 * 2^20 + 5 lies inside the second
+    assert primes._SEGMENT == 1 << 20
+    expected = naive_sieve(3 * 2**20 + 5)
+    for limit in (2**21 - 1, 2**21, 2**21 + 1, 3 * 2**20 + 5):
+        got = list(iter_primes(limit))
+        assert got == expected[:bisect.bisect_right(expected, limit)], limit
+
+
 def test_segmented_iteration_matches_sieve(monkeypatch):
-    # segments are [2 + k*_SEGMENT, 1 + (k+1)*_SEGMENT]: at 1024 segments
-    # end on the primes 12289, 13313, ...; at 47 and 48 the square 49 of
-    # the base prime 7 starts, and ends, a segment
+    # 2 comes first; then the segments are [3 + 2k*_SEGMENT,
+    # 1 + 2(k+1)*_SEGMENT] over the odd numbers: at 1024 they end on the
+    # primes 12289, 18433, ...; at 23 and 24 the square 49 of the base
+    # prime 7 starts, and ends, a segment
     expected = trial_division_primes(10**5)
-    for segment, limit in ((1024, 10**5), (47, 3000), (48, 3000)):
+    for segment, limit in ((1024, 10**5), (23, 3000), (24, 3000),
+                           (47, 3000), (48, 3000), (1, 3000)):
         monkeypatch.setattr(primes, "_SEGMENT", segment)
         assert list(iter_primes(limit)) == [p for p in expected
                                             if p <= limit], segment
