@@ -161,8 +161,11 @@ def count_roots_mod_p(spec, p):
     exactly when Psi(0) or Psi(1) is even. By reciprocity (d/p) depends
     only on p mod 4|d|, so the sweeps compute it once per class into a
     table (`_discriminant_character`), which falls back to the plain
-    symbol past 2^16 classes; a single prime builds no table.
+    symbol past 2^16 classes; a single prime builds no table. A p that
+    is not prime raises ValueError.
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     rows = _reduction_rows(spec, p)
     d = discriminant(spec)
     return _root_count(spec, p, d, _discriminant_character(d, False),
@@ -439,7 +442,10 @@ def in_Z(spec, p):
     (Frobenius parity), which agrees with the root count. By reciprocity
     (d/p) depends only on p mod 4|d|, which the sweeps use to compute it
     once per class (`_z_predicate`, falling back to the plain symbol past
-    2^16 classes); a single prime takes the plain symbol, no table."""
+    2^16 classes); a single prime takes the plain symbol, no table. A p
+    that is not prime raises ValueError."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     return _z_predicate(spec, False)(p)
 
 

@@ -3,15 +3,13 @@
 One exact solver, Cornacchia's: factor N, run over the square divisors
 g^2 | N, take every square root of -n modulo N/g^2 and walk its Euclid
 descent, and keep the solution with the smallest v. Certificates of a
-non-member come first:
-- local (certificate m): N mod m outside the image of u^2 + n*v^2 mod m,
-  at m = 64 and at m = q^(e+1) for each odd q^e || n, before any
-  factoring;
-- partial_factor and jacobi (certificate D): one Jacobi search for a
-  unitary divisor D of N with gcd(D, 2n) = 1 and Jacobi (-n/D) = -1,
-  over q^e for the primes q below 10^4 (partial_factor), then the
-  cofactor they leave (jacobi, before any Pollard-Brent step), then q^e
-  over the full factorization (partial_factor).
+non-member come first (`_check` states what each one proves):
+- local (certificate m), before any factoring, at m = 64 and at
+  m = q^(e+1) for each odd q^e || n;
+- partial_factor and jacobi (certificate D): one Jacobi search over q^e
+  for the primes q below 10^4 (partial_factor), then the cofactor they
+  leave (jacobi, before any Pollard-Brent step), then q^e over the full
+  factorization (partial_factor).
 On top of that sits the cheap quadratic-residue obstruction: an odd prime
 p | n with U_n a nonresidue mod p certifies that U_n = u^2 + n*v^2 has
 no solution at all. `count` finds it for every n <= x at once with a
@@ -31,15 +29,14 @@ sieve alone decides (obstructed, or not_attempted), read straight off
 the sieve's table with no per-index object; it writes its CSV rows with
 one join and tallies them from the table.
 
-Every Member, Obstructed, witness, local, partial_factor and jacobi
-verdict is re-verified by an explicit check that raises
-CertificateError, so the checks also run under -O. `count` re-verifies
-its obstructions prime by prime, on U_p, U_2p, ... mod p from
-`modular.frobenius_terms`: seeded from one fresh X^p and stepped over
-every multiple with no period assumed. A block compares its obstructed
-indices with those flags, and at the first that failed the stream
-yields the rows before it as a shorter block, then raises. `membership`
-re-verifies its one obstruction by a fresh term_mod.
+`_check` re-verifies every exact-tier, witness and `membership` verdict
+from its certificate alone, one predicate per method, and raises
+CertificateError, so it also runs under -O. `count` re-verifies the
+sieve's obstructions in bulk, prime by prime, on U_p, U_2p, ... mod p
+from `modular.frobenius_terms`: seeded from one fresh X^p and stepped
+over every multiple with no period assumed. A block compares its
+obstructed indices with those flags, and at the first that failed the
+stream yields the rows before it as a shorter block, then raises.
 """
 
 import math
@@ -84,11 +81,6 @@ class Unknown:
 
 class CertificateError(ArithmeticError):
     """A verdict failed its re-verification."""
-
-
-def _certify(ok, what, n):
-    if not ok:
-        raise CertificateError(f"{what} failed re-verification at n={n}")
 
 
 _STATUS_NAMES = {Member: "member", NonMember: "non_member",
@@ -158,16 +150,15 @@ def _local_moduli(n):
             yield q ** (e + 1), q, e
 
 
-def _outside_local_image(n_big, n, q, e):
-    """N is outside the image of u^2 + n*v^2 mod 64 (q = 2), or mod
-    q^(e+1) for an odd prime q with q^e || n, e >= 1.
+def _outside_local_image(r, n, q, e):
+    """r = N mod m is outside the image of u^2 + n*v^2 mod m, for m = 64
+    (q = 2) or m = q^(e+1) with q an odd prime and q^e || n, e >= 1.
 
     In the odd case, with k = v_q(N) and N' = N/q^k: outside exactly
     when k < e and (k is odd or (N'/q) = -1), or k = e, e is odd and
     (N' * n/q^e / q) = -1. Both terms are read off N mod q^(e+1)."""
     if q == 2:
-        return not _image_mod_64(n) >> (n_big & 63) & 1
-    r = n_big % q ** (e + 1)
+        return not _image_mod_64(n) >> r & 1
     if not r:
         return False
     k = 0
@@ -184,45 +175,60 @@ def _local_modulus(n_big, n):
     u^2 + n*v^2 mod m, else None. Any representation reduces mod m, so
     such an m certifies a non-member."""
     return next((m for m, q, e in _local_moduli(n)
-                 if _outside_local_image(n_big, n, q, e)), None)
-
-
-def _is_local_certificate(n_big, n, m):
-    """The local certificate's predicate: m is one of _local_moduli(n),
-    and N mod m is outside the image of u^2 + n*v^2 mod m."""
-    return any(m == mod and _outside_local_image(n_big, n, q, e)
-               for mod, q, e in _local_moduli(n))
+                 if _outside_local_image(n_big % m, n, q, e)), None)
 
 
 def _jacobi_divisor(divisors, n):
     """The first D of `divisors` with gcd(D, 2n) = 1 and Jacobi
-    (-n/D) = -1, else None: for a D with D | N and gcd(D, N/D) = 1, the
-    certificate of _is_jacobi_certificate."""
+    (-n/D) = -1, else None: for a D with D | N and gcd(D, N/D) = 1, a
+    jacobi or partial_factor certificate (see _check)."""
     return next((d for d in divisors
                  if math.gcd(d, 2 * n) == 1 and jacobi(-n, d) == -1), None)
 
 
-def _is_jacobi_certificate(n_big, n, d):
-    """The jacobi and partial_factor certificates' predicate: d | N with
-    gcd(d, N/d) = gcd(d, 2n) = 1 and Jacobi (-n/d) = -1.
-
-    The symbol is the product of (-n/q)^e over q^e || d, so some prime q
-    has an odd e and (-n/q) = -1, and q^e || N as well. Then N is not
-    u^2 + n*v^2: q | u^2 + n*v^2 with -n a nonresidue mod q forces q | u
-    and q | v, so (u/q, v/q) represents N/q^2, and descending this way
-    shows that q divides N to an even power. No primality test is
-    needed."""
-    return (d > 1 and n_big % d == 0 and math.gcd(d, n_big // d) == 1
-            and math.gcd(d, 2 * n) == 1 and jacobi(-n, d) == -1)
+def _check(method, n, value, cert):
+    """Re-verify a verdict of `method` at index n from its certificate
+    alone, else raise CertificateError (also under -O):
+    - qr_sieve, certificate p, value U_n mod p: p is an odd prime, p | n
+      and U_n is a nonzero nonresidue mod p;
+    - local, m, value N or N mod m: m is one of _local_moduli(n) and N is
+      outside the image of u^2 + n*v^2 mod m;
+    - partial_factor and jacobi, D, value N: D | N with gcd(D, N/D) =
+      gcd(D, 2n) = 1 and Jacobi (-n/D) = -1. The symbol is the product of
+      (-n/q)^e over q^e || D, so some prime q has an odd e and
+      (-n/q) = -1, and q^e || N as well. Then N is not u^2 + n*v^2:
+      q | u^2 + n*v^2 with -n a nonresidue mod q forces q | u and q | v,
+      so (u/q, v/q) represents N/q^2, and descending this way shows that
+      q divides N to an even power. No primality test is needed;
+    - cornacchia and witness_formula, (u, v), value N: u^2 + n*v^2 = N.
+    Any other method raises. A failure's message names p or m, never D
+    or u, which can pass str's digit limit."""
+    if method == "qr_sieve":
+        ok = (cert > 2 and n % cert == 0 and is_prime(cert)
+              and _is_nonresidue(value, cert))
+    elif method == "local":
+        ok = any(cert == m and _outside_local_image(value % m, n, q, e)
+                 for m, q, e in _local_moduli(n))
+    elif method in ("partial_factor", "jacobi"):
+        ok = (cert > 1 and value % cert == 0 and math.gcd(cert, value // cert)
+              == math.gcd(cert, 2 * n) == 1 and jacobi(-n, cert) == -1)
+    elif method in ("cornacchia", "witness_formula"):
+        ok = cert[0] ** 2 + n * cert[1] ** 2 == value
+    else:
+        raise CertificateError(f"no check for method {method} at n={n}")
+    if not ok:
+        what = (f"obstruction at p={cert}" if method == "qr_sieve" else
+                f"local certificate at m={cert}" if method == "local" else
+                f"{method} certificate")
+        raise CertificateError(f"{what} failed re-verification at n={n}")
 
 
 def _represent(n_big, n, factor_timeout_s):
     """(status, method) for N = u^2 + n*v^2 over nonnegative integers:
-    the local test, one Jacobi search over the small q^e, the cofactor
-    and the full factorization's q^e (see the module docstring), then the
+    the certificates of the module docstring in its order, then the
     Cornacchia descent's Member with the smallest v, or NonMember, or
-    Unknown if factoring timed out. Every certificate and every Member
-    is re-checked before it is returned."""
+    Unknown if factoring timed out. Each certificate and Member passes
+    _check before it is returned."""
     if n_big < 0:
         raise ValueError("N must be nonnegative")
     if n < 1:
@@ -231,26 +237,23 @@ def _represent(n_big, n, factor_timeout_s):
         return Member(0, 0), "cornacchia"
     m = _local_modulus(n_big, n)
     if m is not None:
-        _certify(_is_local_certificate(n_big, n, m),
-                 f"local certificate at m={m}", n)
+        _check("local", n, n_big, m)
         return NonMember(), "local"
     factors, rest = trial_division(n_big)
-    method = "partial_factor"
-    d = _jacobi_divisor((q**e for q, e in sorted(factors.items())), n)
-    if d is None and rest > 1:
-        # rest has no prime below 10^4 and N/rest no other prime, so
-        # gcd(rest, N/rest) = 1
-        method, d = "jacobi", _jacobi_divisor([rest], n)
+    # rest has no prime below 10^4 and N/rest no other prime, so
+    # gcd(rest, N/rest) = 1; rest = 1 has symbol 1. D = rest only here,
+    # as the search after factorize meets rest only as a rejected q^e
+    d = _jacobi_divisor(chain((q**e for q, e in sorted(factors.items())),
+                              [rest]), n)
     if d is None and rest > 1:
         try:
             factors.update(factorize(rest, timeout_s=factor_timeout_s))
         except FactorTimeout:
             return Unknown(), "cornacchia"
-        method = "partial_factor"
         d = _jacobi_divisor((q**e for q, e in sorted(factors.items())), n)
     if d is not None:
-        _certify(_is_jacobi_certificate(n_big, n, d),
-                 f"{method} certificate", n)
+        method = "jacobi" if d == rest else "partial_factor"
+        _check(method, n, n_big, d)
         return NonMember(), method
     # every solution is g * (primitive solution of N/g^2), g = gcd(u, v),
     # and g runs over the exponent vectors h with 2h <= e
@@ -264,7 +267,7 @@ def _represent(n_big, n, factor_timeout_s):
     if not found:
         return NonMember(), "cornacchia"
     v, u = min(found)
-    _certify(u * u + n * v * v == n_big, "cornacchia representation", n)
+    _check("cornacchia", n, n_big, (u, v))
     return Member(u, v), "cornacchia"
 
 
@@ -386,8 +389,9 @@ class MembershipRecord:
     method: str
 
     def __post_init__(self):
-        if isinstance(self.status, Obstructed):
-            _certify(self.method == "qr_sieve", "obstruction method", self.n)
+        if isinstance(self.status, Obstructed) and self.method != "qr_sieve":
+            raise CertificateError("obstruction method failed "
+                                   f"re-verification at n={self.n}")
 
     def csv_fields(self):
         s = self.status
@@ -449,13 +453,11 @@ def _witness_formula(spec, n):
 def _classify(spec, n, n_exact, factor_timeout_s, term_at):
     """The record of an unobstructed index n: a closed-form witness where
     one exists, else the exact solver for n <= n_exact, else Unknown
-    (method not_attempted). term_at(n) gives U_n exactly. Every Member
-    verdict is re-verified before it is returned."""
+    (method not_attempted). U_n = term_at(n); Members pass _check first."""
     witness = _witness_formula(spec, n)
     if witness is not None:
-        u, v = witness
-        _certify(u * u + n * v * v == term_at(n), "closed-form witness", n)
-        return MembershipRecord(n, Member(u, v), "witness_formula")
+        _check("witness_formula", n, term_at(n), witness)
+        return MembershipRecord(n, Member(*witness), "witness_formula")
     if n <= n_exact:
         u_n = term_at(n)
         if u_n < 0:     # u^2 + n*v^2 >= 0
@@ -476,19 +478,16 @@ def membership(spec, n, n_exact, factor_timeout_s=DEFAULT_FACTOR_TIMEOUT_S,
                term_digits=DEFAULT_TERM_DIGITS):
     """Classify one index n: obstruction first, then a closed-form witness
     where one exists, then the exact solver for n <= n_exact, else Unknown.
-    Member and Obstructed verdicts are re-verified before being returned;
-    the obstruction by a fresh term_mod.
-    """
+    Each certificate passes _check first, the obstruction's on a fresh
+    term_mod."""
     if n < 1:
         raise ValueError("n must be positive")
     if spec.is_zero_sequence():
         raise ValueError("membership is undefined for the all-zero sequence")
     obstruction = qr_obstruction(spec, n)
     if obstruction is not None:
-        p = obstruction.p
-        _certify(p > 2 and n % p == 0 and is_prime(p)
-                 and _is_nonresidue(term_mod(spec, n, p), p),
-                 f"obstruction at p={p}", n)
+        p = obstruction.p   # p < 2 is no modulus, and fails _check
+        _check("qr_sieve", n, term_mod(spec, n, p) if p > 1 else 0, p)
         return MembershipRecord(n, obstruction, "qr_sieve")
     return _classify(spec, n, n_exact, factor_timeout_s,
                      lambda k: term(spec, k, term_digits))
@@ -626,7 +625,8 @@ def _sieve_blocks(obs, verified, lo, hi):
                        if a != b)
             if bad:
                 yield SieveBlock(start, primes[:bad])
-            _certify(False, f"obstruction at p={primes[bad]}", start + bad)
+            raise CertificateError(f"obstruction at p={primes[bad]} failed "
+                                   f"re-verification at n={start + bad}")
         yield SieveBlock(start, primes)
 
 

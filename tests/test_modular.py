@@ -174,6 +174,19 @@ def test_three_root_primes_tribonacci():
     assert three_root[:3] == [47, 53, 103]
 
 
+def test_single_prime_entry_points_reject_non_primes():
+    # the sieve-fed predicates take primes only; the public entry points
+    # check, as classify_prime does
+    primes = set(iter_primes(200))
+    composites = [n for n in range(9, 200, 2) if n not in primes]
+    assert len(composites) == 54
+    for p in [-3, 0, 1, *composites]:
+        with pytest.raises(ValueError, match="not prime"):
+            in_Z(TRIBONACCI, p)
+        with pytest.raises(ValueError, match="not prime"):
+            count_roots_mod_p(TRIBONACCI, p)
+
+
 def test_in_Z_matches_root_count():
     specs = list(GOOD_PRESETS) + random_cubics(22, 5)
     for spec in specs:

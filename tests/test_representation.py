@@ -266,7 +266,7 @@ def test_odd_local_image_matches_brute_force():
             for r in range(m):
                 for n_big in (r, r + m * 10**30):
                     assert representation._outside_local_image(
-                        n_big, n, q, e) == (r not in image), (n, q, r)
+                        n_big % m, n, q, e) == (r not in image), (n, q, r)
             checked += 1
     assert checked == 184
 
@@ -677,6 +677,27 @@ def raises_certificate_error(call):
     return False
 
 assert not __debug__, "run me under python -O"
+# each method _check knows: the true certificate passes, one a unit off
+# raises; (method, n, value, certificate, the wrong one)
+off_by_one = []
+for method, n, value, cert, wrong in (
+        ("qr_sieve", 7, 13 % 7, 7, 8),         # U_7 = 13
+        ("local", 15, 1705, 25, 26),
+        ("local", 15, 1705 % 25, 25, 24),      # N mod m is all it reads
+        ("partial_factor", 19, 19513, 13, 14),
+        ("jacobi", 103, 331800673921785084815380861,
+         31275395788649739354829, 31275395788649739354830),
+        ("cornacchia", 13, 504, (6, 6), (7, 6)),
+        ("witness_formula", 8, 264, (16, 1), (16, 2))):
+    rep._check(method, n, value, cert)
+    off_by_one.append(raises_certificate_error(
+        lambda: rep._check(method, n, value, wrong)))
+# 14^7 = -1 mod 15: only the primality test rejects p = 15
+off_by_one.append(raises_certificate_error(
+    lambda: rep._check("qr_sieve", 15, 14, 15)))
+# D = 10^4400 + 1 = 1 mod 4 has (-1/D) = 1: the failure must not write D
+d = 10**4400 + 1
+huge_d = raises_certificate_error(lambda: rep._check("jacobi", 1, d, d))
 rep._witness_formula = lambda spec, n: (1, 1)
 wrong_witness = raises_certificate_error(
     lambda: rep.membership(POW2_PLUS_N, 8, 0))
@@ -721,8 +742,16 @@ d_shares_a_prime = raises_certificate_error(lambda: rep.represent(45, 1))
 sys.exit(0 if wrong_witness and wrong_obstruction and composite_obstruction
          and after_record and cut_block and wrong_method and wrong_member
          and wrong_prime and all(wrong_m) and d_off_by_one
-         and d_shares_a_prime else 1)
+         and d_shares_a_prime and all(off_by_one) and huge_d else 1)
 """
+
+
+def test_check_has_no_fallback_rule():
+    # a method with no rule of its own raises, though (1, 0) would pass
+    # the (u, v) rule
+    with pytest.raises(CertificateError,
+                       match="^no check for method local_sieve at n=5$"):
+        representation._check("local_sieve", 5, 1, (1, 0))
 
 
 def test_wrong_certificates_raise_under_optimize():
