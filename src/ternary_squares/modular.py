@@ -14,6 +14,9 @@ an order of F_p scalars (see `classify_prime`). Every X^p an order is
 read off is checked first: by the root it yields in Z, else against
 X * X^(p-1). `classify_primes` profiles all primes up to x in one pass,
 p - 1, p + 1 and p^2 + p + 1 factored off `primes.factor_table`.
+`frobenius_powers` gives X^p at a run of primes with one ring product
+per prime, in the ring modulo the product of a block of them, which
+maps onto the ring mod each of its primes.
 
 Terminology used throughout: for a prime p at which the characteristic
 cubic has exactly one root (the set Z), `alpha` is that root in F_p and
@@ -481,18 +484,67 @@ def frobenius_terms(spec, p):
         w0, w1, w2 = w1, w2, (a1 * w2 + a2 * w1 + a3 * w0) % p
 
 
-def frobenius_period(spec, p, k_max):
-    """[W_1, ..., W_t], W_k = U_{kp} mod p read off c^k for c = X^p modulo
-    (characteristic cubic, p), one ring product apart. t is the least k
-    with c^k = 1, where W starts over (never where p | a3), or k_max if
-    that comes first; k_max must be positive."""
-    r3, r4 = _reduction_rows(spec, p)
-    u0, u1, u2 = (t % p for t in spec.initial_terms)
-    c = step = _x_pow(p, p, r3, r4)
-    period = [(c[0] * u0 + c[1] * u1 + c[2] * u2) % p]
-    while c != (1, 0, 0) and len(period) < k_max:
-        c = _polymulmod(c, step, p, r3, r4)
-        period.append((c[0] * u0 + c[1] * u1 + c[2] * u2) % p)
+# consecutive primes per modulus M of `frobenius_powers`
+_WALK_BLOCK = 16
+
+
+def frobenius_powers(spec, primes):
+    """Yield (p, X^p modulo (characteristic cubic, p)) for the increasing
+    odd primes p of `primes`, one ring product per prime.
+
+    The primes go in blocks of _WALK_BLOCK consecutive ones, worked
+    modulo their product M: F_M[X]/Psi maps onto F_q[X]/Psi for each
+    q | M, so X^q modulo (Psi, M) reduces mod q to X^q modulo (Psi, q).
+    A block starts from one power X^q1 mod (Psi, M) of its first prime;
+    from p to the next prime p' it takes one ring product with X^(p'-p),
+    then three reductions mod p'. The short powers X^g and the reduction
+    rows are kept in symmetric residues mod M, each X^g one shift of
+    X^(g-1), so a sequence with small coefficients multiplies M-sized
+    numbers by small ones only."""
+    a1, a2, a3 = spec.coefficients
+    rows = (a3, a2, a1, a1 * a3, a1 * a2 + a3, a1 * a1 + a2)
+    primes = iter(primes)
+    while block := list(islice(primes, _WALK_BLOCK)):
+        m = math.prod(block)
+        h = m >> 1
+        s0, s1, s2, q0, q1, q2 = [(v + h) % m - h for v in rows]
+        r3, r4 = (s0, s1, s2), (q0, q1, q2)
+        steps = [(1, 0, 0)]
+        p = block[0]
+        c = _x_pow(p, m, r3, r4)
+        for q in block:
+            if q != p:
+                while len(steps) <= q - p:
+                    c0, c1, c2 = steps[-1]
+                    steps.append(((c2 * s0 + h) % m - h,
+                                  (c0 + c2 * s1 + h) % m - h,
+                                  (c1 + c2 * s2 + h) % m - h))
+                c = _polymulmod(c, steps[q - p], m, r3, r4)
+                p = q
+            yield p, (c[0] % p, c[1] % p, c[2] % p)
+
+
+def frobenius_period(spec, p, k_max, c):
+    """[W_1, ..., W_t], W_k = U_{kp} mod p read off c^k, given
+    c = X^p modulo (characteristic cubic, p) from `frobenius_powers`. t is
+    the least k with c^k = 1, where W starts over (never where p | a3),
+    or k_max if that comes first; k_max must be positive.
+
+    y -> y*c is linear on F_p[X]/Psi: y*c = y0*c + y1*(X*c) + y2*(X^2*c),
+    so each step applies the fixed 3x3 matrix of columns c, X*c and
+    X^2*c, inline."""
+    r3, _ = _reduction_rows(spec, p)
+    u0, u1, u2 = spec.initial_terms
+    u0, u1, u2 = u0 % p, u1 % p, u2 % p
+    c0, c1, c2 = y0, y1, y2 = c
+    b0, b1, b2 = b = _times_x(c, p, r3)
+    e0, e1, e2 = _times_x(b, p, r3)
+    period = [(y0 * u0 + y1 * u1 + y2 * u2) % p]
+    while (y1 or y2 or y0 != 1) and len(period) < k_max:
+        y0, y1, y2 = ((y0 * c0 + y1 * b0 + y2 * e0) % p,
+                      (y0 * c1 + y1 * b1 + y2 * e1) % p,
+                      (y0 * c2 + y1 * b2 + y2 * e2) % p)
+        period.append((y0 * u0 + y1 * u1 + y2 * u2) % p)
     return period
 
 

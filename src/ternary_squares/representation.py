@@ -13,9 +13,10 @@ non-member come first (`_check` states what each one proves):
 On top of that sits the cheap quadratic-residue obstruction: an odd prime
 p | n with U_n a nonresidue mod p certifies that U_n = u^2 + n*v^2 has
 no solution at all. `count` finds it for every n <= x at once with a
-prime-major sieve, which takes one period of U_p, U_2p, ... mod p from
-`modular.frobenius_period` (ring products) and tiles that period's flags
-over the multiples of p; `qr_obstruction` decides one index.
+prime-major sieve: X^p comes from `modular.frobenius_powers`, one ring
+product per prime over blocks of primes, and one period of U_p, U_2p,
+... mod p from `modular.frobenius_period`, whose flags are tiled over the
+multiples of p; `qr_obstruction` decides one index.
 
 Each verdict names its method: qr_sieve (Obstructed), witness_formula,
 sign (a negative U_n), local, partial_factor, jacobi, cornacchia, or
@@ -33,18 +34,20 @@ one join and tallies them from the table.
 from its certificate alone, one predicate per method, and raises
 CertificateError, so it also runs under -O. `count` re-verifies the
 sieve's obstructions in bulk, prime by prime, on U_p, U_2p, ... mod p
-from `modular.frobenius_terms`: seeded from one fresh X^p and stepped
-over every multiple with no period assumed. A block compares its
-obstructed indices with those flags, and at the first that failed the
-stream yields the rows before it as a shorter block, then raises.
+from `modular.frobenius_terms`: seeded from one fresh X^p mod p, not the
+block walk's, and stepped over every multiple with no period assumed.
+A block compares its obstructed indices with those flags, and at the
+first that failed the stream yields the rows before it as a shorter
+block, then raises.
 """
 
 import math
 from array import array
-from itertools import chain, compress, islice, product
+from itertools import chain, compress, cycle, islice, product
 
 from ._record import record
-from .modular import frobenius_period, frobenius_terms, term_mod
+from .modular import (frobenius_period, frobenius_powers, frobenius_terms,
+                      term_mod)
 from .primes import (FactorTimeout, factorize, is_prime, iter_primes,
                      trial_division)
 from .recurrence import (DEFAULT_TERM_DIGITS, FIVE_FIB_SQ_MINUS_4,
@@ -311,28 +314,33 @@ def obstruction_table(spec, x):
     quadratic nonresidue mod p, or 0 where there is none.
 
     Prime-major, primes going up, so the first prime recorded at n is the
-    smallest. At each odd prime p, `frobenius_period` gives
-    W_k = U_{kp} mod p by ring products, k = 1 up to where W starts over
-    or to x/p. That period's nonresidue flags, from the table of squares
-    mod p when p <= x/p and else by Euler's criterion, are tiled over the
-    multiples of p. Agrees with qr_obstruction. An array("I"), 4 bytes
-    an index, so x must be below 2^32.
+    smallest. The odd primes stream through `frobenius_powers`, one ring
+    product per prime for X^p, and at each p `frobenius_period` steps
+    W_k = U_{kp} mod p by X^p, k = 1 up to where W starts over or to x/p.
+    When p <= x/p that period's nonresidue flags, from the table of
+    squares mod p, are tiled over the multiples of p. Past that, Euler's
+    criterion tests only the multiples no smaller prime has claimed.
+    Agrees with qr_obstruction. An array("I"), 4 bytes an index, so x
+    must be below 2^32.
     """
     if x >= 1 << 32:
         raise ValueError("x must be below 2^32")
     obs = array("I", [0]) * (x + 1)
-    for p in list(iter_primes(x))[1:]:
+    for p, c in frobenius_powers(spec, islice(iter_primes(x), 1, None)):
         k_max = x // p
-        period = frobenius_period(spec, p, k_max)
+        period = frobenius_period(spec, p, k_max, c)
         if p <= k_max:
             squares = _squares_mod(p)
             flags = bytes([not squares[r] for r in period])
+            reps, extra = divmod(k_max, len(flags))
+            for n in compress(range(p, x + 1, p),
+                              flags * reps + flags[:extra]):
+                if not obs[n]:
+                    obs[n] = p
         else:
-            flags = bytes([_is_nonresidue(r, p) for r in period])
-        reps, extra = divmod(k_max, len(flags))
-        for n in compress(range(p, x + 1, p), flags * reps + flags[:extra]):
-            if not obs[n]:
-                obs[n] = p
+            for n, r in zip(range(p, x + 1, p), cycle(period)):
+                if not obs[n] and _is_nonresidue(r, p):
+                    obs[n] = p
     return obs
 
 
@@ -342,13 +350,14 @@ def verified_obstructions(spec, obs):
 
     An independent re-check of obstruction_table, prime-major too, but on
     another path: the terms come from `frobenius_terms`, scalar steps
-    from its own X^p over every multiple of p up to the last that names
-    p, instead of the sieve's tiled period of ring products. A prime that
-    names no index makes no walker.
+    from its own X^p, one `_x_pow` per prime, over every multiple of p up
+    to the last that names p, instead of the table's X^p from the block
+    walk and its tiled period. A prime that names no index makes no
+    walker.
     """
     x = len(obs) - 1
     ok = bytearray(x + 1)
-    for p in list(iter_primes(x))[1:]:
+    for p in islice(iter_primes(x), 1, None):
         end = x - x % p     # down to the last multiple of p that names p
         while end and obs[end] != p:
             end -= p

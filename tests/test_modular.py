@@ -675,6 +675,37 @@ def test_frobenius_swap_many_primes():
             assert fld.pow((0, 1), p) == fld.conj((0, 1)), (spec, p)
 
 
+def test_frobenius_powers_match_x_pow():
+    # the block walk's X^p equals a fresh X^p mod p at every odd prime up
+    # to 20000: on every preset and 20 seeded cubics with negative and
+    # 40-digit coefficients, ramified primes and primes of a3 among them
+    rng = random.Random(30)
+    big = 10**40 + 1
+    specs = list(PRESETS.values()) + [RecurrenceSpec(big, -7, 15, 0, 0, 1)]
+    for _ in range(19):
+        a1, a2 = (rng.choice([rng.randint(-9, 9), big, -rng.randrange(big)])
+                  for _ in range(2))
+        a3 = rng.choice([-15, -3, 1, 21, 35, -big, rng.randrange(1, big)])
+        specs.append(RecurrenceSpec(a1, a2, a3, 0, 0, 1))
+    odd = list(iter_primes(20000))[1:]
+    ramified = divides_a3 = 0
+    for spec in specs:
+        expect = [(p, _x_pow(p, p, *_reduction_rows(spec, p))) for p in odd]
+        assert list(modular.frobenius_powers(spec, odd)) == expect, spec
+        ramified += sum(discriminant(spec) % p == 0 for p in odd)
+        divides_a3 += sum(spec.a3 % p == 0 for p in odd)
+    assert ramified and divides_a3
+    # lists shorter than, as long as and longer than one block
+    assert modular._WALK_BLOCK == 16
+    for spec in (TRIBONACCI, specs[-1]):
+        for start in (0, 100):
+            for length in (0, 1, 15, 16, 17):
+                primes = odd[start:start + length]
+                assert list(modular.frobenius_powers(spec, primes)) == \
+                    [(p, _x_pow(p, p, *_reduction_rows(spec, p)))
+                     for p in primes], (spec, start, length)
+
+
 def test_v_mod_examples_and_oracle():
     # V_m = U_{p*m} mod p, by term_mod at p*m or at p*m reduced mod t_p,
     # and by stepping V over one period

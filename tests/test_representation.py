@@ -503,17 +503,22 @@ def test_obstruction_table_is_four_bytes_an_index():
 
 def test_obstruction_table_steps_one_period(monkeypatch):
     # on tribonacci X^p returns to 1 at k = 13, 31, 48, 10 and 168 for
-    # p = 3, 5, 7, 11 (ramified) and 13, all below 5000/p
+    # p = 3, 5, 7, 11 (ramified) and 13, all below 5000/p; the table
+    # takes one period per odd prime and tiles it
     x = 5000
     periods = {p: next(k for k in range(1, x // p + 1)
                        if _x_pow(k * p, p, *_reduction_rows(TRIBONACCI, p))
                        == (1, 0, 0))
                for p in (3, 5, 7, 11, 13)}
     assert periods == {3: 13, 5: 31, 7: 48, 11: 10, 13: 168}
-    products = []
-    _counting(monkeypatch, modular, "_polymulmod", products)
+    inner, lengths = representation.frobenius_period, []
+    monkeypatch.setattr(
+        representation, "frobenius_period",
+        lambda spec, p, k_max, c: lengths.append(
+            (p, len(period := inner(spec, p, k_max, c)))) or period)
     assert 3 in obstruction_table(TRIBONACCI, x)
-    assert 0 < sum(p == 3 for _, _, p, _, _ in products) <= 13
+    assert [p for p, _ in lengths] == list(iter_primes(x))[1:]
+    assert {p: t for p, t in lengths if p in periods} == periods
 
 
 @pytest.mark.parametrize("spec", [TRIBONACCI, POW2_PLUS_N, A3_THREE_SPEC,
@@ -596,18 +601,25 @@ def test_membership_rejects_forged_obstruction(monkeypatch):
 
 
 def test_recheck_makes_one_x_pow_per_obstructing_prime(monkeypatch):
-    # one X^p per odd prime for the table, and one more per prime that
-    # names an index for the re-check; no other power and no term_mod
+    # the table makes one X^q per block of primes, q its first prime,
+    # modulo the block's product; the re-check one X^p mod p per prime
+    # that names an index; no other power and no term_mod
     x = 30000
     primes = set(obstruction_table(TRIBONACCI, x)) - {0}
+    odd = list(iter_primes(x))[1:]
+    blocks = [odd[i:i + modular._WALK_BLOCK]
+              for i in range(0, len(odd), modular._WALK_BLOCK)]
+    assert len(blocks) == 203
     powers, term_mods = [], []
     _counting(monkeypatch, modular, "_x_pow", powers)
     _counting(monkeypatch, representation, "term_mod", term_mods)
     report = count_range(TRIBONACCI, x, 0)
     assert report.counts["obstructed"] == 18759
-    assert all(e == p for e, p, _, _ in powers)
-    assert sorted(p for _, p, _, _ in powers) == \
-        sorted([*list(iter_primes(x))[1:], *primes]) and term_mods == []
+    assert [(e, m) for e, m, _, _ in powers[:len(blocks)]] == \
+        [(block[0], math.prod(block)) for block in blocks]
+    assert [e for e, p, _, _ in powers[len(blocks):] if e != p] == []
+    assert sorted(p for _, p, _, _ in powers[len(blocks):]) == \
+        sorted(primes) and term_mods == []
 
 
 def test_stream_covers_every_index_once_in_bounded_blocks(monkeypatch):
@@ -701,6 +713,22 @@ huge_d = raises_certificate_error(lambda: rep._check("jacobi", 1, d, d))
 rep._witness_formula = lambda spec, n: (1, 1)
 wrong_witness = raises_certificate_error(
     lambda: rep.membership(POW2_PLUS_N, 8, 0))
+# a walk that gives p = 101 a wrong X^p: the first index that changes,
+# 606, claims 101 falsely, and the re-check, on its own X^p, refuses it
+true_table, true_walk = rep.obstruction_table(TRIBONACCI, 3000), \
+    rep.frobenius_powers
+rep.frobenius_powers = lambda spec, primes: (
+    (p, ((c[0] + 3) % p, c[1], c[2]) if p == 101 else c)
+    for p, c in true_walk(spec, primes))
+items, error = [], None
+try:
+    items.extend(rep.classify_range(TRIBONACCI, 3000, 0))
+except rep.CertificateError as caught:
+    error = str(caught)
+forged_walk = (
+    error == "obstruction at p=101 failed re-verification at n=606"
+    and [p for item in items for p in item.primes] == list(true_table[1:606]))
+rep.frobenius_powers = true_walk
 rep.obstruction_table = lambda spec, x: [0, 0, 0, 0, 0, 0, 0, 0, 3]
 wrong_obstruction = raises_certificate_error(
     lambda: list(rep.classify_range(TRIBONACCI, 8, 0)))
@@ -739,8 +767,9 @@ d_off_by_one = raises_certificate_error(lambda: rep.represent(50, 1))
 # 45 = 6^2 + 3^2: D = 3 divides N/D = 15
 rep.trial_division = lambda m: ({5: 1}, 3)
 d_shares_a_prime = raises_certificate_error(lambda: rep.represent(45, 1))
-sys.exit(0 if wrong_witness and wrong_obstruction and composite_obstruction
-         and after_record and cut_block and wrong_method and wrong_member
+sys.exit(0 if wrong_witness and forged_walk and wrong_obstruction
+         and composite_obstruction and after_record and cut_block
+         and wrong_method and wrong_member
          and wrong_prime and all(wrong_m) and d_off_by_one
          and d_shares_a_prime and all(off_by_one) and huge_d else 1)
 """
