@@ -1,5 +1,6 @@
 """Frozen value records: the one class decorator behind the package's
-specs, verdicts, profiles and reports.
+specs, verdicts, profiles and reports, and `as_dict`, the one reading of
+a record's fields by name.
 
 `dataclasses` would give the same records, but it imports `inspect` (and
 with it `ast`, `dis` and `tokenize`), which took longer at start-up than
@@ -71,3 +72,9 @@ def record(cls):
                      __reduce__=__reduce__, __setattr__=_frozen,
                      __delattr__=_frozen)
     return type(cls.__name__, cls.__bases__, namespace)
+
+
+def as_dict(rec):
+    """{field: value} for the fields of a record, in their declared order:
+    the one source of the keys of its JSON and the columns of its CSV."""
+    return {f: getattr(rec, f) for f in rec.__slots__}

@@ -22,7 +22,7 @@ root.
 
 import math
 
-from ._record import record
+from ._record import as_dict, record
 from .recurrence import RecurrenceSpec, growth_rate, term_iter
 from .sqrtmod import integer_sqrt
 
@@ -258,26 +258,14 @@ class PolyAnalysis:
         if isinstance(f, Irreducible):
             fd = {"kind": "irreducible"}
         elif isinstance(f, LinearTimesQuadratic):
-            fd = {"kind": "linear_times_quadratic", "a": f.a, "b": f.b, "c": f.c}
+            fd = {"kind": "linear_times_quadratic", **as_dict(f)}
         elif isinstance(f, ThreeLinear):
             fd = {"kind": "three_linear", "roots": list(f.roots)}
         else:
             fd = {"kind": "repeated_root",
                   "roots": [{"root": r, "multiplicity": m} for r, m in f.roots]}
-        return {
-            "discriminant": self.discriminant,
-            "factorization": fd,
-            "cond_i": self.cond_i,
-            "cond_i_reason": self.cond_i_reason,
-            "cond_ii": self.cond_ii,
-            "cond_ii_reason": self.cond_ii_reason,
-            "cond_iii": self.cond_iii,
-            "cond_iii_reason": self.cond_iii_reason,
-            "degenerate": self.degenerate,
-            "gamma": self.gamma,
-            "galois_label": self.galois_label,
-            "satisfies_all": self.satisfies_all,
-        }
+        return {**as_dict(self), "factorization": fd,
+                "satisfies_all": self.satisfies_all}
 
 
 def check_conditions(spec):

@@ -7,7 +7,6 @@ output closed by its reader before the command finished.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -16,12 +15,14 @@ from operator import attrgetter
 
 from . import experiments as ex
 from .charpoly import check_conditions, solve_exponents
-from .modular import DEFAULT_SCAN_STATES, ScanBudgetError, classify_primes
+from .modular import (DEFAULT_SCAN_STATES, PrimeProfile, ScanBudgetError,
+                      classify_primes)
 from .primes import FactorTimeout
 from .recurrence import (DEFAULT_TERM_DIGITS, PRESETS, TermBudgetError,
                          spec_from_json)
-from .representation import (DEFAULT_FACTOR_TIMEOUT_S, CertificateError,
-                             classify_range, summarize)
+from .representation import (COUNT_COLUMNS, DEFAULT_FACTOR_TIMEOUT_S,
+                             CertificateError, classify_range, csv_line,
+                             summarize)
 
 SCHEMA_VERSION = "1"
 
@@ -31,10 +32,7 @@ EXIT_FAILED = 2
 EXIT_BUDGET = 3
 EXIT_PIPE = 141
 
-# the fields of PrimeProfile, in order
-PRIMES_COLUMNS = ["p", "root_count", "in_Z", "alpha", "t_p", "k_p",
-                  "ord_alpha", "ord_ratio", "mult_order"]
-COUNT_COLUMNS = ["n", "status", "u", "v", "obstruction_p"]
+PRIMES_COLUMNS = PrimeProfile.__slots__
 CONFIG_KEYS = ("preset", "spec", "threads")
 
 
@@ -182,15 +180,14 @@ def cmd_analyze(args, cfg):
 def cmd_primes(args, cfg):
     spec, _ = _resolve_spec(args, cfg)
     out, close_out = _open_output(args)
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(PRIMES_COLUMNS)
     columns = attrgetter(*PRIMES_COLUMNS)
     n_primes = n_z = 0
     try:
+        out.write(csv_line(PRIMES_COLUMNS))
         for prof in classify_primes(spec, args.max):
             n_primes += 1
             n_z += prof.in_Z
-            writer.writerow(["" if v is None else v for v in columns(prof)])
+            out.write(csv_line(columns(prof)))
     finally:
         if close_out:
             out.close()
@@ -213,7 +210,7 @@ def cmd_count(args, cfg):
                            term_digits=args.term_digits)
     out, close_out = _open_output(args)
     try:
-        out.write(",".join(COUNT_COLUMNS) + "\n")
+        out.write(csv_line(COUNT_COLUMNS))
         report = summarize(_written(out, items), args.x, args.n_exact)
     finally:
         if close_out:

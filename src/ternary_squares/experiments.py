@@ -259,7 +259,7 @@ def omega_IZ(spec, n, z3, y2, factor_timeout_s=None):
     Raises FactorTimeout if factoring n takes over factor_timeout_s."""
     if not z3 < y2:
         raise ValueError("need z3 < y2")
-    is_z = md._z_predicate(spec, False)     # a few primes: no table
+    is_z = md._z_predicate(spec)
     return sum(1 for p in factorize(n, timeout_s=factor_timeout_s)
                if z3 < p < y2 and is_z(p))
 

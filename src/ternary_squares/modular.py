@@ -113,7 +113,7 @@ def term_mod(spec, n, p):
 _CHARACTER_CLASSES = 1 << 16
 
 
-def _discriminant_character(d, tabulate=True):
+def _discriminant_character(d):
     """p -> the Legendre symbol (d/p) of the discriminant d, at odd primes.
 
     By quadratic reciprocity (d/p) depends only on p mod 4|d| (Ireland
@@ -121,12 +121,12 @@ def _discriminant_character(d, tabulate=True):
     primes p, p' not dividing d, and a class that shares an odd prime q
     with d holds no other odd prime than q. So the symbol is computed
     once per class and kept in a bytearray of 4|d| bytes, the value
-    plus 2, 0 for a class not yet met. With tabulate false, at d = 0 and
-    past _CHARACTER_CLASSES classes it is the plain symbol, one modular
-    power per prime and no table: a sweep then meets too few primes per
-    class for a table to pay for its memory."""
+    plus 2, 0 for a class not yet met. At d = 0 and past
+    _CHARACTER_CLASSES classes it is the plain symbol, one modular power
+    per prime and no table: a sweep then meets too few primes per class
+    for a table to pay for its memory."""
     m = 4 * abs(d)
-    if not tabulate or not 0 < m <= _CHARACTER_CLASSES:
+    if not 0 < m <= _CHARACTER_CLASSES:
         return lambda p: legendre(d, p)
     values = bytearray(m)
 
@@ -164,14 +164,13 @@ def count_roots_mod_p(spec, p):
     exactly when Psi(0) or Psi(1) is even. By reciprocity (d/p) depends
     only on p mod 4|d|, so the sweeps compute it once per class into a
     table (`_discriminant_character`), which falls back to the plain
-    symbol past 2^16 classes; a single prime builds no table. A p that
-    is not prime raises ValueError.
+    symbol past 2^16 classes. A p that is not prime raises ValueError.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     rows = _reduction_rows(spec, p)
     d = discriminant(spec)
-    return _root_count(spec, p, d, _discriminant_character(d, False),
+    return _root_count(spec, p, d, _discriminant_character(d),
                        lambda e: _x_pow(e, p, *rows))
 
 
@@ -291,7 +290,7 @@ def classify_prime(spec, p):
     if spec.a3 % p == 0:
         raise ValueError(f"p = {p} divides a3; the sequence mod p is not purely periodic")
     d = discriminant(spec)
-    return _prime_profile(spec, p, d, _discriminant_character(d, False),
+    return _prime_profile(spec, p, d, _discriminant_character(d),
                           factorize)
 
 
@@ -426,14 +425,13 @@ def _prime_profile(spec, p, d, chi, factor):
                         mult_order=k_p // n0)
 
 
-def _z_predicate(spec, tabulate=True):
+def _z_predicate(spec):
     """`in_Z(spec, .)` as a predicate of p, the discriminant computed once.
     By reciprocity (d/p) depends only on p mod 4|d|, so it is computed
-    once per class and kept in a table (`_discriminant_character`); with
-    tabulate false, or past 2^16 classes, it is the plain symbol at each
-    p, with no table."""
+    once per class and kept in a table (`_discriminant_character`); past
+    2^16 classes it is the plain symbol at each p, with no table."""
     d = discriminant(spec)
-    chi = _discriminant_character(d, tabulate)
+    chi = _discriminant_character(d)
     a3 = spec.a3
     return lambda p: (p != 2 and d % p != 0 and a3 % p != 0
                       and chi(p) == -1)
@@ -445,11 +443,10 @@ def in_Z(spec, p):
     (Frobenius parity), which agrees with the root count. By reciprocity
     (d/p) depends only on p mod 4|d|, which the sweeps use to compute it
     once per class (`_z_predicate`, falling back to the plain symbol past
-    2^16 classes); a single prime takes the plain symbol, no table. A p
-    that is not prime raises ValueError."""
+    2^16 classes). A p that is not prime raises ValueError."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _z_predicate(spec, False)(p)
+    return _z_predicate(spec)(p)
 
 
 def z_primes(spec, x):
@@ -501,14 +498,13 @@ def frobenius_powers(spec, primes):
     rows are kept in symmetric residues mod M, each X^g one shift of
     X^(g-1), so a sequence with small coefficients multiplies M-sized
     numbers by small ones only."""
-    a1, a2, a3 = spec.coefficients
-    rows = (a3, a2, a1, a1 * a3, a1 * a2 + a3, a1 * a1 + a2)
     primes = iter(primes)
     while block := list(islice(primes, _WALK_BLOCK)):
         m = math.prod(block)
         h = m >> 1
-        s0, s1, s2, q0, q1, q2 = [(v + h) % m - h for v in rows]
-        r3, r4 = (s0, s1, s2), (q0, q1, q2)
+        r3, r4 = [tuple((v + h) % m - h for v in row)
+                  for row in _reduction_rows(spec, m)]
+        s0, s1, s2 = r3
         steps = [(1, 0, 0)]
         p = block[0]
         c = _x_pow(p, m, r3, r4)

@@ -11,7 +11,7 @@ purely periodic modulo any prime not dividing a3.
 import math
 from itertools import count, islice
 
-from ._record import record
+from ._record import as_dict, record
 
 DEFAULT_TERM_DIGITS = 10**6
 
@@ -44,9 +44,7 @@ class RecurrenceSpec:
     def is_zero_sequence(self):
         return self.u0 == self.u1 == self.u2 == 0
 
-    def to_json_dict(self):
-        return {"a1": self.a1, "a2": self.a2, "a3": self.a3,
-                "u0": self.u0, "u1": self.u1, "u2": self.u2}
+    to_json_dict = as_dict
 
 
 def fibonacci(n):
@@ -214,10 +212,11 @@ def spec_from_json(obj):
     if isinstance(obj, str):
         return resolve_preset(obj)
     if isinstance(obj, dict):
-        missing = {"a1", "a2", "a3", "u0", "u1", "u2"} - set(obj)
+        fields = RecurrenceSpec.__slots__
+        missing = set(fields) - set(obj)
         if missing:
             raise ValueError(f"spec object is missing fields {sorted(missing)}")
-        ints = {k: obj[k] for k in ("a1", "a2", "a3", "u0", "u1", "u2")}
+        ints = {k: obj[k] for k in fields}
         for k, v in ints.items():
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValueError(f"spec field {k} must be an integer, got {v!r}")

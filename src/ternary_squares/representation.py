@@ -1,9 +1,10 @@
 """Exact decision of N = u^2 + n*v^2 and membership classification.
 
 One exact solver, Cornacchia's: factor N, run over the square divisors
-g^2 | N, take every square root of -n modulo N/g^2 and walk its Euclid
-descent, and keep the solution with the smallest v. Certificates of a
-non-member come first (`_check` states what each one proves):
+g^2 | N, take every square root of -n modulo m = N/g^2 and the first
+remainder of its Euclid descent that is at most isqrt(m), and keep the
+solution with the smallest v. Certificates of a non-member come first
+(`_check` states what each one proves):
 - local (certificate m), before any factoring, at m = 64 and at
   m = q^(e+1) for each odd q^e || n;
 - partial_factor and jacobi (certificate D): one Jacobi search over q^e
@@ -45,7 +46,7 @@ import math
 from array import array
 from itertools import chain, compress, cycle, islice, product
 
-from ._record import record
+from ._record import as_dict, record
 from .modular import (frobenius_period, frobenius_powers, frobenius_terms,
                       term_mod)
 from .primes import (FactorTimeout, factorize, is_prime, iter_primes,
@@ -98,12 +99,15 @@ def status_name(status):
 # the representation solver
 
 def _cornacchia_primitive(m, n, m_factors):
-    """The solutions (x, y) of x^2 + n*y^2 = m that the descent finds, m >= 1.
+    """The solutions (x, y) of x^2 + n*y^2 = m that Cornacchia's
+    algorithm finds, m >= 1: every primitive one (at n = 1 one of (x, y)
+    and (y, x), the one with the smaller y).
 
-    Every primitive solution has y invertible mod m and x/y a square root
-    of -n, so walking the Euclidean remainder chain of (m, r) for every
-    root r and square-testing (m - x^2)/n finds each of them. Candidates
-    are only yielded after the equation re-verifies exactly.
+    A primitive solution has y invertible mod m and x/y a square root r
+    of -n, and x is then the first remainder b <= isqrt(m) of the
+    Euclidean chain of (m, r) (Cornacchia; Basilla 2004 proves it for
+    composite m). So each root tests one b, and (b, y) is yielded only
+    when (m - b^2)/n is the exact square y^2.
     """
     if m == 1:
         yield (1, 0)
@@ -116,13 +120,11 @@ def _cornacchia_primitive(m, n, m_factors):
         a, b = m, r
         while b > lim:
             a, b = b, a % b
-        while b:
-            rem = m - b * b
-            if rem % n == 0:
-                y, exact = integer_sqrt(rem // n)
-                if exact:
-                    yield (b, y)
-            a, b = b, a % b
+        rem = m - b * b
+        if rem % n == 0:
+            y, exact = integer_sqrt(rem // n)
+            if exact:
+                yield (b, y)
 
 
 _SQUARES_64 = [r for r, s in enumerate(_squares_mod(64)) if s]
@@ -381,14 +383,27 @@ def non_squarefree_count(x):
 # ---------------------------------------------------------------------------
 # membership classification
 
+# the count CSV's columns; MembershipRecord and SieveBlock write its rows
+COUNT_COLUMNS = ("n", "status", "u", "v", "obstruction_p")
+
+
 def _text(field):
-    """str(field); through Decimal past str's limit (4300 digits), so
-    `decimal` is imported only by a run that writes such a row."""
+    """str(field), "" for None; through Decimal past str's limit (4300
+    digits), so `decimal` is imported only by a run that writes such a
+    row."""
+    if field is None:
+        return ""
     try:
         return str(field)
     except ValueError:
         from decimal import Decimal
         return str(Decimal(field))
+
+
+def csv_line(fields):
+    """One CSV row of `fields`, comma-joined with no quoting: no field
+    of the package's CSVs holds a comma, a quote or a line break."""
+    return ",".join(map(_text, fields)) + "\n"
 
 
 @record
@@ -410,7 +425,7 @@ class MembershipRecord:
                 s.p if isinstance(s, Obstructed) else "")
 
     def csv_text(self):
-        return ",".join(map(_text, self.csv_fields())) + "\n"
+        return csv_line(self.csv_fields())
 
     def tallies(self):
         """(status name, method, count) for the summary."""
@@ -511,29 +526,11 @@ class CountReport:
     member_count: int
     certified_non_members: int
     upper_bound: int
+    density_lower: float    # member_count / x
+    density_upper: float    # upper_bound / x
     non_squarefree: int
 
-    @property
-    def density_lower(self):
-        return self.member_count / self.x
-
-    @property
-    def density_upper(self):
-        return self.upper_bound / self.x
-
-    def to_json_dict(self):
-        return {
-            "x": self.x,
-            "n_exact": self.n_exact,
-            "counts": dict(self.counts),
-            "method_counts": dict(self.method_counts),
-            "member_count": self.member_count,
-            "certified_non_members": self.certified_non_members,
-            "upper_bound": self.upper_bound,
-            "density_lower": self.density_lower,
-            "density_upper": self.density_upper,
-            "non_squarefree": self.non_squarefree,
-        }
+    to_json_dict = as_dict
 
 
 def _classify_chunk(args):
@@ -653,6 +650,8 @@ def summarize(items, x, n_exact):
         member_count=counts["member"],
         certified_non_members=certified,
         upper_bound=x - certified,
+        density_lower=counts["member"] / x,
+        density_upper=(x - certified) / x,
         non_squarefree=non_squarefree_count(x),
     )
 

@@ -43,6 +43,32 @@ def test_analyze_condition_failure_exit_2(capsys):
     assert data["cond_i"] is True and data["cond_iii"] is True
 
 
+# stdout SHA-256 of `analyze --preset NAME`: unlike the grid pin in
+# test_charpoly, this sees the key order of the JSON that analyze prints
+ANALYZE_SHA = {
+    "fibonacci":
+        "779a77abb14ff769e838ad38b938fa449aa07d490d64f3ebe65cebb022bb526d",
+    "five-fib-sq-minus-4":
+        "4ea9d2e0878e0d4be4f11af30adeae0f0d6112417db5bd6a10aa67a9647fb403",
+    "pow2-plus-fib":
+        "75c3d73327a1eeb24794782b22b2e8c984fa86d875ca6e742abe63f4c80fa299",
+    "pow2-plus-n":
+        "6a278afc0707259fb6f1857917446d942b3e7185b148914a4f682b6b70bc9d01",
+    "square-pow":
+        "bb49fb01fa7310ca2c2bc70337b37509ae6344a177d73a4813b25060ceb937b7",
+    "tribonacci":
+        "db7193be08f73ca44e29565425ec271f4c7e10716bfdac1196a69bf84413628f",
+}
+
+
+def test_analyze_output_is_pinned_for_every_preset(capsys):
+    assert set(ANALYZE_SHA) == set(PRESETS)
+    for name, sha in ANALYZE_SHA.items():
+        code, out, _ = run_cli(capsys, "analyze", "--preset", name)
+        assert code == (0 if name in ("tribonacci", "pow2-plus-fib") else 2)
+        assert hashlib.sha256(out.encode()).hexdigest() == sha, name
+
+
 def test_analyze_input_errors(capsys):
     code, _, err = run_cli(capsys, "analyze", "--spec",
                            '{"a1":0,"a2":0,"a3":0,"u0":0,"u1":0,"u2":1}')

@@ -210,12 +210,10 @@ def test_discriminant_character_is_the_legendre_symbol():
     odd_primes = list(iter_primes(2 * 10**4))[1:]
     for d in CHARACTER_DS + (discriminant(HUGE_D_SPEC),):
         chi = modular._discriminant_character(d)
-        plain = modular._discriminant_character(d, False)
         expected = [legendre(d, p) for p in odd_primes]
         # twice: the second pass reads every class off the table
         for _ in range(2):
             assert [chi(p) for p in odd_primes] == expected, d
-        assert [plain(p) for p in odd_primes] == expected, d
 
 
 def test_discriminant_character_computes_once_per_class(monkeypatch):
@@ -243,23 +241,6 @@ def test_huge_discriminant_z_sweep_matches_root_count():
     assert list(z_primes(HUGE_D_SPEC, 3000)) == expected
     assert [in_Z(HUGE_D_SPEC, p) for p in iter_primes(3000)] == \
         [p in expected for p in iter_primes(3000)]
-
-
-def test_single_prime_entry_points_build_no_table(monkeypatch):
-    true_character = modular._discriminant_character
-    tabulated = []
-
-    def spy(d, tabulate=True):
-        tabulated.append(tabulate)
-        return true_character(d, tabulate)
-    monkeypatch.setattr(modular, "_discriminant_character", spy)
-    in_Z(TRIBONACCI, 13)
-    count_roots_mod_p(TRIBONACCI, 47)
-    classify_prime(TRIBONACCI, 13)
-    assert tabulated == [False, False, False]
-    list(z_primes(TRIBONACCI, 100))
-    list(classify_primes(TRIBONACCI, 100))
-    assert tabulated[3:] == [True, True]
 
 
 def test_z_primes_examples():

@@ -164,6 +164,8 @@ def test_presets_resolve():
 
 
 def test_spec_json_roundtrip():
+    assert list(TRIBONACCI.to_json_dict()) == ["a1", "a2", "a3",
+                                               "u0", "u1", "u2"]
     spec = spec_from_json(TRIBONACCI.to_json_dict())
     assert spec == TRIBONACCI
     assert spec_from_json("tribonacci") == TRIBONACCI

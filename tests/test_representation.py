@@ -15,7 +15,8 @@ from ternary_squares.primes import factorize, is_prime, iter_primes
 from ternary_squares.representation import (Member, NonMember,
                                             CertificateError,
                                             MembershipRecord, Obstructed,
-                                            SieveBlock, Unknown, _pool_plan,
+                                            SieveBlock, Unknown,
+                                            _cornacchia_primitive, _pool_plan,
                                             _represent, classify_range,
                                             count_range,
                                             membership, non_squarefree_count,
@@ -95,6 +96,13 @@ def test_represent_witness_matches_plain_scan():
     p = next(k for k in range(200003, 10**6, 4) if is_prime(k))
     q = next(k for k in range(p + 4, 10**6, 4) if is_prime(k))
     cases += [(p * q, 1), (12345**2 + 3 * 212345**2, 3)]  # p, q = 3 mod 4
+    # n = 1, where (y, x) solves too: 65 = 8^2 + 1^2 = 7^2 + 4^2, and
+    # products of primes 1 mod 4 with many such pairs
+    cases += [(65, 1), (5 * 13 * 17 * 29, 1), (2 * 5**4 * 13**2, 1)]
+    # N/g^2 dividing n, where -n has the root 0 (28 = 7*2^2 at n = 7)
+    for n in (6, 7, 12, 28, 60):
+        cases += [(d * k * k, n) for d in range(1, n + 1) if n % d == 0
+                  for k in (1, 2, 6)]
     for n_big, n in cases:
         assert represent(n_big, n) == plain_scan(n_big, n), (n_big, n)
 
@@ -146,6 +154,14 @@ def test_cornacchia_edge_shapes():
     assert isinstance(represent(49, 7), Member)         # (7,0)
     got = represent(2**10 * 3, 5)
     assert isinstance(got, Member) == brute_representable(2**10 * 3, 5)
+    # one of each mirrored pair at n = 1, the one with the smaller y
+    assert set(_cornacchia_primitive(65, 1, {5: 1, 13: 1})) == {(8, 1),
+                                                                (7, 4)}
+    assert represent(65, 1) == plain_scan(65, 1) == Member(8, 1)
+    # m = 28 and n = 7: the root 0 of -n mod m gives b = 0 and (0, 2)
+    assert set(_cornacchia_primitive(28, 7, {2: 2, 7: 1})) == {(0, 2)}
+    assert represent(28, 7) == plain_scan(28, 7) == Member(0, 2)
+    assert represent(12, 6) == plain_scan(12, 6)
 
 
 def test_fibonacci_prime_representations():
@@ -580,13 +596,17 @@ def test_is_nonresidue_is_eulers_criterion():
 def test_ring_rows_built_once_per_prime(monkeypatch):
     # the table and the re-check each build the rows of the ring mod p
     # once per prime: the table (frobenius_period) at every odd prime up
-    # to x, the re-check (frobenius_terms) at each prime that names an
-    # index
+    # to x, and the walk (frobenius_powers) once per block of primes,
+    # modulo their product; the re-check (frobenius_terms) at each prime
+    # that names an index
     x = 3000
     rows = []
     _counting(monkeypatch, modular, "_reduction_rows", rows)
     obs = obstruction_table(TRIBONACCI, x)
-    assert [p for _, p in rows] == list(iter_primes(x))[1:]
+    odd = list(iter_primes(x))[1:]
+    size = modular._WALK_BLOCK
+    blocks = [math.prod(odd[i:i + size]) for i in range(0, len(odd), size)]
+    assert sorted(p for _, p in rows) == sorted(odd + blocks)
     rows.clear()
     verified_obstructions(TRIBONACCI, obs)
     assert sorted(p for _, p in rows) == sorted(set(obs) - {0})
