@@ -23,7 +23,9 @@ def record(cls):
       in the body runs at the end of `__init__`, so its checks also run
       under -O.
     - Records are equal when they have the same type and equal fields,
-      and `__hash__` hashes the fields.
+      and `__hash__` hashes the fields. A field annotated `dict` hashes
+      as the frozenset of its items, so that equal dicts, whatever their
+      order, hash equal.
     - `__slots__` holds the fields, and assignment raises AttributeError.
     - `__reduce__` pickles a record as its type and its fields, so it
       crosses a process pool; unpickling runs `__init__` again.
@@ -36,6 +38,7 @@ def record(cls):
     `__annotations__` until the attribute has been read.
     """
     fields = tuple(cls.__annotations__)
+    mappings = {f for f in fields if cls.__annotations__[f] is dict}
     defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
     namespace = {k: v for k, v in cls.__dict__.items()
                  if k not in defaults and k not in ("__dict__", "__weakref__")}
@@ -58,7 +61,8 @@ def record(cls):
         return NotImplemented
 
     def __hash__(self):
-        return hash(values(self))
+        return hash(tuple([frozenset(v.items()) if f in mappings else v
+                           for f, v in zip(fields, values(self))]))
 
     def __repr__(self):
         shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in fields)

@@ -460,6 +460,23 @@ def z_primes(spec, x):
 # ---------------------------------------------------------------------------
 # the reduced sequence V and sums over it
 
+def frobenius_seed(spec, p, c=None):
+    """(a1, a2, a3, W_0, W_1, W_2): U's coefficients mod p, by which
+    W_k = U_{kp} mod p steps (see `frobenius_terms`), and W's first
+    three terms (U_0, U_p, U_{2p}) mod p. They are read off
+    c = X^p modulo (characteristic cubic, p) and one ring square, as
+    U_{kp} = L(c^k) for the functional L(X^i) = U_i. c is the walk's
+    (`frobenius_powers`), else one fresh X^p mod p of its own."""
+    r3, r4 = _reduction_rows(spec, p)
+    if c is None:
+        c = _x_pow(p, p, r3, r4)
+    u0, u1, u2 = spec.initial_terms
+    cc = _polymulmod(c, c, p, r3, r4)
+    return (r3[2], r3[1], r3[0], u0 % p,
+            (c[0] * u0 + c[1] * u1 + c[2] * u2) % p,
+            (cc[0] * u0 + cc[1] * u1 + cc[2] * u2) % p)
+
+
 def frobenius_terms(spec, p):
     """W_0, W_1, W_2, ... with W_k = U_{kp} mod p, without end.
 
@@ -467,15 +484,9 @@ def frobenius_terms(spec, p):
     is a root of Psi there, and W obeys U's own recurrence,
     W_{k+3} = a1*W_{k+2} + a2*W_{k+1} + a3*W_k, for every prime p
     (ramified, or dividing a3, alike). The first next() makes W_1 and W_2
-    from one X^p and one ring square; every later term is one scalar
-    step, and no period is assumed."""
-    u0, u1, u2 = spec.initial_terms
-    a1, a2, a3 = (a % p for a in spec.coefficients)
-    rows = _reduction_rows(spec, p)
-    c = _x_pow(p, p, *rows)
-    c2 = _polymulmod(c, c, p, *rows)
-    w0, w1, w2 = (u0 % p, (c[0] * u0 + c[1] * u1 + c[2] * u2) % p,
-                  (c2[0] * u0 + c2[1] * u1 + c2[2] * u2) % p)
+    from one fresh X^p and one ring square (`frobenius_seed`); every
+    later term is one scalar step, and no period is assumed."""
+    a1, a2, a3, w0, w1, w2 = frobenius_seed(spec, p)
     while True:
         yield w0
         w0, w1, w2 = w1, w2, (a1 * w2 + a2 * w1 + a3 * w0) % p
@@ -521,26 +532,27 @@ def frobenius_powers(spec, primes):
 
 
 def frobenius_period(spec, p, k_max, c):
-    """[W_1, ..., W_t], W_k = U_{kp} mod p read off c^k, given
-    c = X^p modulo (characteristic cubic, p) from `frobenius_powers`. t is
-    the least k with c^k = 1, where W starts over (never where p | a3),
-    or k_max if that comes first; k_max must be positive.
+    """[W_1, ..., W_t], W_k = U_{kp} mod p, given c = X^p modulo
+    (characteristic cubic, p) from `frobenius_powers`; k_max must be
+    positive.
 
-    y -> y*c is linear on F_p[X]/Psi: y*c = y0*c + y1*(X*c) + y2*(X^2*c),
-    so each step applies the fixed 3x3 matrix of columns c, X*c and
-    X^2*c, inline."""
-    r3, _ = _reduction_rows(spec, p)
-    u0, u1, u2 = spec.initial_terms
-    u0, u1, u2 = u0 % p, u1 % p, u2 % p
-    c0, c1, c2 = y0, y1, y2 = c
-    b0, b1, b2 = b = _times_x(c, p, r3)
-    e0, e1, e2 = _times_x(b, p, r3)
-    period = [(y0 * u0 + y1 * u1 + y2 * u2) % p]
-    while (y1 or y2 or y0 != 1) and len(period) < k_max:
-        y0, y1, y2 = ((y0 * c0 + y1 * b0 + y2 * e0) % p,
-                      (y0 * c1 + y1 * b1 + y2 * e1) % p,
-                      (y0 * c2 + y1 * b2 + y2 * e2) % p)
-        period.append((y0 * u0 + y1 * u1 + y2 * u2) % p)
+    W_0, W_1 and W_2 come from c and one ring square, and every later
+    term is one scalar step of U's own recurrence (see
+    `frobenius_terms`). t is the least k >= 1 at which the state
+    (W_k, W_{k+1}, W_{k+2}) returns to (W_0, W_1, W_2), or k_max if that
+    comes first. The state fixes every later term, so such a t is a
+    period of W: where c = X^p has an order (p not dividing a3), t
+    divides it and can be shorter. Where W is not purely periodic
+    (p | a3, possibly) the state never returns, and t = k_max."""
+    a1, a2, a3, w0, w1, w2 = frobenius_seed(spec, p, c)
+    period = [w1]
+    append = period.append
+    x, y, z = w1, w2, (a1 * w2 + a2 * w1 + a3 * w0) % p
+    for _ in range(k_max - 1):
+        if x == w0 and y == w1 and z == w2:
+            break
+        x, y, z = y, z, (a1 * z + a2 * y + a3 * x) % p
+        append(x)
     return period
 
 

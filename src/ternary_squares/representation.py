@@ -15,9 +15,12 @@ On top of that sits the cheap quadratic-residue obstruction: an odd prime
 p | n with U_n a nonresidue mod p certifies that U_n = u^2 + n*v^2 has
 no solution at all. `count` finds it for every n <= x at once with a
 prime-major sieve: X^p comes from `modular.frobenius_powers`, one ring
-product per prime over blocks of primes, and one period of U_p, U_2p,
-... mod p from `modular.frobenius_period`, whose flags are tiled over the
-multiples of p; `qr_obstruction` decides one index.
+product per prime over blocks of primes; W_k = U_{kp} mod p starts
+from X^p and one ring square and takes scalar steps of U's own
+recurrence (`modular.frobenius_seed`). At p <= x/p the flags of one
+period of W (`modular.frobenius_period`) are tiled over the multiples of
+p; past x/p the row is stepped inline. `qr_obstruction` decides one
+index.
 
 Each verdict names its method: qr_sieve (Obstructed), witness_formula,
 sign (a negative U_n), local, partial_factor, jacobi, cornacchia, or
@@ -34,9 +37,10 @@ one join and tallies them from the table.
 `_check` re-verifies every exact-tier, witness and `membership` verdict
 from its certificate alone, one predicate per method, and raises
 CertificateError, so it also runs under -O. `count` re-verifies the
-sieve's obstructions in bulk, prime by prime, on U_p, U_2p, ... mod p
-from `modular.frobenius_terms`: seeded from one fresh X^p mod p, not the
-block walk's, and stepped over every multiple with no period assumed.
+sieve's obstructions in bulk, prime by prime, on U_p, U_2p, ... mod p:
+seeded from one fresh X^p mod p, not the block walk's, and stepped by
+the same recurrence in a plain loop over every multiple up to the last
+that names p, with no period assumed.
 A block compares its obstructed indices with those flags, and at the
 first that failed the stream yields the rows before it as a shorter
 block, then raises.
@@ -44,10 +48,10 @@ block, then raises.
 
 import math
 from array import array
-from itertools import chain, compress, cycle, islice, product
+from itertools import chain, compress, islice, product
 
 from ._record import as_dict, record
-from .modular import (frobenius_period, frobenius_powers, frobenius_terms,
+from .modular import (frobenius_period, frobenius_powers, frobenius_seed,
                       term_mod)
 from .primes import (FactorTimeout, factorize, is_prime, iter_primes,
                      trial_division)
@@ -317,21 +321,24 @@ def obstruction_table(spec, x):
 
     Prime-major, primes going up, so the first prime recorded at n is the
     smallest. The odd primes stream through `frobenius_powers`, one ring
-    product per prime for X^p, and at each p `frobenius_period` steps
-    W_k = U_{kp} mod p by X^p, k = 1 up to where W starts over or to x/p.
-    When p <= x/p that period's nonresidue flags, from the table of
-    squares mod p, are tiled over the multiples of p. Past that, Euler's
-    criterion tests only the multiples no smaller prime has claimed.
-    Agrees with qr_obstruction. An array("I"), 4 bytes an index, so x
-    must be below 2^32.
+    product per prime for X^p. From X^p and one ring square come
+    W_0, W_1, W_2 for W_k = U_{kp} mod p, and each later W_k is one
+    scalar step of U's own recurrence (`frobenius_seed`). When p <= x/p,
+    `frobenius_period` steps W up to where its state
+    (W_k, W_{k+1}, W_{k+2}) returns to (W_0, W_1, W_2), or to x/p, and
+    the nonresidue flags of that period, from the table of squares mod
+    p, are tiled over the multiples of p. Past that, the row is stepped
+    inline, and Euler's criterion tests only the multiples no smaller
+    prime has claimed. Agrees with qr_obstruction. An array("I"), 4
+    bytes an index, so x must be below 2^32.
     """
     if x >= 1 << 32:
         raise ValueError("x must be below 2^32")
     obs = array("I", [0]) * (x + 1)
     for p, c in frobenius_powers(spec, islice(iter_primes(x), 1, None)):
         k_max = x // p
-        period = frobenius_period(spec, p, k_max, c)
         if p <= k_max:
+            period = frobenius_period(spec, p, k_max, c)
             squares = _squares_mod(p)
             flags = bytes([not squares[r] for r in period])
             reps, extra = divmod(k_max, len(flags))
@@ -340,9 +347,11 @@ def obstruction_table(spec, x):
                 if not obs[n]:
                     obs[n] = p
         else:
-            for n, r in zip(range(p, x + 1, p), cycle(period)):
-                if not obs[n] and _is_nonresidue(r, p):
+            a1, a2, a3, w0, w1, w2 = frobenius_seed(spec, p, c)
+            for n in range(p, x + 1, p):
+                if not obs[n] and _is_nonresidue(w1, p):
                     obs[n] = p
+                w0, w1, w2 = w1, w2, (a1 * w2 + a2 * w1 + a3 * w0) % p
     return obs
 
 
@@ -351,11 +360,11 @@ def verified_obstructions(spec, obs):
     of a fresh sieve, p | n and U_n mod p is a nonzero nonresidue.
 
     An independent re-check of obstruction_table, prime-major too, but on
-    another path: the terms come from `frobenius_terms`, scalar steps
-    from its own X^p, one `_x_pow` per prime, over every multiple of p up
-    to the last that names p, instead of the table's X^p from the block
-    walk and its tiled period. A prime that names no index makes no
-    walker.
+    another path: `frobenius_seed` starts W from its own X^p, one
+    `_x_pow` per prime, instead of the table's X^p from the block walk,
+    and a plain loop steps U's recurrence over every multiple of p up to
+    the last that names p, with no period assumed, where the table tiles
+    one. A prime that names no index takes no power.
     """
     x = len(obs) - 1
     ok = bytearray(x + 1)
@@ -365,10 +374,11 @@ def verified_obstructions(spec, obs):
             end -= p
         if not end:
             continue
-        terms = islice(frobenius_terms(spec, p), 1, None)
-        for n, r in zip(range(p, end + 1, p), terms):
-            if obs[n] == p and _is_nonresidue(r, p):
+        a1, a2, a3, w0, w1, w2 = frobenius_seed(spec, p)
+        for n in range(p, end + 1, p):
+            if obs[n] == p and _is_nonresidue(w1, p):
                 ok[n] = 1
+            w0, w1, w2 = w1, w2, (a1 * w2 + a2 * w1 + a3 * w0) % p
     return ok
 
 

@@ -14,9 +14,9 @@ from ternary_squares.charpoly import (Irreducible, LinearTimesQuadratic,
                                       check_conditions)
 from ternary_squares.modular import PrimeProfile, classify_prime
 from ternary_squares.recurrence import TRIBONACCI, RecurrenceSpec
-from ternary_squares.representation import (Member, MembershipRecord,
-                                            NonMember, Obstructed,
-                                            SieveBlock, Unknown,
+from ternary_squares.representation import (CountReport, Member,
+                                            MembershipRecord, NonMember,
+                                            Obstructed, SieveBlock, Unknown,
                                             classify_range, count_range)
 
 
@@ -70,6 +70,19 @@ def test_frozen_records_hash_by_fields():
                 Unknown()}) == 4
     assert hash(classify_prime(TRIBONACCI, 7)) == \
         hash(classify_prime(TRIBONACCI, 7))
+
+
+def test_count_reports_hash_and_go_in_a_set():
+    # counts and method_counts are dicts; equal dicts hash equal in any order
+    report = count_range(TRIBONACCI, 50, 0)
+    again = count_range(TRIBONACCI, 50, 0)
+    assert list(report.method_counts) == ["not_attempted", "qr_sieve"]
+    reordered = CountReport(**{**_record.as_dict(report), "method_counts":
+                               dict(reversed(report.method_counts.items()))})
+    assert report == again == reordered
+    assert hash(report) == hash(again) == hash(reordered)
+    assert {report, again, reordered} == {report}
+    assert count_range(TRIBONACCI, 51, 0) not in {report}
 
 
 def test_records_refuse_assignment():

@@ -10,6 +10,7 @@ import pytest
 
 from ternary_squares import modular, representation
 from ternary_squares.modular import (_reduction_rows, _x_pow,
+                                     frobenius_period, frobenius_powers,
                                      frobenius_terms, term_mod)
 from ternary_squares.primes import factorize, is_prime, iter_primes
 from ternary_squares.representation import (Member, NonMember,
@@ -483,6 +484,7 @@ NEGATIVE_SPEC = RecurrenceSpec(-2, 1, -1, -5, 3, -1)
 A3_DIVISIBLE_SPEC = RecurrenceSpec(1, 2, 15, 1, 2, 3)   # 3 | a3 and 5 | a3
 A3_THREE_SPEC = RecurrenceSpec(1, 1, 3, 1, 2, 3)
 A3_MINUS_15_SPEC = RecurrenceSpec(2, -1, -15, 1, -2, 4)
+POWERS_OF_TWO = RecurrenceSpec(1, 1, 2, 1, 2, 4)    # U_n = 2^n
 
 
 def _counting(monkeypatch, module, name, calls):
@@ -500,11 +502,12 @@ def _oracle_table(spec, x):
 
 @pytest.mark.parametrize("spec", [TRIBONACCI, POW2_PLUS_N, NEGATIVE_SPEC,
                                   A3_DIVISIBLE_SPEC, A3_THREE_SPEC,
-                                  A3_MINUS_15_SPEC])
+                                  A3_MINUS_15_SPEC, POWERS_OF_TWO])
 def test_obstruction_table_matches_per_index_oracle(spec):
     # at x = 5000 the sieve tiles the rows of p = 3, 5, 7, 11 and 13 on
     # tribonacci past their first period (see the test below); at the
-    # primes dividing a3, X^p never returns to 1 and the rows are stepped
+    # primes dividing a3, X^p never returns to 1 and the rows are stepped;
+    # on 2^n, W's period is shorter than the order of X^p (see below)
     assert list(obstruction_table(spec, 5000)) == _oracle_table(spec, 5000)
     for x in (1, 2, 3):
         assert list(obstruction_table(spec, x)) == _oracle_table(spec, x)
@@ -519,8 +522,9 @@ def test_obstruction_table_is_four_bytes_an_index():
 
 def test_obstruction_table_steps_one_period(monkeypatch):
     # on tribonacci X^p returns to 1 at k = 13, 31, 48, 10 and 168 for
-    # p = 3, 5, 7, 11 (ramified) and 13, all below 5000/p; the table
-    # takes one period per odd prime and tiles it
+    # p = 3, 5, 7, 11 (ramified) and 13, all below 5000/p, and W's state
+    # returns there too; the table takes one period per odd prime
+    # p <= x/p and tiles it, and steps the rows of the larger primes inline
     x = 5000
     periods = {p: next(k for k in range(1, x // p + 1)
                        if _x_pow(k * p, p, *_reduction_rows(TRIBONACCI, p))
@@ -533,8 +537,31 @@ def test_obstruction_table_steps_one_period(monkeypatch):
         lambda spec, p, k_max, c: lengths.append(
             (p, len(period := inner(spec, p, k_max, c)))) or period)
     assert 3 in obstruction_table(TRIBONACCI, x)
-    assert [p for p, _ in lengths] == list(iter_primes(x))[1:]
+    assert [p for p, _ in lengths] == list(iter_primes(math.isqrt(x)))[1:]
     assert {p: t for p, t in lengths if p in periods} == periods
+
+
+def test_frobenius_period_is_the_state_return_period():
+    # on U_n = 2^n, W_k = 2^k mod p starts over with the order of 2 mod p:
+    # at p = 5, 11, 17 and 23 that is 4, 10, 8 and 11, where X^p returns
+    # to 1 only at k = 12, 30, 24 and 33
+    spec, x = POWERS_OF_TWO, 5000
+    lengths = {p: len(frobenius_period(spec, p, x // p, c))
+               for p, c in frobenius_powers(spec, list(iter_primes(x))[1:])}
+
+    def state_return(p, k_max):
+        def state(k):
+            return [term_mod(spec, (k + j) * p, p) for j in range(3)]
+        start = state(0)
+        return next((t for t in range(1, k_max) if state(t) == start), k_max)
+
+    assert lengths == {p: state_return(p, x // p) for p in lengths}
+    small = (5, 11, 17, 23)
+    assert {p: lengths[p] for p in small} == {5: 4, 11: 10, 17: 8, 23: 11}
+    assert {p: next(k for k in range(1, x // p + 1)
+                    if _x_pow(k * p, p, *_reduction_rows(spec, p))
+                    == (1, 0, 0))
+            for p in small} == {5: 12, 11: 30, 17: 24, 23: 33}
 
 
 @pytest.mark.parametrize("spec", [TRIBONACCI, POW2_PLUS_N, A3_THREE_SPEC,
@@ -734,7 +761,8 @@ rep._witness_formula = lambda spec, n: (1, 1)
 wrong_witness = raises_certificate_error(
     lambda: rep.membership(POW2_PLUS_N, 8, 0))
 # a walk that gives p = 101 a wrong X^p: the first index that changes,
-# 606, claims 101 falsely, and the re-check, on its own X^p, refuses it
+# 404, loses its obstruction (its row is a sound unknown), the next,
+# 505, claims 101 falsely, and the re-check, on its own X^p, refuses it
 true_table, true_walk = rep.obstruction_table(TRIBONACCI, 3000), \
     rep.frobenius_powers
 rep.frobenius_powers = lambda spec, primes: (
@@ -746,9 +774,25 @@ try:
 except rep.CertificateError as caught:
     error = str(caught)
 forged_walk = (
-    error == "obstruction at p=101 failed re-verification at n=606"
-    and [p for item in items for p in item.primes] == list(true_table[1:606]))
+    error == "obstruction at p=101 failed re-verification at n=505"
+    and [p for item in items for p in item.primes]
+    == [*true_table[1:404], 0, *true_table[405:505]] and true_table[404])
 rep.frobenius_powers = true_walk
+# a period that drops the last of the 31 terms of p = 5: tiled by 30, the
+# first index that changes, 185, claims 5 falsely, and the re-check, which
+# steps every multiple and assumes no period, refuses it
+true_period = rep.frobenius_period
+rep.frobenius_period = lambda spec, p, k_max, c: (
+    true_period(spec, p, k_max, c)[:-1 if p == 5 else None])
+items, error = [], None
+try:
+    items.extend(rep.classify_range(TRIBONACCI, 3000, 0))
+except rep.CertificateError as caught:
+    error = str(caught)
+forged_period = (
+    error == "obstruction at p=5 failed re-verification at n=185"
+    and [p for item in items for p in item.primes] == list(true_table[1:185]))
+rep.frobenius_period = true_period
 rep.obstruction_table = lambda spec, x: [0, 0, 0, 0, 0, 0, 0, 0, 3]
 wrong_obstruction = raises_certificate_error(
     lambda: list(rep.classify_range(TRIBONACCI, 8, 0)))
@@ -787,9 +831,9 @@ d_off_by_one = raises_certificate_error(lambda: rep.represent(50, 1))
 # 45 = 6^2 + 3^2: D = 3 divides N/D = 15
 rep.trial_division = lambda m: ({5: 1}, 3)
 d_shares_a_prime = raises_certificate_error(lambda: rep.represent(45, 1))
-sys.exit(0 if wrong_witness and forged_walk and wrong_obstruction
-         and composite_obstruction and after_record and cut_block
-         and wrong_method and wrong_member
+sys.exit(0 if wrong_witness and forged_walk and forged_period
+         and wrong_obstruction and composite_obstruction and after_record
+         and cut_block and wrong_method and wrong_member
          and wrong_prime and all(wrong_m) and d_off_by_one
          and d_shares_a_prime and all(off_by_one) and huge_d else 1)
 """
