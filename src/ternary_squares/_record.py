@@ -7,6 +7,8 @@ with it `ast`, `dis` and `tokenize`), which took longer at start-up than
 the rest of the package.
 """
 
+from array import array
+
 
 def _frozen(self, name, *value):
     raise AttributeError(
@@ -25,7 +27,8 @@ def record(cls):
     - Records are equal when they have the same type and equal fields,
       and `__hash__` hashes the fields. A field annotated `dict` hashes
       as the frozenset of its items, so that equal dicts, whatever their
-      order, hash equal.
+      order, hash equal; one annotated `array` as the tuple of its items,
+      so that equal arrays of other typecodes hash equal.
     - `__slots__` holds the fields, and assignment raises AttributeError.
     - `__reduce__` pickles a record as its type and its fields, so it
       crosses a process pool; unpickling runs `__init__` again.
@@ -38,7 +41,9 @@ def record(cls):
     `__annotations__` until the attribute has been read.
     """
     fields = tuple(cls.__annotations__)
-    mappings = {f for f in fields if cls.__annotations__[f] is dict}
+    keys = {dict: lambda v: frozenset(v.items()), array: tuple}
+    hashed_as = {f: keys[kind] for f, kind in cls.__annotations__.items()
+                 if kind in keys}
     defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
     namespace = {k: v for k, v in cls.__dict__.items()
                  if k not in defaults and k not in ("__dict__", "__weakref__")}
@@ -61,7 +66,7 @@ def record(cls):
         return NotImplemented
 
     def __hash__(self):
-        return hash(tuple([frozenset(v.items()) if f in mappings else v
+        return hash(tuple([hashed_as[f](v) if f in hashed_as else v
                            for f, v in zip(fields, values(self))]))
 
     def __repr__(self):

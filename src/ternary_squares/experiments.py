@@ -8,11 +8,10 @@ experiments pass by an explicit tolerance carried in the parameters.
 """
 
 import math
-from itertools import islice
 
 from . import modular as md
 from .charpoly import is_degenerate
-from .modular import DEFAULT_SCAN_STATES, frobenius_terms, z_primes
+from .modular import DEFAULT_SCAN_STATES, frobenius_period, z_primes
 from .primes import factorize, iter_primes
 from .recurrence import DEFAULT_TERM_DIGITS, term_iter
 from .representation import _WITNESS_CLASSES, _witness_formula
@@ -171,9 +170,9 @@ def char_sum_sweep(spec, p_max, max_states=DEFAULT_SCAN_STATES):
     period within budget) and d in {1,2,3}, c < d. The remark after the
     progression lemma says 6 bounds the implied constant.
 
-    One period of V is the first t_p terms of `frobenius_terms`, t_p from
-    the prime's profile: at a prime in Z, Frobenius permutes the roots,
-    so V and U have the same period."""
+    V has U's period t_p at a prime in Z, where Frobenius permutes the
+    roots; t_p, from the profile, meets the budget before
+    `frobenius_period` walks [V_1, ..., V_t'], turned to start at V_0."""
     report = ExperimentReport("char-sum-sweep",
                               {"p_max": p_max, "max_states": max_states,
                                "bound": 6})
@@ -185,7 +184,8 @@ def char_sum_sweep(spec, p_max, max_states=DEFAULT_SCAN_STATES):
         if prof.t_p > max_states:
             skipped += 1
             continue
-        values = list(islice(frobenius_terms(spec, p), prof.t_p))
+        values = frobenius_period(spec, p, prof.t_p)
+        values.insert(0, values.pop())      # V_0 = V_t' first, in place
         chi = [2 * s - 1 for s in _squares_mod(p)]
         chi[0] = 0
         checked += 1

@@ -462,8 +462,13 @@ def z_primes(spec, x):
 
 def frobenius_seed(spec, p, c=None):
     """(a1, a2, a3, W_0, W_1, W_2): U's coefficients mod p, by which
-    W_k = U_{kp} mod p steps (see `frobenius_terms`), and W's first
-    three terms (U_0, U_p, U_{2p}) mod p. They are read off
+    W_k = U_{kp} mod p steps, and W's first three terms
+    (U_0, U_p, U_{2p}) mod p.
+
+    Frobenius is a ring endomorphism of F_p[X]/Psi that fixes F_p, so X^p
+    is a root of Psi there, and W obeys U's own recurrence,
+    W_{k+3} = a1*W_{k+2} + a2*W_{k+1} + a3*W_k, at every prime p
+    (ramified, or dividing a3, alike). The three terms are read off
     c = X^p modulo (characteristic cubic, p) and one ring square, as
     U_{kp} = L(c^k) for the functional L(X^i) = U_i. c is the walk's
     (`frobenius_powers`), else one fresh X^p mod p of its own."""
@@ -475,21 +480,6 @@ def frobenius_seed(spec, p, c=None):
     return (r3[2], r3[1], r3[0], u0 % p,
             (c[0] * u0 + c[1] * u1 + c[2] * u2) % p,
             (cc[0] * u0 + cc[1] * u1 + cc[2] * u2) % p)
-
-
-def frobenius_terms(spec, p):
-    """W_0, W_1, W_2, ... with W_k = U_{kp} mod p, without end.
-
-    Frobenius is a ring endomorphism of F_p[X]/Psi that fixes F_p, so X^p
-    is a root of Psi there, and W obeys U's own recurrence,
-    W_{k+3} = a1*W_{k+2} + a2*W_{k+1} + a3*W_k, for every prime p
-    (ramified, or dividing a3, alike). The first next() makes W_1 and W_2
-    from one fresh X^p and one ring square (`frobenius_seed`); every
-    later term is one scalar step, and no period is assumed."""
-    a1, a2, a3, w0, w1, w2 = frobenius_seed(spec, p)
-    while True:
-        yield w0
-        w0, w1, w2 = w1, w2, (a1 * w2 + a2 * w1 + a3 * w0) % p
 
 
 # consecutive primes per modulus M of `frobenius_powers`
@@ -531,19 +521,19 @@ def frobenius_powers(spec, primes):
             yield p, (c[0] % p, c[1] % p, c[2] % p)
 
 
-def frobenius_period(spec, p, k_max, c):
-    """[W_1, ..., W_t], W_k = U_{kp} mod p, given c = X^p modulo
-    (characteristic cubic, p) from `frobenius_powers`; k_max must be
-    positive.
+def frobenius_period(spec, p, k_max, c=None):
+    """[W_1, ..., W_t], W_k = U_{kp} mod p: the one walk of the sequence
+    V of `in_P_fU` and `char_sum_sweep`; k_max must be positive.
 
-    W_0, W_1 and W_2 come from c and one ring square, and every later
-    term is one scalar step of U's own recurrence (see
-    `frobenius_terms`). t is the least k >= 1 at which the state
-    (W_k, W_{k+1}, W_{k+2}) returns to (W_0, W_1, W_2), or k_max if that
-    comes first. The state fixes every later term, so such a t is a
-    period of W: where c = X^p has an order (p not dividing a3), t
-    divides it and can be shorter. Where W is not purely periodic
-    (p | a3, possibly) the state never returns, and t = k_max."""
+    W_0, W_1, W_2 come from `frobenius_seed(spec, p, c)`, c the block
+    walk's X^p or, when None, a fresh one; each later term is one scalar
+    step of U's own recurrence, which W obeys at every prime. t is the
+    least k >= 1 at which the state (W_k, W_{k+1}, W_{k+2}) returns to
+    (W_0, W_1, W_2), or k_max if that comes first. The state fixes every
+    later term, so a returning state gives W's minimal period, which
+    divides every period of W, such as the order of X^p (p not dividing
+    a3), and can be shorter. Where W is not purely periodic (p | a3,
+    possibly) the state never returns, and t = k_max."""
     a1, a2, a3, w0, w1, w2 = frobenius_seed(spec, p, c)
     period = [w1]
     append = period.append
@@ -594,10 +584,11 @@ def in_P_fU(spec, p, f_p):
     Works at every odd prime p not dividing a3, in Z or not, ramified
     included; `classify_prime` raises ValueError at any other p. Its
     period t_p of U mod p gives t = t_p / gcd(t_p, p), a period of
-    V_m = U_{p*m} mod p since p*t is a multiple of t_p. V is read off
-    `frobenius_terms` over one such period, and m is scanned in
-    [1, t + min(f_p, 6t)]. Periodicity makes that window exhaustive: a
-    run may start in [1, t], and 7 consecutive zeros span at most 6t.
+    V_m = U_{p*m} mod p since p*t is a multiple of t_p. Once t meets the
+    scan budget, `frobenius_period` walks V to its minimal period t' | t,
+    and m is scanned in [1, t' + min(f_p, 6t')]. Periodicity makes that
+    window exhaustive: a run may start in [1, t'], and 7 consecutive
+    zeros span at most 6t'.
     """
     if f_p < 1:
         raise ValueError("f_p must be positive")
@@ -605,9 +596,10 @@ def in_P_fU(spec, p, f_p):
     t = t_p // math.gcd(t_p, p)
     if t > DEFAULT_SCAN_STATES:
         raise ScanBudgetError(f"V period {t} at p={p} exceeds the budget")
-    values = list(islice(frobenius_terms(spec, p), t))
+    values = frobenius_period(spec, p, t)     # V_1, ..., V_t'
+    t = len(values)
     zeros = [m for m in range(1, t + int(min(f_p, 6 * t)) + 1)
-             if values[m % t] == 0]
+             if values[(m - 1) % t] == 0]
     for i in range(len(zeros) - 6):
         if zeros[i + 6] - zeros[i] <= f_p:
             return True, tuple(zeros[i:i + 7])

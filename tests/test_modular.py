@@ -2,7 +2,6 @@ import math
 import random
 import subprocess
 import sys
-from itertools import islice
 
 import pytest
 
@@ -14,12 +13,11 @@ from ternary_squares.modular import (DEFAULT_SCAN_STATES, RAMIFIED,
                                      _progression_char_sum, _progression_word,
                                      _reduction_rows, _x_pow, classify_prime,
                                      classify_primes, count_roots_mod_p,
-                                     frobenius_terms,
                                      in_P_fU, in_Z, term_mod, z_primes)
 from ternary_squares.primes import iter_primes
-from ternary_squares.recurrence import (FIVE_FIB_SQ_MINUS_4, POW2_PLUS_FIB,
-                                        PRESETS, TRIBONACCI, RecurrenceSpec,
-                                        term, term_iter)
+from ternary_squares.recurrence import (FIBONACCI, FIVE_FIB_SQ_MINUS_4,
+                                        POW2_PLUS_FIB, PRESETS, TRIBONACCI,
+                                        RecurrenceSpec, term, term_iter)
 from ternary_squares.sqrtmod import _squares_mod, legendre
 
 GOOD_PRESETS = (TRIBONACCI, POW2_PLUS_FIB)
@@ -39,8 +37,16 @@ def period_by_iteration(spec, p, max_states=DEFAULT_SCAN_STATES):
 
 def v_period(spec, p):
     """One period V_0 .. V_{t-1} of V_m = U_{p*m} mod p at a prime p in Z,
-    where t_p is V's period."""
-    return list(islice(frobenius_terms(spec, p), classify_prime(spec, p).t_p))
+    where t_p is V's period: U mod p stepped by its own recurrence over
+    one period and read at p*m mod t_p, not by V's walker. It agrees with
+    term_mod at p*m (test_v_mod_examples_and_oracle), which is too slow
+    to call at each of the 882,016 indices the sweeps below read."""
+    t_p = classify_prime(spec, p).t_p
+    a1, a2, a3 = spec.coefficients
+    u = [x % p for x in spec.initial_terms]
+    while len(u) < t_p:
+        u.append((a1 * u[-1] + a2 * u[-2] + a3 * u[-3]) % p)
+    return [u[p * m % t_p] for m in range(t_p)]
 
 
 def chi_table(p):
@@ -827,13 +833,16 @@ def brute_in_P_fU(spec, p, f_p, m_max):
 def test_in_P_fU_ramified_and_three_root_primes():
     # p = 11 divides the discriminant -44; p = 47 has three roots. The V
     # period is 10 at p = 11, so spans above it need more than two periods.
+    # On Fibonacci at p = 5, V = 0 has period 1, shorter than
+    # t_p / gcd(t_p, p) = 4, the walk's budget.
     assert count_roots_mod_p(TRIBONACCI, 11) == RAMIFIED
     assert count_roots_mod_p(TRIBONACCI, 47) == 3
     assert in_P_fU(TRIBONACCI, 11, 60) == (True, (10, 20, 30, 40, 50, 60, 70))
-    for p in (11, 47):
-        for f_p in (1, 7, 10, 30, 59, 60, 100, 250):
-            assert in_P_fU(TRIBONACCI, p, f_p) == \
-                brute_in_P_fU(TRIBONACCI, p, f_p, 300), (p, f_p)
+    assert modular.frobenius_period(FIBONACCI, 5, 4) == [0]
+    for spec, p in ((TRIBONACCI, 11), (TRIBONACCI, 47), (FIBONACCI, 5)):
+        for f_p in (1, 5, 6, 7, 10, 30, 59, 60, 100, 250):
+            assert in_P_fU(spec, p, f_p) == \
+                brute_in_P_fU(spec, p, f_p, 300), (spec, p, f_p)
 
 
 def test_in_P_fU_outside_Z():

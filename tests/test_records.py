@@ -4,6 +4,7 @@ behaviour that the package and its tests rely on."""
 import pickle
 import subprocess
 import sys
+from array import array
 
 import pytest
 
@@ -70,6 +71,24 @@ def test_frozen_records_hash_by_fields():
                 Unknown()}) == 4
     assert hash(classify_prime(TRIBONACCI, 7)) == \
         hash(classify_prime(TRIBONACCI, 7))
+
+
+def test_every_record_hashes_and_goes_in_a_set():
+    samples = _samples()
+    assert len({*samples, *_samples()}) == len(samples)
+    for rec in samples:
+        assert hash(rec) == hash(pickle.loads(pickle.dumps(rec))), rec
+
+
+def test_sieve_blocks_hash_their_primes_as_items():
+    # equal arrays of different typecodes are equal, so they must hash
+    # equal: the items, not the bytes
+    wide, narrow = array("I", [0, 7, 0, 3]), array("B", [0, 7, 0, 3])
+    assert wide == narrow and wide.tobytes() != narrow.tobytes()
+    assert SieveBlock(5, wide) == SieveBlock(5, narrow)
+    assert hash(SieveBlock(5, wide)) == hash(SieveBlock(5, narrow))
+    assert len({SieveBlock(5, wide), SieveBlock(5, narrow),
+                SieveBlock(6, wide)}) == 2
 
 
 def test_count_reports_hash_and_go_in_a_set():

@@ -11,7 +11,7 @@ import pytest
 from ternary_squares import modular, representation
 from ternary_squares.modular import (_reduction_rows, _x_pow,
                                      frobenius_period, frobenius_powers,
-                                     frobenius_terms, term_mod)
+                                     term_mod)
 from ternary_squares.primes import factorize, is_prime, iter_primes
 from ternary_squares.representation import (Member, NonMember,
                                             CertificateError,
@@ -575,25 +575,22 @@ def test_obstruction_recheck_matches_term_mod(spec):
     assert any(obs[n] and spec.a3 % obs[n] == 0 for n in range(x + 1)) \
         or abs(spec.a3) < 3
     for p in set(obs) - {0}:
-        terms = list(islice(frobenius_terms(spec, p), x // p + 1))
-        assert terms == [term_mod(spec, n, p)
-                         for n in range(0, x + 1, p)], (spec, p)
+        period = frobenius_period(spec, p, x // p, None)
+        assert [period[(k - 1) % len(period)] for k in range(1, x // p + 1)] \
+            == [term_mod(spec, n, p) for n in range(p, x + 1, p)], (spec, p)
     ok = verified_obstructions(spec, obs)
     assert [n for n in range(x + 1) if ok[n]] == \
         [n for n in range(x + 1) if obs[n]]
 
 
-def test_frobenius_terms_seeds_lazily(monkeypatch):
-    u_7, u_14 = term_mod(TRIBONACCI, 7, 7), term_mod(TRIBONACCI, 14, 7)
+def test_frobenius_period_seeds_from_one_fresh_x_pow(monkeypatch):
+    # with no X^p given, the walk makes its own, one _x_pow(p, p), and
+    # every later term steps; tribonacci's W returns at k = 48 at p = 7
     powers = []
     _counting(monkeypatch, modular, "_x_pow", powers)
-    walker = frobenius_terms(TRIBONACCI, 7)
-    assert powers == []
-    assert next(walker) == TRIBONACCI.u0 % 7
-    # the first term makes the seed from one fresh X^p, the rest step
+    period = frobenius_period(TRIBONACCI, 7, 100, c=None)
     assert [(e, p) for e, p, _, _ in powers] == [(7, 7)]
-    assert [next(walker), next(walker)] == [u_7, u_14]
-    assert len(powers) == 1
+    assert period == [term_mod(TRIBONACCI, 7 * k, 7) for k in range(1, 49)]
 
 
 @pytest.mark.parametrize("p, n", [(9, 9), (3, 8), (2, 4), (4, 8), (3, 6),
@@ -622,9 +619,9 @@ def test_is_nonresidue_is_eulers_criterion():
 
 def test_ring_rows_built_once_per_prime(monkeypatch):
     # the table and the re-check each build the rows of the ring mod p
-    # once per prime: the table (frobenius_period) at every odd prime up
+    # once per prime: the table (frobenius_seed) at every odd prime up
     # to x, and the walk (frobenius_powers) once per block of primes,
-    # modulo their product; the re-check (frobenius_terms) at each prime
+    # modulo their product; the re-check (frobenius_seed) at each prime
     # that names an index
     x = 3000
     rows = []
