@@ -66,7 +66,8 @@ def _build_parser():
     common.add_argument("--term-digits", type=int, default=DEFAULT_TERM_DIGITS,
                         help="exact-term decimal digit budget "
                              "(default %(default)s)")
-    common.add_argument("--output", help="write CSV here instead of stdout")
+    csv_out = argparse.ArgumentParser(add_help=False)
+    csv_out.add_argument("--output", help="write CSV here instead of stdout")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -75,12 +76,12 @@ def _build_parser():
                             "JSON output, exit 2 if any condition fails")
     p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("primes", parents=[common],
+    p = sub.add_parser("primes", parents=[common, csv_out],
                        help="per-prime profile CSV: " + ",".join(PRIMES_COLUMNS))
     p.add_argument("--max", type=int, required=True, help="largest prime to profile")
     p.set_defaults(fn=cmd_primes)
 
-    p = sub.add_parser("count", parents=[common],
+    p = sub.add_parser("count", parents=[common, csv_out],
                        help="classify n <= x; CSV " + ",".join(COUNT_COLUMNS) +
                             " plus a JSON summary")
     p.add_argument("--x", type=int, required=True)
@@ -162,9 +163,12 @@ def _check_budgets(args):
 
 
 def _open_output(args):
-    if args.output:
+    if not args.output:
+        return sys.stdout, False
+    try:
         return open(args.output, "w", encoding="utf-8", newline=""), True
-    return sys.stdout, False
+    except OSError as exc:
+        raise InputError(f"cannot write {args.output}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -233,76 +237,52 @@ def _written(out, items):
         yield item
 
 
-# the keywords under which an experiment takes the CLI's budgets
-BUDGET_KEYWORDS = ("term_digits", "factor_timeout_s")
-
-
-def _report_experiment(fn):
-    """fn's value as an ExperimentReport; its parameters are the keyword
-    arguments, the budgets left out."""
-    def run(**params):
-        value = fn(**params)
-        shown = {k: (v.to_json_dict() if hasattr(v, "to_json_dict") else v)
-                 for k, v in params.items() if k not in BUDGET_KEYWORDS}
-        report = ex.ExperimentReport(getattr(fn, "__name__", "experiment"),
-                                     shown)
-        report.observe("value", value)
-        return report
-    return run
-
-
+# params: each parameter's (type, default); a None default marks one
+# that --param must give
 EXPERIMENTS = {
     "z-density": {
         "needs_spec": True, "fn": ex.z_density,
-        "params": {"x": int, "tolerance": float},
-        "defaults": {"x": 10**6, "tolerance": 0.05},
+        "params": {"x": (int, 10**6), "tolerance": (float, 0.05)},
     },
     "lemma5-sweep": {
         "needs_spec": True, "fn": ex.lemma5_sweep,
-        "params": {"p_min": int, "p_max": int},
-        "defaults": {"p_min": 100, "p_max": 10**5},
+        "params": {"p_min": (int, 100), "p_max": (int, 10**5)},
     },
     "multiplier-sweep": {
         "needs_spec": True, "fn": ex.multiplier_sweep,
-        "params": {"p_min": int, "p_max": int},
-        "defaults": {"p_min": 3, "p_max": 10**4},
+        "params": {"p_min": (int, 3), "p_max": (int, 10**4)},
     },
     "beukers-zero-count": {
         "needs_spec": True, "fn": ex.beukers_zero_count,
-        "params": {"n_max": int},
-        "defaults": {"n_max": 500},
+        "params": {"n_max": (int, 500)},
         "budget": "term_digits",
     },
     "char-sum-sweep": {
         "needs_spec": True, "fn": ex.char_sum_sweep,
-        "params": {"p_max": int, "max_states": int},
-        "defaults": {"p_max": 1000, "max_states": DEFAULT_SCAN_STATES},
+        "params": {"p_max": (int, 1000),
+                   "max_states": (int, DEFAULT_SCAN_STATES)},
     },
     "smooth-count": {
-        "needs_spec": False, "fn": _report_experiment(ex.smooth_count),
-        "params": {"x": int, "y": int},
-        "defaults": {"x": 100, "y": 5},
+        "needs_spec": False, "fn": ex.smooth_count,
+        "params": {"x": (int, 100), "y": (int, 5)},
     },
     "divisor-interval-count": {
-        "needs_spec": False, "fn": _report_experiment(ex.divisor_interval_count),
-        "params": {"x": int, "y": float, "z": float},
-        "defaults": {"x": 20, "y": 2, "z": 4},
+        "needs_spec": False, "fn": ex.divisor_interval_count,
+        "params": {"x": (int, 20), "y": (float, 2), "z": (float, 4)},
     },
     "shifted-prime-count": {
-        "needs_spec": False, "fn": _report_experiment(ex.shifted_prime_count),
-        "params": {"x": int, "y": float, "z": float, "lam": int},
-        "defaults": {"x": 50, "y": 2, "z": 4, "lam": -1},
+        "needs_spec": False, "fn": ex.shifted_prime_count,
+        "params": {"x": (int, 50), "y": (float, 2), "z": (float, 4),
+                   "lam": (int, -1)},
     },
     "omega-iz": {
-        "needs_spec": True, "fn": _report_experiment(ex.omega_IZ),
-        "params": {"n": int, "z3": float, "y2": float},
-        "defaults": {"z3": 2, "y2": 10**6},
+        "needs_spec": True, "fn": ex.omega_IZ,
+        "params": {"z3": (float, 2), "y2": (float, 10**6), "n": (int, None)},
         "budget": "factor_timeout_s",
     },
     "counterexample-density": {
         "needs_spec": "preset", "fn": ex.counterexample_density,
-        "params": {"x": int},
-        "defaults": {"x": 1000},
+        "params": {"x": (int, 1000)},
         "budget": "term_digits",
     },
 }
@@ -314,7 +294,7 @@ def cmd_verify(args, cfg):
         raise InputError(f"unknown experiment {name!r}; "
                          f"choose from {sorted(EXPERIMENTS)}")
     entry = EXPERIMENTS[name]
-    params = dict(entry["defaults"])
+    params = {key: default for key, (_, default) in entry["params"].items()}
     for kv in args.param:
         if "=" not in kv:
             raise InputError(f"--param wants K=V, got {kv!r}")
@@ -322,30 +302,36 @@ def cmd_verify(args, cfg):
         if key not in entry["params"]:
             raise InputError(f"experiment {name} has no parameter {key!r}; "
                              f"valid: {sorted(entry['params'])}")
+        kind = entry["params"][key][0]
         try:
-            params[key] = entry["params"][key](raw)
+            params[key] = kind(raw)
         except ValueError:
-            raise InputError(f"parameter {key} must be {entry['params'][key].__name__}")
-    missing = {k for k in entry["params"] if params.get(k) is None}
+            raise InputError(f"parameter {key} must be {kind.__name__}")
+    missing = {k for k, v in params.items() if v is None}
     if missing:
         raise InputError(f"experiment {name} needs --param for {sorted(missing)}")
 
     kwargs = dict(params)
-    if entry["needs_spec"] == "preset":
-        spec, preset = _resolve_spec(args, cfg)
-        if preset is None:
-            raise InputError("counterexample-density needs --preset")
-        kwargs = {"preset_name": preset, "spec": spec, **kwargs}
-    elif entry["needs_spec"]:
-        spec, _ = _resolve_spec(args, cfg)
-        kwargs = {"spec": spec, **kwargs}
+    if entry["needs_spec"]:
+        kwargs["spec"], preset = _resolve_spec(args, cfg)
+        if entry["needs_spec"] == "preset":
+            if preset is None:
+                raise InputError("counterexample-density needs --preset")
+            kwargs["preset_name"] = preset
     if "budget" in entry:
         budgets = {"term_digits": args.term_digits,
                    "factor_timeout_s": args.factor_timeout}
         kwargs[entry["budget"]] = budgets[entry["budget"]]
 
     report = entry["fn"](**kwargs)
-    report.name = name
+    if not isinstance(report, ex.ExperimentReport):
+        # a plain value; its parameters are the spec and the experiment's
+        # own, the budgets left out
+        spec = kwargs.get("spec")
+        shown = params if spec is None else {"spec": spec.to_json_dict(),
+                                             **params}
+        value, report = report, ex.ExperimentReport(name, shown)
+        report.observe("value", value)
     print(json.dumps(report.to_json_dict(), indent=2))
     status = "pass" if report.passed else "FAIL"
     summary_bits = ", ".join(f"{label}={value}" for label, value in report.observations[:4])

@@ -185,6 +185,33 @@ def test_count_to_file(tmp_path, capsys):
     assert lines[1].startswith("1,member,3,0")
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--preset", "tribonacci", "--x", "10", "--threads", "1"),
+    ("primes", "--preset", "tribonacci", "--max", "10"),
+])
+@pytest.mark.parametrize("where", ["missing-dir/f.csv", "."])
+def test_unwritable_output_is_input_error(tmp_path, capsys, argv, where):
+    path = tmp_path / where
+    code, out, err = run_cli(capsys, *argv, "--output", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "smooth-count"),
+    ("analyze", "--preset", "tribonacci"),
+    ("constants",),
+])
+def test_output_is_refused_where_no_csv_is_written(tmp_path, capsys, argv):
+    path = tmp_path / "F"
+    code, out, err = run_cli(capsys, *argv, "--output", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"unrecognized arguments: --output {path}" in err
+    assert not path.exists()
+
+
 def test_count_obstruction_row(capsys):
     code, out, _ = run_cli(capsys, "count", "--preset", "tribonacci",
                            "--x", "10", "--n-exact", "120", "--threads", "1")
@@ -530,6 +557,67 @@ def test_constants(capsys):
     assert abs(float(values["delta"]) - 0.086071) < 1e-6
     assert abs(float(values["kappa"]) - 0.600541) < 1e-4
     assert abs(float(values["exponent"]) - 0.0516894) < 2e-6
+
+
+# (verify arguments, exit code, SHA-256 of repr((code, stdout, stderr))):
+# every experiment with defaults or small overrides, a failing z-density,
+# the budget exits and the input errors. omega-iz's second line overrides
+# a defaulted parameter after the required n, so it sees the key order of
+# the report's "parameters".
+_TRIBONACCI = ("--preset", "tribonacci")
+VERIFY_SHA = [
+    (("z-density", *_TRIBONACCI, "--param", "x=3000"), 0,
+     "90dd3fdb54312cec442fa4abe36f35afb956a603921b26e213bd69cc68f60def"),
+    (("z-density", *_TRIBONACCI, "--param", "x=1000",
+      "--param", "tolerance=1e-9"), 2,
+     "1588b33bdb427a86b71bb8f3d15c854c082454408cde2d2f4e249b3b78543630"),
+    (("lemma5-sweep", *_TRIBONACCI, "--param", "p_max=400"), 0,
+     "42ce867eae8c2e8361e7573f4b8d599b89d50d542c611289f0a5656c9d4f5cf1"),
+    (("multiplier-sweep", *_TRIBONACCI, "--param", "p_max=200"), 0,
+     "50fc42771fa069699456c85272822d61ec29dae8ac310aa4bd58a0a9d0fe241d"),
+    (("beukers-zero-count", *_TRIBONACCI, "--param", "n_max=60"), 0,
+     "bd056efcb8084574829ffdd5f828604371684065457a59066e981b8e6aedd895"),
+    (("char-sum-sweep", *_TRIBONACCI, "--param", "p_max=40"), 0,
+     "23db7d44c770c8bcc99979eadd342f1870a28b3ef0038ad725f9be807d2fee34"),
+    (("smooth-count",), 0,
+     "979cdb07358903d644594157a1e7a7d4874876117ed7f7f2d33c0106a8dbd167"),
+    (("divisor-interval-count", "--param", "x=30", "--param", "z=5.5"), 0,
+     "51e7e51a4328618ce59f9d835efa92258aec297847b4b9dc0a5590cc4a0367c2"),
+    (("shifted-prime-count", "--param", "lam=1"), 0,
+     "b20329d89fd2cbe500028832876353a6b0445187be985e4313756d08a047b1b0"),
+    (("omega-iz", *_TRIBONACCI, "--param", "n=30030"), 0,
+     "276c3505c314245b22556605dd7080879e8a1d9c9bda2b37a3ef1bb6d2ab46cb"),
+    (("omega-iz", *_TRIBONACCI, "--param", "n=30030", "--param", "z3=3"), 0,
+     "0be4522005fdd34557cbf1a51f14c42e777699625e098d785118234b231ac2f2"),
+    (("counterexample-density", "--preset", "pow2-plus-n",
+      "--param", "x=60"), 0,
+     "316a154079ccafb1ce582e6b76feac03d9de6e373fa5d4e60d141ad2c8ba327d"),
+    (("counterexample-density", "--preset", "square-pow"), 0,
+     "3867a03287aec26edb2c8b98ae58fd13bfbc748d025c7ea7b7a426821bca3ed7"),
+    (("beukers-zero-count", *_TRIBONACCI, "--term-digits", "5"), 3,
+     "0580851da6feebff5be2fefbe2e78af3c938c395c0ffb6ae8b191253475cbd40"),
+    (("counterexample-density", "--preset", "square-pow",
+      "--term-digits", "5"), 3,
+     "5018586f5ca3d079e05d176a9dff37ec13f772eb98f02ff019e5f414dd9f70ce"),
+    (("no-such-thing",), 1,
+     "ef828e114634f2f1720c2f9fa7fd4863a0e23791d26f8c9996bfec268a129552"),
+    (("smooth-count", "--param", "zzz=1"), 1,
+     "6274efd00682846d355d7562f69194f2ea2f8f5c30a2e8fcfef711125372d76d"),
+    (("smooth-count", "--param", "x=ten"), 1,
+     "f9245d1c144f6a34e5fb2ebb6acd9ebb3ff7e1d400772e5c52073929c3b5bf01"),
+    (("omega-iz", *_TRIBONACCI), 1,
+     "cb692a37c97e5bff1c8f1b36bca0cd5e5b7e7c95af452951a217fb2c5dc436b6"),
+    (("counterexample-density", "--spec",
+      '{"a1":1,"a2":1,"a3":1,"u0":0,"u1":0,"u2":1}'), 1,
+     "a3d45ddb57468f0a06c132efa06eea8e41a5ab4f1127b3ffd619d33a018dddd7"),
+]
+
+
+@pytest.mark.parametrize("argv, code, sha", VERIFY_SHA)
+def test_verify_output_is_pinned(capsys, argv, code, sha):
+    result = run_cli(capsys, "verify", *argv)
+    assert result[0] == code
+    assert hashlib.sha256(repr(result).encode()).hexdigest() == sha
 
 
 def test_verify_pass_and_fail(capsys):
