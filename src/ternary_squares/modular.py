@@ -471,7 +471,12 @@ def frobenius_seed(spec, p, c=None):
     (ramified, or dividing a3, alike). The three terms are read off
     c = X^p modulo (characteristic cubic, p) and one ring square, as
     U_{kp} = L(c^k) for the functional L(X^i) = U_i. c is the walk's
-    (`frobenius_powers`), else one fresh X^p mod p of its own."""
+    (`frobenius_powers`), else one fresh X^p mod p of its own. It seeds
+    the obstruction table's rows and `frobenius_period`; the table's
+    re-check seeds its own W the same way, but takes the walk's c only
+    once it has proven it to be X^p, which a root test can do where
+    (d/p) = -1, as Psi then has no other root in the ring but X and a
+    constant (`representation.verified_obstructions`)."""
     r3, r4 = _reduction_rows(spec, p)
     if c is None:
         c = _x_pow(p, p, r3, r4)

@@ -32,7 +32,9 @@ one join and tallies them from the table.
 `_check` re-verifies every exact-tier, witness and `membership` verdict
 from its certificate alone, one predicate per method, and raises
 CertificateError, so it also runs under -O. `count` re-verifies the
-sieve's obstructions in bulk, on another path (`verified_obstructions`).
+sieve's obstructions in bulk, on another path (`verified_obstructions`),
+which uses the X^p and periods the sieve hands it only once it has
+proven them.
 A block compares its obstructed indices with the re-check's flags, and
 at the first that failed the stream yields the rows before it as a
 shorter block, then raises.
@@ -43,8 +45,9 @@ from array import array
 from itertools import chain, compress, islice, product
 
 from ._record import as_dict, record
-from .modular import (frobenius_period, frobenius_powers, frobenius_seed,
-                      term_mod)
+from .charpoly import discriminant
+from .modular import (_polymulmod, _reduction_rows, _x_pow, frobenius_period,
+                      frobenius_powers, frobenius_seed, term_mod)
 from .primes import (FactorTimeout, factorize, is_prime, iter_primes,
                      trial_division)
 from .recurrence import (DEFAULT_TERM_DIGITS, FIVE_FIB_SQ_MINUS_4,
@@ -302,14 +305,15 @@ def _is_nonresidue(r, p):
     """The obstruction's certificate predicate: U_n = r mod p is a nonzero
     quadratic nonresidue modulo the odd prime p, by Euler's criterion
     (r = 0 gives 0, not p - 1). `legendre(r, p) == -1` without its
-    reduction and branches; the sieve's rows at p > x/p, the re-check and
-    `qr_obstruction` all test through it."""
+    reduction and branches; the sieve's rows at p > x/p, the re-check
+    (and its (d/p)) and `qr_obstruction` all test through it."""
     return pow(r, p // 2, p) == p - 1
 
 
 def obstruction_table(spec, x):
-    """obs[n] for 0 <= n <= x: the smallest odd prime p | n with U_n a
-    quadratic nonresidue mod p, or 0 where there is none.
+    """(obs, hints): obs[n] for 0 <= n <= x, the smallest odd prime p | n
+    with U_n a quadratic nonresidue mod p, or 0 where there is none; and
+    the values the re-check may prove instead of recomputing.
 
     Prime-major, primes going up, so the first prime recorded at n is the
     smallest. The odd primes stream through `frobenius_powers`, one ring
@@ -318,14 +322,25 @@ def obstruction_table(spec, x):
     (`frobenius_period`), read off the table of squares mod p, are tiled
     over the multiples of p. Past that, the row is stepped inline, and
     Euler's criterion tests only the multiples no smaller prime has
-    claimed. Agrees with qr_obstruction. An array("I"), 4 bytes an
-    index, so x must be below 2^32.
+    claimed; at p > x/2, the one multiple is p, tested on W_1 alone.
+    Agrees with qr_obstruction. obs is an array("I"), 4 bytes an index,
+    so x must be below 2^32.
+
+    hints is an array("I") of five values per prime that names some
+    index, in prime order: p, the walk's X^p = c0 + c1*X + c2*X^2 mod
+    (Psi, p), and t, the period `frobenius_period` stopped at where
+    p <= x/p and t < x/p, else 0: 20 bytes a naming prime, 41 KB at
+    x = 3*10^4. `verified_obstructions` trusts none of them: it uses a
+    value only once it has proven it.
     """
     if x >= 1 << 32:
         raise ValueError("x must be below 2^32")
     obs = array("I", [0]) * (x + 1)
+    hints = array("I")
+    u0, u1, u2 = spec.initial_terms
     for p, c in frobenius_powers(spec, islice(iter_primes(x), 1, None)):
         k_max = x // p
+        t = named = 0
         if p <= k_max:
             period = frobenius_period(spec, p, k_max, c)
             squares = _squares_mod(p)
@@ -334,42 +349,135 @@ def obstruction_table(spec, x):
             for n in compress(range(p, x + 1, p),
                               flags * reps + flags[:extra]):
                 if not obs[n]:
-                    obs[n] = p
+                    obs[n] = named = p
+            if len(period) < k_max:
+                t = len(period)
+        elif k_max == 1:
+            # no smaller prime divides p, and W_2 is never read
+            if _is_nonresidue((c[0] * u0 + c[1] * u1 + c[2] * u2) % p, p):
+                obs[p] = named = p
         else:
             # stepped here, not by frobenius_period: a list per row made
             # the table 3-9% slower at x = 3*10^4 .. 3*10^5 (x86_64, 1 CPU)
             a1, a2, a3, w0, w1, w2 = frobenius_seed(spec, p, c)
             for n in range(p, x + 1, p):
                 if not obs[n] and _is_nonresidue(w1, p):
-                    obs[n] = p
+                    obs[n] = named = p
                 w0, w1, w2 = w1, w2, (a1 * w2 + a2 * w1 + a3 * w0) % p
-    return obs
+        if named:
+            hints.extend((p, *c, t))
+    return obs, hints
 
 
-def verified_obstructions(spec, obs):
+def _proven_x_p(c, p, d, r3, r4):
+    """(c, c^2) reduced mod p when c is proven to be X^p modulo (Psi, p),
+    else None; d is the discriminant of Psi, r3, r4 its reduction rows.
+
+    Proven only where (d/p) = -1, by Euler's criterion. There Psi is
+    (X - alpha) * Q mod p with Q irreducible (Stickelberger), so
+    F_p[X]/Psi is F_p x F_(p^2) by the CRT, X = (alpha, beta), and Psi
+    has exactly three roots in it: the constant alpha = (alpha, alpha),
+    X and X^p = (alpha, gamma). A c with Psi(c) = 0 that is neither X
+    nor a constant is X^p. Where (d/p) = 1 the roots of Psi in the ring
+    include X^(p^2), or X^p = X, so no root test can pin X^p."""
+    if not _is_nonresidue(d % p, p):
+        return None
+    c = (c[0] % p, c[1] % p, c[2] % p)
+    if c == (0, 1, 0) or not (c[1] or c[2]):
+        return None
+    cc = _polymulmod(c, c, p, r3, r4)
+    s0, s1, s2 = r3     # X^3 = s0 + s1*X + s2*X^2, so Psi(c) = 0 reads:
+    if _polymulmod(c, cc, p, r3, r4) != ((s0 + s1 * c[0] + s2 * cc[0]) % p,
+                                         (s1 * c[1] + s2 * cc[1]) % p,
+                                         (s1 * c[2] + s2 * cc[2]) % p):
+        return None
+    return c, cc
+
+
+def _proven_period_flags(t, p, coefficients, state):
+    """The nonresidue flags of W_1 .. W_t when t is proven a period of W,
+    else None, given U's coefficients mod p and W's state
+    (W_0, W_1, W_2). W is stepped on U's recurrence for t terms; the
+    state fixes every later term, so (W_t, W_{t+1}, W_{t+2}) = state
+    proves W_(k+t) = W_k for all k. Each of the t values then takes one
+    Euler test."""
+    a1, a2, a3 = coefficients
+    w0, w1, w2 = state
+    values = []
+    append = values.append
+    for _ in range(t):
+        append(w1)
+        w0, w1, w2 = w1, w2, (a1 * w2 + a2 * w1 + a3 * w0) % p
+    if (w0, w1, w2) != state:
+        return None
+    return bytes([_is_nonresidue(w, p) for w in values])
+
+
+def verified_obstructions(spec, obs, hints):
     """bytearray ok with ok[n] = 1 exactly where p = obs[n] is an odd prime
-    of a fresh sieve, p | n and U_n mod p is a nonzero nonresidue.
+    of a fresh sieve, p | n and U_n mod p is a nonzero nonresidue, given
+    the table's `hints` (see obstruction_table; empty hints are valid).
 
-    An independent re-check of obstruction_table, prime-major too, but on
-    another path: `frobenius_seed` starts W from its own X^p, one
-    `_x_pow` per prime, instead of the table's X^p from the block walk,
-    and a plain loop steps U's recurrence over every multiple of p up to
-    the last that names p, with no period assumed, where the table tiles
-    one. It keeps its own loop, not `frobenius_period`, so that a wrong
-    period rule cannot pass its own re-check. A prime that names no index
-    takes no power. Sound, not complete: it proves every obstruction the
-    table claims, not that the table missed none; a lost one leaves a
-    sound unknown, so `upper_bound` stays a valid bound on the members.
+    An independent re-check of obstruction_table, prime-major too. It
+    shares no arithmetic with the table: no block walk, no period walk,
+    no table of squares and no table of (d/p). A value it takes from the
+    hints passes a proof of its own first, else it is dropped and the
+    re-check computes what it needs itself:
+    - X^p at a prime with (d/p) = -1 (`_proven_x_p`): c is a root of Psi
+      in the ring, not X and not a constant, which leaves only X^p; the
+      check is one ring product beside the square that W_2 takes anyway.
+      At any other prime, and where the proof fails, X^p is one fresh
+      `_x_pow(p, p)`. So W_0, W_1, W_2 are U_0, U_p, U_2p mod p.
+    - A period t of W (`_proven_period_flags`), used when t is below the
+      number of multiples of p to test: W steps t terms on U's
+      recurrence, and the state it reaches must equal its start. Its t
+      flags are tiled over the multiples of p. Without a proven period a
+      plain loop steps every multiple of p up to the last that names p.
+    A wrong hint can therefore cost time, never a verdict: every flag
+    is Euler's criterion on a W the re-check derived itself. A prime that
+    names no index takes no work, and one whose only named multiple is p
+    no W_2. Sound, not complete: it proves every obstruction the table
+    claims, not that the table missed none. A complete re-check would
+    Euler-test every multiple of each p > x/p, named or not, where it now
+    tests only the named ones; a lost obstruction leaves a sound unknown,
+    so `upper_bound` stays a valid bound on the members.
     """
     x = len(obs) - 1
     ok = bytearray(x + 1)
+    d = discriminant(spec)
+    u0, u1, u2 = spec.initial_terms
+    i = 0   # hints[i] is the first p of the hints not below this prime
     for p in islice(iter_primes(x), 1, None):
         end = x - x % p     # down to the last multiple of p that names p
         while end and obs[end] != p:
             end -= p
         if not end:
             continue
-        a1, a2, a3, w0, w1, w2 = frobenius_seed(spec, p)
+        while i < len(hints) and hints[i] < p:
+            i += 5
+        c, t = ((hints[i + 1:i + 4], hints[i + 4])
+                if i + 4 < len(hints) and hints[i] == p else (None, 0))
+        r3, r4 = _reduction_rows(spec, p)
+        proven = None if c is None else _proven_x_p(c, p, d, r3, r4)
+        c, cc = proven or (_x_pow(p, p, r3, r4), None)
+        w1 = (c[0] * u0 + c[1] * u1 + c[2] * u2) % p
+        if end == p:
+            ok[p] = _is_nonresidue(w1, p)
+            continue
+        if cc is None:
+            cc = _polymulmod(c, c, p, r3, r4)
+        a3, a2, a1 = r3
+        w0, w2 = u0 % p, (cc[0] * u0 + cc[1] * u1 + cc[2] * u2) % p
+        k_end = end // p
+        flags = (_proven_period_flags(t, p, (a1, a2, a3), (w0, w1, w2))
+                 if 0 < t < k_end else None)
+        if flags is not None:
+            reps, extra = divmod(k_end, t)
+            for n in compress(range(p, end + 1, p),
+                              flags * reps + flags[:extra]):
+                if obs[n] == p:
+                    ok[n] = 1
+            continue
         for n in range(p, end + 1, p):
             if obs[n] == p and _is_nonresidue(w1, p):
                 ok[n] = 1
@@ -584,8 +692,8 @@ def classify_range(spec, x, n_exact, workers=1,
         raise ValueError("x must be >= 1")
     if spec.is_zero_sequence():
         raise ValueError("membership is undefined for the all-zero sequence")
-    obs = obstruction_table(spec, x)
-    verified = verified_obstructions(spec, obs)
+    obs, hints = obstruction_table(spec, x)
+    verified = verified_obstructions(spec, obs, hints)
     settings = (n_exact, factor_timeout_s, term_digits)
     exact = [n for n in range(1, min(x, n_exact) + 1) if not obs[n]]
     workers, chunks = _pool_plan(exact, workers)

@@ -308,8 +308,9 @@ def test_count_budget_prefix_is_pinned(tmp_path, capsys, args, lines, sha,
 def test_count_forged_obstruction_exit_2_keeps_rows_before_failing_index(
         tmp_path, capsys, monkeypatch):
     from ternary_squares import representation
+    # 3 does not divide 8; the table hands over no hints
     monkeypatch.setattr(representation, "obstruction_table",
-                        lambda spec, x: [0] * x + [3])   # 3 does not divide 8
+                        lambda spec, x: ([0] * x + [3], ()))
     out_path = tmp_path / "rows.csv"
     code, out, err = run_cli(capsys, "count", "--preset", "tribonacci",
                              "--x", "8", "--threads", "1",
@@ -331,9 +332,9 @@ def test_count_forged_table_entry_exit_2_keeps_rows_before_it(
     true_table = representation.obstruction_table
 
     def forged(spec, x):
-        obs = list(true_table(spec, x))
+        obs, hints = true_table(spec, x)
         obs[n] = p
-        return obs
+        return obs, hints
 
     whole = tmp_path / "whole.csv"
     code, *_ = run_cli(capsys, "count", "--preset", "tribonacci",
@@ -469,7 +470,8 @@ def test_count_undecided_indices_are_not_attempted(capsys, tmp_path):
 def _first_record_index(n_exact):
     """The first unobstructed tribonacci index n < n_exact: its record is
     the exact tier's, and n + 1 is still in the exact range."""
-    table = representation.obstruction_table(PRESETS["tribonacci"], n_exact)
+    table, _ = representation.obstruction_table(PRESETS["tribonacci"],
+                                                n_exact)
     return next(n for n in range(2, n_exact) if not table[n])
 
 
@@ -487,9 +489,9 @@ def test_count_forged_entry_in_a_block_exit_2_keeps_rows_before_it(
     true_table = representation.obstruction_table
 
     def forged(spec, x):
-        obs = true_table(spec, x)
+        obs, hints = true_table(spec, x)
         obs[n] = 9
-        return obs
+        return obs, hints
 
     whole = tmp_path / "whole.csv"
     code, *_ = _count_to_file(capsys, whole, "--preset", "tribonacci",

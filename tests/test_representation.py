@@ -8,7 +8,7 @@ from itertools import islice
 
 import pytest
 
-from ternary_squares import modular, representation
+from ternary_squares import modular, representation, sqrtmod
 from ternary_squares.modular import (_reduction_rows, _x_pow,
                                      frobenius_period, frobenius_powers,
                                      term_mod)
@@ -25,7 +25,7 @@ from ternary_squares.representation import (Member, NonMember,
                                             represent, status_name,
                                             verified_obstructions)
 from ternary_squares.recurrence import (FIVE_FIB_SQ_MINUS_4, POW2_PLUS_N,
-                                        SQUARE_POW, TRIBONACCI,
+                                        PRESETS, SQUARE_POW, TRIBONACCI,
                                         RecurrenceSpec, fibonacci, lucas,
                                         term, term_iter)
 from ternary_squares.sqrtmod import integer_sqrt, legendre
@@ -302,7 +302,7 @@ _EXACT_WINDOWS = [
 def test_local_and_jacobi_agree_with_the_full_factorization(monkeypatch):
     decided = []
     for spec, x in _EXACT_WINDOWS:
-        obs = obstruction_table(spec, x)
+        obs, _ = obstruction_table(spec, x)
         terms = islice(term_iter(spec, x), 1, None)
         for n, u_n in zip(range(1, x + 1), terms):
             if not obs[n] and u_n > 0:
@@ -508,14 +508,17 @@ def test_obstruction_table_matches_per_index_oracle(spec):
     # tribonacci past their first period (see the test below); at the
     # primes dividing a3, X^p never returns to 1 and the rows are stepped;
     # on 2^n, W's period is shorter than the order of X^p (see below)
-    assert list(obstruction_table(spec, 5000)) == _oracle_table(spec, 5000)
+    assert list(obstruction_table(spec, 5000)[0]) == \
+        _oracle_table(spec, 5000)
     for x in (1, 2, 3):
-        assert list(obstruction_table(spec, x)) == _oracle_table(spec, x)
+        assert list(obstruction_table(spec, x)[0]) == _oracle_table(spec, x)
 
 
 def test_obstruction_table_is_four_bytes_an_index():
-    obs = obstruction_table(TRIBONACCI, 1000)
-    assert obs.typecode == "I" and obs.itemsize == 4
+    # and its hints four bytes a value, five values a naming prime
+    obs, hints = obstruction_table(TRIBONACCI, 1000)
+    assert obs.typecode == hints.typecode == "I" and obs.itemsize == 4
+    assert list(hints[::5]) == sorted(set(obs) - {0})
     with pytest.raises(ValueError, match="x must be below 2\\^32"):
         obstruction_table(TRIBONACCI, 2**32)
 
@@ -536,7 +539,7 @@ def test_obstruction_table_steps_one_period(monkeypatch):
         representation, "frobenius_period",
         lambda spec, p, k_max, c: lengths.append(
             (p, len(period := inner(spec, p, k_max, c)))) or period)
-    assert 3 in obstruction_table(TRIBONACCI, x)
+    assert 3 in obstruction_table(TRIBONACCI, x)[0]
     assert [p for p, _ in lengths] == list(iter_primes(math.isqrt(x)))[1:]
     assert {p: t for p, t in lengths if p in periods} == periods
 
@@ -570,7 +573,7 @@ def test_obstruction_recheck_matches_term_mod(spec):
     # tribonacci's discriminant is -44, so its obstructions at 11 are at a
     # ramified prime; 3 | a3 and 5 | -15 obstruct the next two specs
     x = 3000
-    obs = obstruction_table(spec, x)
+    obs, hints = obstruction_table(spec, x)
     assert any(obs[n] == 11 for n in range(x + 1)) or spec != TRIBONACCI
     assert any(obs[n] and spec.a3 % obs[n] == 0 for n in range(x + 1)) \
         or abs(spec.a3) < 3
@@ -578,9 +581,10 @@ def test_obstruction_recheck_matches_term_mod(spec):
         period = frobenius_period(spec, p, x // p, None)
         assert [period[(k - 1) % len(period)] for k in range(1, x // p + 1)] \
             == [term_mod(spec, n, p) for n in range(p, x + 1, p)], (spec, p)
-    ok = verified_obstructions(spec, obs)
-    assert [n for n in range(x + 1) if ok[n]] == \
-        [n for n in range(x + 1) if obs[n]]
+    for handed in (hints, ()):
+        ok = verified_obstructions(spec, obs, handed)
+        assert [n for n in range(x + 1) if ok[n]] == \
+            [n for n in range(x + 1) if obs[n]]
 
 
 def test_frobenius_period_seeds_from_one_fresh_x_pow(monkeypatch):
@@ -603,9 +607,9 @@ def test_obstruction_recheck_rejects_forged_entries(p, n):
     # are residues mod 3 (the true entries are 0 and 5), 3 divides U_60,
     # and 3 does not divide 47. Only the forged index is left unverified
     x = 60
-    obs = list(obstruction_table(TRIBONACCI, x))
+    obs, hints = obstruction_table(TRIBONACCI, x)
     obs[n] = p
-    ok = verified_obstructions(TRIBONACCI, obs)
+    ok = verified_obstructions(TRIBONACCI, obs, hints)
     assert not ok[n]
     assert all(ok[m] for m in range(x + 1) if obs[m] and m != n)
 
@@ -619,20 +623,23 @@ def test_is_nonresidue_is_eulers_criterion():
 
 def test_ring_rows_built_once_per_prime(monkeypatch):
     # the table and the re-check each build the rows of the ring mod p
-    # once per prime: the table (frobenius_seed) at every odd prime up
-    # to x, and the walk (frobenius_powers) once per block of primes,
-    # modulo their product; the re-check (frobenius_seed) at each prime
+    # at most once per prime: the table (frobenius_seed) at every odd
+    # prime p <= x/2, as a prime past x/2 has the one multiple p, read off
+    # X^p with no ring product, and the walk (frobenius_powers) once per
+    # block of primes, modulo their product; the re-check at each prime
     # that names an index
     x = 3000
     rows = []
     _counting(monkeypatch, modular, "_reduction_rows", rows)
-    obs = obstruction_table(TRIBONACCI, x)
+    _counting(monkeypatch, representation, "_reduction_rows", rows)
+    obs, hints = obstruction_table(TRIBONACCI, x)
     odd = list(iter_primes(x))[1:]
     size = modular._WALK_BLOCK
     blocks = [math.prod(odd[i:i + size]) for i in range(0, len(odd), size)]
-    assert sorted(p for _, p in rows) == sorted(odd + blocks)
+    assert sorted(p for _, p in rows) == \
+        sorted([p for p in odd if 2 * p <= x] + blocks)
     rows.clear()
-    verified_obstructions(TRIBONACCI, obs)
+    verified_obstructions(TRIBONACCI, obs, hints)
     assert sorted(p for _, p in rows) == sorted(set(obs) - {0})
 
 
@@ -647,23 +654,90 @@ def test_membership_rejects_forged_obstruction(monkeypatch):
 def test_recheck_makes_one_x_pow_per_obstructing_prime(monkeypatch):
     # the table makes one X^q per block of primes, q its first prime,
     # modulo the block's product; the re-check one X^p mod p per prime
-    # that names an index; no other power and no term_mod
+    # that names an index and has (d/p) != -1, where no root test can
+    # prove the table's X^p (tribonacci's d is -44); no other power and
+    # no term_mod
     x = 30000
-    primes = set(obstruction_table(TRIBONACCI, x)) - {0}
+    primes = set(obstruction_table(TRIBONACCI, x)[0]) - {0}
+    unproven = sorted(p for p in primes if legendre(-44, p) != -1)
+    assert (len(primes), len(unproven)) == (2069, 910)
     odd = list(iter_primes(x))[1:]
     blocks = [odd[i:i + modular._WALK_BLOCK]
               for i in range(0, len(odd), modular._WALK_BLOCK)]
     assert len(blocks) == 203
     powers, term_mods = [], []
     _counting(monkeypatch, modular, "_x_pow", powers)
+    _counting(monkeypatch, representation, "_x_pow", powers)
     _counting(monkeypatch, representation, "term_mod", term_mods)
     report = count_range(TRIBONACCI, x, 0)
     assert report.counts["obstructed"] == 18759
     assert [(e, m) for e, m, _, _ in powers[:len(blocks)]] == \
         [(block[0], math.prod(block)) for block in blocks]
     assert [e for e, p, _, _ in powers[len(blocks):] if e != p] == []
-    assert sorted(p for _, p, _, _ in powers[len(blocks):]) == \
-        sorted(primes) and term_mods == []
+    assert sorted(p for _, p, _, _ in powers[len(blocks):]) == unproven \
+        and term_mods == []
+
+
+def test_recheck_proves_every_true_hint(monkeypatch):
+    # on the true table every handed X^p at a prime with (d/p) = -1 and
+    # every handed period t below the multiples to test passes its proof,
+    # so nothing falls back to a fresh power or a plain walk: the Euler
+    # tests are one (d/p) per hint plus t per proven period plus one per
+    # claim of the other primes, 18759 claims in all
+    x = 30000
+    obs, hints = obstruction_table(TRIBONACCI, x)
+    records = [tuple(hints[i:i + 5]) for i in range(0, len(hints), 5)]
+    roots, periods, tests = [], [], []
+    true_root = representation._proven_x_p
+    true_flags = representation._proven_period_flags
+
+    def root(c, p, *rest):
+        proven = true_root(c, p, *rest)
+        roots.append((p, proven is not None))
+        return proven
+
+    def flags(t, p, *rest):
+        proven = true_flags(t, p, *rest)
+        periods.append((p, t, proven is not None))
+        return proven
+
+    monkeypatch.setattr(representation, "_proven_x_p", root)
+    monkeypatch.setattr(representation, "_proven_period_flags", flags)
+    _counting(monkeypatch, representation, "_is_nonresidue", tests)
+    ok = verified_obstructions(TRIBONACCI, obs, hints)
+    assert ok == bytearray(map(bool, obs))
+    assert roots == [(p, legendre(-44, p) == -1) for p, *_ in records]
+    assert sum(proven for _, proven in roots) == 1159
+    last = {p: max(n for n in range(p, x + 1, p) if obs[n] == p) // p
+            for p, *_ in records}
+    assert periods == [(p, t, True) for p, *_, t in records
+                       if 0 < t < last[p]]
+    assert len(periods) == 18
+    claims = sum(1 for n in range(x + 1) if obs[n]
+                 and obs[n] not in {p for p, _, _ in periods})
+    assert len(tests) == len(records) + sum(t for _, t, _ in periods) + \
+        claims == 14454
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_recheck_shares_no_arithmetic_with_the_table(monkeypatch, name):
+    # the table's walks, its table of squares and the table of (d/p) all
+    # raise during the re-check, which passes every true obstruction with
+    # the table's hints and with none
+    spec, x = PRESETS[name], 30000
+    obs, hints = obstruction_table(spec, x)
+
+    def refuse(*args):
+        raise AssertionError("the re-check used the table's arithmetic")
+
+    for module in (modular, representation, sqrtmod):
+        for fn in ("frobenius_powers", "frobenius_period", "_squares_mod",
+                   "_discriminant_character"):
+            if hasattr(module, fn):
+                monkeypatch.setattr(module, fn, refuse)
+    for handed in (hints, ()):
+        assert verified_obstructions(spec, obs, handed) == \
+            bytearray(map(bool, obs))
 
 
 def test_stream_covers_every_index_once_in_bounded_blocks(monkeypatch):
@@ -722,7 +796,8 @@ def test_pool_plan_caps_workers_at_chunks():
 
 _WRONG_CERTIFICATES = """
 import sys
-from ternary_squares import representation as rep
+from array import array
+from ternary_squares import modular, representation as rep
 from ternary_squares.recurrence import POW2_PLUS_N, TRIBONACCI
 
 def raises_certificate_error(call):
@@ -760,7 +835,7 @@ wrong_witness = raises_certificate_error(
 # a walk that gives p = 101 a wrong X^p: the first index that changes,
 # 404, loses its obstruction (its row is a sound unknown), the next,
 # 505, claims 101 falsely, and the re-check, on its own X^p, refuses it
-true_table, true_walk = rep.obstruction_table(TRIBONACCI, 3000), \
+true_table, true_walk = rep.obstruction_table(TRIBONACCI, 3000)[0], \
     rep.frobenius_powers
 rep.frobenius_powers = lambda spec, primes: (
     (p, ((c[0] + 3) % p, c[1], c[2]) if p == 101 else c)
@@ -790,10 +865,51 @@ forged_period = (
     error == "obstruction at p=5 failed re-verification at n=185"
     and [p for item in items for p in item.primes] == list(true_table[1:185]))
 rep.frobenius_period = true_period
-rep.obstruction_table = lambda spec, x: [0, 0, 0, 0, 0, 0, 0, 0, 3]
+# forged hints on the true table: each must leave the flags that empty
+# hints give, and each would change them if its proof were skipped. At
+# p = 101, (d/p) = -1 and Psi's roots in the ring are the constant 62, X
+# and X^p: the first two are refused as X and as a constant. At p = 23,
+# Psi has no root mod p, and X^(p^2) is a root that no root test tells
+# from X^p: (d/p) = 1 refuses it. At p = 5 the period is 31, not 30
+obs, hints = rep.obstruction_table(TRIBONACCI, 3000)
+no_hints = rep.verified_obstructions(TRIBONACCI, obs, ())
+
+
+def forged_hints(p, at, values):
+    forged = array("I", hints)
+    i = forged[::5].index(p) * 5 + at
+    forged[i:i + len(values)] = array("I", values)
+    return forged
+
+
+rows_23 = modular._reduction_rows(TRIBONACCI, 23)
+forgeries = [forged_hints(101, 1, (0, 1, 0)), forged_hints(101, 1, (62, 0, 0)),
+             forged_hints(23, 1, modular._x_pow(23 * 23, 23, *rows_23)),
+             forged_hints(5, 4, (30,))]
+hints_refused = no_hints == bytearray(map(bool, obs)) and all(
+    rep.verified_obstructions(TRIBONACCI, obs, f) == no_hints
+    for f in forgeries)
+true_root, true_flags = rep._proven_x_p, rep._proven_period_flags
+
+
+def unproven_flags(t, p, coefficients, state):
+    (a1, a2, a3), (w0, w1, w2), flags = coefficients, state, []
+    for _ in range(t):
+        flags.append(rep._is_nonresidue(w1, p))
+        w0, w1, w2 = w1, w2, (a1 * w2 + a2 * w1 + a3 * w0) % p
+    return bytes(flags)
+
+
+rep._proven_x_p = lambda c, p, d, r3, r4: (
+    tuple(c), modular._polymulmod(tuple(c), tuple(c), p, r3, r4))
+rep._proven_period_flags = unproven_flags
+hints_bite = all(rep.verified_obstructions(TRIBONACCI, obs, f) != no_hints
+                 for f in forgeries)
+rep._proven_x_p, rep._proven_period_flags = true_root, true_flags
+rep.obstruction_table = lambda spec, x: ([0, 0, 0, 0, 0, 0, 0, 0, 3], ())
 wrong_obstruction = raises_certificate_error(
     lambda: list(rep.classify_range(TRIBONACCI, 8, 0)))
-rep.obstruction_table = lambda spec, x: [0] * 18 + [9]
+rep.obstruction_table = lambda spec, x: ([0] * 18 + [9], ())
 composite_obstruction = raises_certificate_error(
     lambda: list(rep.classify_range(TRIBONACCI, 18, 0)))
 after_record = raises_certificate_error(
@@ -829,6 +945,7 @@ d_off_by_one = raises_certificate_error(lambda: rep.represent(50, 1))
 rep.trial_division = lambda m: ({5: 1}, 3)
 d_shares_a_prime = raises_certificate_error(lambda: rep.represent(45, 1))
 sys.exit(0 if wrong_witness and forged_walk and forged_period
+         and hints_refused and hints_bite
          and wrong_obstruction and composite_obstruction and after_record
          and cut_block and wrong_method and wrong_member
          and wrong_prime and all(wrong_m) and d_off_by_one
